@@ -30,13 +30,7 @@ from typing import Optional
 
 from .errors import InvalidToleranceError
 from .model import Dataset, Number, cross_expenditures
-from .revpref import (
-    CycleWitness,
-    _minimal_cycle,
-    _violation_mask,
-    relation_matrices,
-    transitive_closure,
-)
+from .revpref import CycleWitness, uniform_verdict
 
 
 @dataclass(frozen=True)
@@ -61,36 +55,6 @@ class CceiResult:
     breakpoints: tuple[Number, ...]
 
 
-def _probe_value(dataset: Dataset, e_scalar) -> Number:
-    # Bisection probes arrive as floats; on the exact lane they are dyadic
-    # rationals, so Fraction(float) keeps the whole verdict exact.
-    if dataset.exact and isinstance(e_scalar, float):
-        return Fraction(e_scalar)
-    return e_scalar
-
-
-def _uniform_holds(dataset: Dataset, cm, e_scalar) -> bool:
-    """Fast verdict at a uniform efficiency, no witness construction."""
-    n = dataset.n_observations
-    weak, strict = relation_matrices(
-        cm, [_probe_value(dataset, e_scalar)] * n, dataset.rel_tol, dataset.exact
-    )
-    closure = transitive_closure(weak)
-    return not (closure & strict.T).any()
-
-
-def _witnessed_failure(dataset: Dataset, cm, e_scalar) -> CycleWitness:
-    from .revpref import RevealedRelation
-
-    n = dataset.n_observations
-    weak, strict = relation_matrices(
-        cm, [_probe_value(dataset, e_scalar)] * n, dataset.rel_tol, dataset.exact
-    )
-    rel = RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
-    assert _violation_mask(rel).any(), "witness requested at a passing efficiency"
-    return _minimal_cycle(rel)
-
-
 def _candidates(dataset: Dataset) -> list[Number]:
     cm = cross_expenditures(dataset)
     one: Number = Fraction(1) if dataset.exact else 1.0
@@ -113,7 +77,7 @@ def ccei_exact(dataset: Dataset) -> CceiResult:
     cm = cross_expenditures(dataset)
     cands = _candidates(dataset)
     one = cands[-1]
-    if _uniform_holds(dataset, cm, one):
+    if uniform_verdict(dataset, cm, one).holds:
         return CceiResult(
             value=one,
             attained=True,
@@ -123,16 +87,16 @@ def ccei_exact(dataset: Dataset) -> CceiResult:
         )
     # The smallest breakpoint always passes: below it no relation is strict.
     lo, hi = 0, len(cands) - 1  # invariant: cands[lo] passes, cands[hi] fails
-    assert _uniform_holds(dataset, cm, cands[0]), "smallest breakpoint must pass"
+    assert uniform_verdict(dataset, cm, cands[0]).holds, "smallest breakpoint must pass"
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _uniform_holds(dataset, cm, cands[mid]):
+        if uniform_verdict(dataset, cm, cands[mid]).holds:
             lo = mid
         else:
             hi = mid
     passing, failing = cands[lo], cands[hi]
     midpoint = (passing + failing) / 2
-    if _uniform_holds(dataset, cm, midpoint):
+    if uniform_verdict(dataset, cm, midpoint).holds:
         # Open interval below `failing` passes: supremum not attained.
         value, attained = failing, False
         if hi + 1 < len(cands):
@@ -142,11 +106,12 @@ def ccei_exact(dataset: Dataset) -> CceiResult:
     else:
         value, attained = passing, True
         probe = midpoint
-    witness = _witnessed_failure(dataset, cm, probe)
+    above = uniform_verdict(dataset, cm, probe, witness=True)
+    assert not above.holds, "witness requested at a passing efficiency"
     return CceiResult(
         value=value,
         attained=attained,
-        witness_above=witness,
+        witness_above=above.witness,
         witness_probe=probe,
         breakpoints=tuple(cands),
     )
@@ -163,12 +128,15 @@ def ccei_binary_search(dataset: Dataset, tol: float = 1e-9) -> float:
     if not (isinstance(tol, (int, float)) and isfinite(tol)) or tol <= 0:
         raise InvalidToleranceError(f"tolerance must be positive and finite, got {tol!r}")
     cm = cross_expenditures(dataset)
-    if _uniform_holds(dataset, cm, Fraction(1) if dataset.exact else 1.0):
+    # Probes are floats; on the exact lane they are dyadic rationals, so
+    # Fraction(float) keeps the whole verdict exact.
+    number = Fraction if dataset.exact else float
+    if uniform_verdict(dataset, cm, number(1)).holds:
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _uniform_holds(dataset, cm, mid):
+        if uniform_verdict(dataset, cm, number(mid)).holds:
             lo = mid
         else:
             hi = mid

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .afriat import solve_afriat, worst_residual
+from .afriat import AfriatSolution, solve_afriat, worst_residual
 from .ccei import ccei_binary_search, ccei_exact
 from .datagen import GeneratorSpec, generate
 from .duality import (
@@ -115,6 +115,19 @@ def _parse_json(path: str, content: str):
         raise ParseError(path, f"invalid JSON: {err}") from err
     if not isinstance(doc, dict) or "prices" not in doc or "bundles" not in doc:
         raise ParseError(path, 'JSON input needs "prices" and "bundles" arrays')
+    for key in ("prices", "bundles"):
+        table = doc[key]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ParseError(path, f'"{key}" must be an array of arrays')
+        for r, row in enumerate(table, start=1):
+            for cell in row:
+                # Numbers arrive as Fractions (parse_int/parse_float) and
+                # decimal strings are read later; true, false, null, NaN and
+                # nested containers are not numbers.
+                if not isinstance(cell, (Fraction, str)):
+                    raise ParseError(
+                        path, f'"{key}" entry is not a number: {type(cell).__name__}', row=r
+                    )
     return doc["prices"], doc["bundles"]
 
 
@@ -218,7 +231,8 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
     return results, EXIT_OK
 
 
-def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int]:
+def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int, AfriatSolution | None]:
+    """The afriat results and exit code, plus the solution if feasible."""
     try:
         solution = solve_afriat(dataset, args.efficiency_value)
     except AfriatInfeasibleError as err:
@@ -227,7 +241,7 @@ def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int]:
             "feasible": False,
             "witness": _encode_witness(err.witness),
         }
-        return results, EXIT_VIOLATION
+        return results, EXIT_VIOLATION, None
     results = {
         "efficiency": _echo_efficiency(dataset, args.efficiency_value),
         "feasible": True,
@@ -236,12 +250,14 @@ def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int]:
         "checked_pairs": dataset.n_observations ** 2,
         "worst_residual": float(worst_residual(solution, dataset)),
     }
-    return results, EXIT_OK
+    return results, EXIT_OK, solution
 
 
 def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
-    base, code = _cmd_afriat(dataset, args)
-    if not base["feasible"]:
+    if args.samples < 1:
+        raise GarpkitError(f"--samples must be at least 1, got {args.samples}")
+    base, code, solution = _cmd_afriat(dataset, args)
+    if solution is None:
         base.update({
             "rationalization": None,
             "cost_rationalization": None,
@@ -250,7 +266,6 @@ def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
             ),
         })
         return base, code
-    solution = solve_afriat(dataset, args.efficiency_value)
     rat = verify_rationalization(dataset, args.efficiency_value, solution,
                                  n_samples=args.samples, seed=args.seed)
     cost = verify_cost_rationalization(dataset, args.efficiency_value, solution,
@@ -491,7 +506,7 @@ def main(argv=None) -> int:
                 report["parameters"]["tol"] = args.tol
                 report["results"], code = _cmd_ccei(dataset, args)
             elif args.command == "afriat":
-                report["results"], code = _cmd_afriat(dataset, args)
+                report["results"], code, _ = _cmd_afriat(dataset, args)
             elif args.command == "verify":
                 report["parameters"]["samples"] = args.samples
                 report["parameters"]["seed"] = args.seed
@@ -527,3 +542,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover - thin wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    entrypoint()

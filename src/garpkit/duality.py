@@ -85,10 +85,6 @@ def _exact_bundle(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
 
 
-def _exact_utility(solution, dataset, coords):
-    return evaluate_utility(solution, dataset, coords)
-
-
 def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                            n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
     """Sample each deflated budget set and test ``U(x) <= U(x[t])``.
@@ -124,7 +120,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         count = points.shape[0]
         bad_here = 0
         if dataset.exact:
-            level = _exact_utility(solution, dataset, dataset.bundles[t])
+            level = evaluate_utility(solution, dataset, dataset.bundles[t])
             price_row = dataset.prices[t]
             for row in points:
                 coords = _exact_bundle(row)
@@ -132,7 +128,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                 if spend > budget:
                     shrink = budget / spend
                     coords = [c * shrink for c in coords]
-                value = _exact_utility(solution, dataset, coords)
+                value = evaluate_utility(solution, dataset, coords)
                 if value > level:
                     bad_here += 1
                     violations.append(SampleViolation(
@@ -244,16 +240,16 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         bad_here = 0
         checked = 0
         if dataset.exact:
-            level = _exact_utility(solution, dataset, dataset.bundles[t])
+            level = evaluate_utility(solution, dataset, dataset.bundles[t])
             price_row = dataset.prices[t]
             for raw in pts.tolist():
                 coords = _exact_bundle(raw)
-                value = _exact_utility(solution, dataset, coords)
+                value = evaluate_utility(solution, dataset, coords)
                 if value < level:
                     # Float rounding may leave a ray point a sliver under
                     # the exact level; nudge outward once, else drop it.
                     coords = [c * Fraction(1_000_000_001, 1_000_000_000) for c in coords]
-                    value = _exact_utility(solution, dataset, coords)
+                    value = evaluate_utility(solution, dataset, coords)
                     if value < level:
                         continue
                 checked += 1

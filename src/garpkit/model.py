@@ -72,6 +72,8 @@ def lt(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
 
 
 def _to_fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -86,6 +88,8 @@ def _to_fraction(value) -> Fraction:
 
 
 def _to_float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     out = float(value)
     if not isfinite(out):
         raise ValueError(f"non-finite entry {value!r}")

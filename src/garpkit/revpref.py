@@ -10,11 +10,17 @@ observation is not revealed preferred to itself by fiat).
 e-GARP holds when no bundle is transitively revealed preferred to one that
 is strictly revealed preferred back to it, i.e. there is no weak cycle
 containing a strict step.
+
+Every graph question about the relations goes through this module: the
+verdict reads the Warshall closure, and a failing verdict is certified by a
+minimal violating cycle found by one breadth-first search over boolean
+matrices from all violating sources at once (the selection rule is spelled
+out in ``_minimal_cycle``).  The CCEI search (:mod:`.ccei`) and the Afriat
+solver (:mod:`.afriat`) take their verdicts and witnesses from here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,11 +29,9 @@ import numpy as np
 from .model import (
     CrossMatrix,
     Dataset,
-    EfficiencyVector,
+    Number,
     coerce_efficiency,
     cross_expenditures,
-    leq,
-    lt,
 )
 
 
@@ -62,10 +66,10 @@ class GarpVerdict:
     witness: Optional[CycleWitness]
 
 
-def relation_matrices(cm: CrossMatrix, e_values, rel_tol: float, exact: bool):
-    """Weak/strict comparison matrices against deflated own expenditures."""
+def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
+    """Weak/strict comparisons against deflated own expenditures, plus closure."""
     n = len(cm.costs)
-    if exact:
+    if dataset.exact:
         weak = np.zeros((n, n), dtype=bool)
         strict = np.zeros((n, n), dtype=bool)
         for t in range(n):
@@ -74,14 +78,14 @@ def relation_matrices(cm: CrossMatrix, e_values, rel_tol: float, exact: bool):
             for s in range(n):
                 weak[t, s] = row[s] <= budget
                 strict[t, s] = row[s] < budget
-        return weak, strict
-    costs = cm.cost_array
-    budgets = np.array([float(v) for v in e_values]) * np.diag(costs)
-    rhs = budgets[:, None]
-    margin = rel_tol * np.maximum(np.abs(costs), np.abs(rhs))
-    weak = costs <= rhs + margin
-    strict = costs < rhs - margin
-    return weak, strict
+    else:
+        costs = cm.cost_array
+        budgets = np.array([float(v) for v in e_values]) * np.diag(costs)
+        rhs = budgets[:, None]
+        margin = dataset.rel_tol * np.maximum(np.abs(costs), np.abs(rhs))
+        weak = costs <= rhs + margin
+        strict = costs < rhs - margin
+    return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
 
 
 def transitive_closure(weak: np.ndarray) -> np.ndarray:
@@ -99,72 +103,87 @@ def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
     :class:`EfficiencyVector`.
     """
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
-    weak, strict = relation_matrices(cm, ev.values, dataset.rel_tol, dataset.exact)
-    return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
-
-
-def _violation_mask(rel: RevealedRelation) -> np.ndarray:
-    # (t, s) violates when t is (transitively) revealed preferred to s while
-    # s is directly *strictly* revealed preferred to t.
-    return rel.closure & rel.strict.T
+    return _relations(dataset, cross_expenditures(dataset), ev.values)
 
 
 def _minimal_cycle(rel: RevealedRelation) -> CycleWitness:
     """Minimal-length violating cycle; deterministic tie-breaking.
 
-    For every violating pair (t, s) -- closure t->s plus strict s->t -- the
-    candidate cycle is a shortest weak path from t to s closed by the strict
-    edge.  Among minimal-length cycles the lexicographically smallest
-    rotation starting at its lowest index is returned.
+    Breadth-first search over boolean matrices from every violating source
+    at once: ``levels[d - 1][i, v]`` holds when the shortest weak path from
+    ``sources[i]`` to ``v`` has ``d`` steps.  The search stops at the first
+    level with a pair (t, s) such that ``s`` is strictly revealed preferred
+    to ``t``; every such pair closes a violating cycle of ``d + 1`` steps,
+    and no violating cycle is shorter.  For each pair the lexicographically
+    smallest shortest path from ``t`` to ``s`` is rebuilt greedily -- from
+    each node, the smallest weak successor that still lies on a shortest
+    path to ``s`` -- which is the path a per-source BFS scanning neighbours
+    in index order records.  Each cycle is rotated to start at its lowest
+    index, and the lexicographically smallest is returned.
     """
-    pairs = np.argwhere(_violation_mask(rel))
-    weak = rel.weak
+    weak, strict = rel.weak, rel.strict
     n = weak.shape[0]
-    by_source: dict[int, list[int]] = {}
-    for t, s in pairs:
-        by_source.setdefault(int(t), []).append(int(s))
+    sources = np.flatnonzero((rel.closure & strict.T).any(axis=1))
+    back = strict.T[sources]
+    reached = np.zeros((sources.size, n), dtype=bool)
+    reached[np.arange(sources.size), sources] = True
+    frontier = weak[sources] & ~reached
+    levels = [frontier]
+    while not (frontier & back).any():
+        if not frontier.any():
+            raise ValueError("no violating cycle: e-GARP holds")
+        reached |= frontier
+        frontier = (frontier @ weak) & ~reached
+        levels.append(frontier)
+    depth = len(levels)
 
-    best: tuple[int, tuple[int, ...]] | None = None
-    for t, targets in sorted(by_source.items()):
-        # BFS over the weak digraph from t; neighbours scanned in index
-        # order so parents (and hence paths) are deterministic.
-        parent = {t: -1}
-        dist = {t: 0}
-        queue = deque([t])
-        while queue:
-            node = queue.popleft()
-            for nxt in np.flatnonzero(weak[node]):
-                nxt = int(nxt)
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
-                    parent[nxt] = node
-                    queue.append(nxt)
-        for s in targets:
-            assert s in dist, "closure asserts a weak path that BFS cannot find"
-            path = [s]
-            while path[-1] != t:
-                path.append(parent[path[-1]])
-            path.reverse()  # t ... s, then the strict edge s->t closes it
-            pivot = path.index(min(path))
-            ring = path[pivot:] + path[:pivot]
-            candidate = (len(path) + 1, tuple(ring + [ring[0]]))
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None, "witness requested for a passing dataset"
-    indices = best[1]
-    strict_positions = [
-        i for i in range(len(indices) - 1) if rel.strict[indices[i], indices[i + 1]]
-    ]
-    return CycleWitness(indices=indices, strict_edge=strict_positions[0])
+    best: tuple[int, ...] | None = None
+    for i, s in np.argwhere(frontier & back).tolist():
+        path = [int(sources[i])]
+        if depth > 1:
+            # The nodes r steps along some shortest path from t to s, for
+            # r = depth - 1 down to 1.
+            on = [levels[depth - 2][i] & weak[:, s]]
+            for r in range(depth - 2, 0, -1):
+                on.append(levels[r - 1][i] & (weak @ on[-1]))
+            for step in reversed(on):
+                path.append(int(np.argmax(weak[path[-1]] & step)))
+        path.append(s)
+        pivot = path.index(min(path))
+        ring = tuple(path[pivot:] + path[: pivot + 1])
+        if best is None or ring < best:
+            best = ring
+    strict_edge = next(i for i in range(depth + 1) if strict[best[i], best[i + 1]])
+    return CycleWitness(indices=best, strict_edge=strict_edge)
+
+
+def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
+    """e-GARP verdict of built relations; on failure optionally a minimal cycle.
+
+    The verdict reads the closure: (t, s) violates when ``t`` is
+    transitively revealed preferred to ``s`` while ``s`` is directly
+    *strictly* revealed preferred to ``t``.
+    """
+    if not (rel.closure & rel.strict.T).any():
+        return GarpVerdict(holds=True, witness=None)
+    return GarpVerdict(holds=False, witness=_minimal_cycle(rel) if witness else None)
+
+
+def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
+                    witness: bool = False) -> GarpVerdict:
+    """e-GARP verdict with the efficiency ``e`` shared by every observation.
+
+    For callers that probe many efficiencies on one dataset: ``cm`` is the
+    dataset's cross-expenditure matrix, and ``e`` is used as given, in the
+    dataset's arithmetic, without coercion.
+    """
+    rel = _relations(dataset, cm, [e] * dataset.n_observations)
+    return garp_verdict(rel, witness=witness)
 
 
 def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:
     """Test e-GARP; on failure optionally return a minimal violating cycle."""
-    rel = direct_relations(dataset, e)
-    if not _violation_mask(rel).any():
-        return GarpVerdict(holds=True, witness=None)
-    return GarpVerdict(holds=False, witness=_minimal_cycle(rel) if witness else None)
+    return garp_verdict(direct_relations(dataset, e), witness=witness)
 
 
 def validate_witness(dataset: Dataset, e, w: CycleWitness) -> bool:

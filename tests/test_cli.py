@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,16 +236,19 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
     assert "zebra" in report["results"]["error"]["message"]
 
 
-def test_every_report_validates_against_schema(capsys, tmp_path, base_path,
-                                               viol_path):
+@pytest.fixture
+def report_validator():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json")
         .read_text()
     )
     jsonschema.Draft202012Validator.check_schema(schema)
-    validator = jsonschema.Draft202012Validator(schema)
+    return jsonschema.Draft202012Validator(schema)
 
+
+def test_every_report_validates_against_schema(capsys, tmp_path, base_path,
+                                               viol_path, report_validator):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,p1,x1\n1,0,1\n")
     config = tmp_path / "gen.json"
@@ -266,5 +272,60 @@ def test_every_report_validates_against_schema(capsys, tmp_path, base_path,
     for argv in invocations:
         main(argv)
         report = json.loads(capsys.readouterr().out)
-        errors = list(validator.iter_errors(report))
+        errors = list(report_validator.iter_errors(report))
         assert not errors, f"{argv}: {errors[0].message if errors else ''}"
+
+
+@pytest.mark.parametrize("doc", [
+    '{"prices": [[1]], "bundles": 5}',
+    '{"prices": 5, "bundles": [[1]]}',
+    '{"prices": [1], "bundles": [[1]]}',
+    '{"prices": [[true]], "bundles": [[1]]}',
+    '{"prices": [[1]], "bundles": [[false]]}',
+    '{"prices": [[1]], "bundles": [[null]]}',
+    '{"prices": [[1]], "bundles": [[[1]]]}',
+    '{"prices": [[1]], "bundles": [[NaN]]}',
+])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, report_validator, doc):
+    path = tmp_path / "d.json"
+    path.write_text(doc)
+    code, report = run_json(capsys, "check-garp", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert report["results"]["error"]["type"] == "ParseError"
+    assert not list(report_validator.iter_errors(report))
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_nonpositive_samples(capsys, base_path, report_validator,
+                                            samples):
+    code, report = run_json(capsys, "verify", base_path, "--samples", samples)
+    assert code == EXIT_INPUT_ERROR
+    assert "--samples must be at least 1" in report["results"]["error"]["message"]
+    assert not list(report_validator.iter_errors(report))
+
+
+def test_verify_solves_afriat_once(capsys, monkeypatch, base_path):
+    import garpkit.cli as cli
+
+    solve = cli.solve_afriat
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_afriat", counting)
+    code, report = run_json(capsys, "verify", base_path, "--samples", "20")
+    assert code == EXIT_OK and report["results"]["feasible"] is True
+    assert len(calls) == 1
+
+
+def test_module_runs_as_script(viol_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "garpkit.cli", "check-garp", viol_path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_VIOLATION
+    assert json.loads(done.stdout)["results"]["witness"]["cycle"] == [1, 2, 1]

@@ -59,6 +59,8 @@ def test_forced_exact_lane_reads_float_at_binary_value():
     ([(-2, 1)], [(1, 1)], NonpositivePriceError),
     ([(1, 1)], [(-1, 2)], NegativeBundleError),
     ([(1, 1)], [(0, 0)], ZeroBundleError),
+    ([(True, 1)], [(1, 1)], ShapeMismatchError),
+    ([(1.0, 1.0)], [(False, 1.0)], ShapeMismatchError),
 ])
 def test_validation_rejections(prices, bundles, err):
     with pytest.raises(err):
