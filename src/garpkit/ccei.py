@@ -28,6 +28,8 @@ from fractions import Fraction
 from math import isfinite
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidToleranceError
 from .model import Dataset, Number, cross_expenditures
 from .revpref import CycleWitness, uniform_verdict
@@ -57,8 +59,10 @@ class CceiResult:
 
 def _candidates(dataset: Dataset) -> list[Number]:
     cm = cross_expenditures(dataset)
-    one: Number = Fraction(1) if dataset.exact else 1.0
-    found = {one}
+    if not dataset.exact:
+        ratios = cm.ratio_array
+        return np.unique(np.append(ratios[(ratios > 0) & (ratios <= 1)], 1.0)).tolist()
+    found = {Fraction(1)}
     for row in cm.ratios:
         for r in row:
             if 0 < r <= 1:

@@ -73,13 +73,13 @@ def parse_input(path: str, fmt: str = "auto", exact: bool = True) -> Dataset:
     except OSError as err:
         raise ParseError(path, str(err)) from err
     if fmt == "csv":
-        prices, bundles = _parse_csv(path, content)
+        prices, bundles = _parse_csv(path, content, exact)
     else:
-        prices, bundles = _parse_json(path, content)
+        prices, bundles = _parse_json(path, content, exact)
     return validate_dataset(prices, bundles, exact=exact)
 
 
-def _parse_csv(path: str, content: str):
+def _parse_csv(path: str, content: str, exact: bool):
     rows = list(csv.reader(io.StringIO(content)))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
@@ -98,37 +98,64 @@ def _parse_csv(path: str, content: str):
         if len(cells) != len(header):
             raise ParseError(path, f"expected {len(header)} cells", row=r)
         for c, cell in enumerate(cells):
-            try:
-                Fraction(cell)
-            except (ValueError, ZeroDivisionError) as err:
-                raise ParseError(path, f"not a number: {cell!r}", row=r,
-                                 column=header[c]) from err
+            _check_cell(path, cell, r, header[c], exact)
         prices.append(cells[1 : width + 1])
         bundles.append(cells[width + 1 :])
     return prices, bundles
 
 
-def _parse_json(path: str, content: str):
+def _parse_json(path: str, content: str, exact: bool):
     try:
         doc = json.loads(content, parse_float=Fraction, parse_int=Fraction)
     except json.JSONDecodeError as err:
         raise ParseError(path, f"invalid JSON: {err}") from err
     if not isinstance(doc, dict) or "prices" not in doc or "bundles" not in doc:
         raise ParseError(path, 'JSON input needs "prices" and "bundles" arrays')
-    for key in ("prices", "bundles"):
+    # Columns are named as in the CSV header: p1, p2, ... and x1, x2, ...
+    for key, letter in (("prices", "p"), ("bundles", "x")):
         table = doc[key]
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ParseError(path, f'"{key}" must be an array of arrays')
         for r, row in enumerate(table, start=1):
-            for cell in row:
+            for c, cell in enumerate(row, start=1):
+                column = f"{letter}{c}"
                 # Numbers arrive as Fractions (parse_int/parse_float) and
                 # decimal strings are read later; true, false, null, NaN and
                 # nested containers are not numbers.
                 if not isinstance(cell, (Fraction, str)):
                     raise ParseError(
-                        path, f'"{key}" entry is not a number: {type(cell).__name__}', row=r
+                        path, f'"{key}" entry is not a number: {type(cell).__name__}',
+                        row=r, column=column,
                     )
+                _check_cell(path, cell, r, column, exact)
     return doc["prices"], doc["bundles"]
+
+
+def _check_cell(path: str, cell, row: int, column: str, exact: bool) -> None:
+    """Raise ParseError unless ``cell`` reads as a number the report can write."""
+    try:
+        value = Fraction(cell)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseError(path, f"not a number: {cell!r}", row=row, column=column) from err
+    # The exact-lane fingerprint writes every entry out in full.
+    if exact and not _writable(value):
+        raise ParseError(path, "number has too many digits", row=row, column=column)
+
+
+def _writable(value: Fraction) -> bool:
+    """Whether a report can write ``value`` out in full.
+
+    Python refuses to write integers of over sys.get_int_max_str_digits()
+    digits (4300 by default, never under 640).  Under 2000 bits an integer
+    has at most 603 digits, so only longer ones need the trial conversion.
+    """
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) < 2000:
+        return True
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _efficiency_argument(text: str):
@@ -137,6 +164,8 @@ def _efficiency_argument(text: str):
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise GarpkitError(f"bad efficiency value in {text!r}") from err
+    if not all(_writable(v) for v in values):
+        raise GarpkitError("efficiency value has too many digits")
     return values[0] if len(values) == 1 else values
 
 
@@ -186,6 +215,9 @@ def _verification_json(report: VerificationReport):
         "total_samples": report.total_samples,
         "clean": report.clean,
         "exhausted_observations": [t + 1 for t in report.exhausted],
+        "exact_certified": report.exact_certified,
+        "nudged": report.nudged,
+        "dropped": report.dropped,
         "per_observation": [
             {"observation": o.observation + 1, "samples": o.samples,
              "violations": o.violations}

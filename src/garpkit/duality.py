@@ -19,7 +19,15 @@ evaluation order.
 
 On the exact lane, float proposals are converted to exact rationals and
 membership is certified exactly before the violation test, which then
-carries no tolerance at all.
+carries no tolerance at all.  A float64 filter decides first (the adaptive
+predicate pattern of Shewchuk, 1997): it brackets the exact utility of every
+sampled point between two floats under a rigorous forward error bound, and a
+point whose bracket already settles its test is counted without rational
+arithmetic.  Every other point -- the observed bundles on their own level
+surface, for instance -- is decided exactly, by the same code as without the
+filter, so reports are identical with and without it and every reported
+violation is an exact fact.  Exact data whose float64 mirror overflows or
+underflows cannot be sampled and is refused with a :class:`GarpkitError`.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .afriat import AfriatSolution, evaluate_utility, utility_profile
-from .model import Dataset, coerce_efficiency, cross_expenditures, leq, lt
+from .errors import GarpkitError
+from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures, leq
 from .revpref import check_e_garp
 
 #: Float-lane violations must exceed this relative margin to be recorded.
@@ -40,6 +49,12 @@ FLOAT_RTOL = 1e-9
 #: Cap on the outward-nudge loop that certifies ray points sit weakly above
 #: the target level after float rounding; usually 0 or 1 passes are needed.
 _MAX_NUDGES = 60
+
+#: Exact-lane outward nudge of an upper-set point left under the level.
+_NUDGE = Fraction(1_000_000_001, 1_000_000_000)
+
+#: Absolute slack of the filter's error bound for underflowing products.
+_TINY = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -61,12 +76,24 @@ class ObservationSummary:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of one sampling verification.
+
+    ``exact_certified`` counts the points decided in exact arithmetic because
+    the float64 filter could not settle them; ``nudged`` counts upper-set
+    points that sat under the exact level and were counted after the outward
+    nudge, ``dropped`` those still under it and left out.  All three stay 0
+    on the float lane.
+    """
+
     kind: str
     requested_per_observation: int
     seed: int
     per_observation: tuple[ObservationSummary, ...]
     violations: tuple[SampleViolation, ...]
     exhausted: tuple[int, ...]
+    exact_certified: int = 0
+    nudged: int = 0
+    dropped: int = 0
 
     @property
     def clean(self) -> bool:
@@ -85,6 +112,153 @@ def _exact_bundle(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
 
 
+def _normal(a: np.ndarray) -> np.ndarray:
+    return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
+
+
+def _sampling_profile(dataset: Dataset, cm: CrossMatrix,
+                      solution: AfriatSolution) -> tuple[np.ndarray, np.ndarray]:
+    """``utility_profile``, refusing exact data its float64 mirror cannot hold.
+
+    Points are drawn in float64 from mirrors of the prices, bundles, cross
+    expenditures and utility; an entry that overflows, or a nonzero one that
+    underflows out of the normal range, would draw them from other data.
+    """
+    if not dataset.exact:
+        return utility_profile(solution, dataset)
+    try:
+        prices, bundles, costs = dataset.price_array, dataset.bundle_array, cm.cost_array
+        gradients, offsets = utility_profile(solution, dataset)
+    except OverflowError:
+        ok = False
+    else:
+        zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
+        ok = (_normal(prices).all() and _normal(costs).all()
+              and (_normal(bundles) | zero).all()
+              and np.isfinite(gradients).all() and np.isfinite(offsets).all())
+    if not ok:
+        raise GarpkitError(
+            "exact data outside the float64 range: sampling draws points from "
+            "a float64 mirror of the prices, bundles and recovered utility, "
+            "and that mirror overflows or underflows"
+        )
+    return gradients, offsets
+
+
+def _own_expenditures(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution) -> list:
+    """Exact ``e[s] * costs[s][s]`` at the solution's efficiency."""
+    return [e * cm.costs[s][s] for s, e in enumerate(solution.efficiency)]
+
+
+@dataclass(frozen=True)
+class _Filter:
+    """Float64 bracket of the exact recovered utility at float points.
+
+    For a point ``x`` (float coordinates, taken at their exact value) and
+    ``S = x @ prices.T``, ``terms(S)`` returns per-piece floats ``lo <= T_s(x)
+    <= hi``, where ``T_s(x) = phi[s] + lam[s] * (p[s] . x - own[s])`` is
+    evaluated exactly; so ``lo.min(axis=1) <= U(x) <= hi.min(axis=1)``.
+
+    Error bound.  ``prices``, ``phi``, ``lam`` and ``own`` are single
+    correctly rounded conversions of the exact values, each with relative
+    error at most ``u = 2**-53``.  In the model ``fl(a op b) = (a op b)(1 + d)``,
+    ``|d| <= u`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 2-3), an L-term dot product in any order, with or without fused
+    multiply-adds, carries a factor ``1 + theta_L``, ``|theta_k| <= gamma_k =
+    k u / (1 - k u)``.  Following the operations gives ``fl(T_s) =
+    phi (1 + theta_2) + lam (S (1 + theta_{L+5}) - own (1 + theta_4))``, and
+    a point scaled by the rounded nudge factor adds two more roundings, so
+    ``|fl(T_s) - T_s| <= gamma_{L+7} A`` with ``A = |phi| + lam (S + own)``.
+    The bound is ``err = c u A`` with ``c = 2 (L + 10)``: computing ``A`` in
+    floats loses at most a factor ``1 - gamma_{L+11}``, and forming
+    ``fl(T_s) -+ err`` costs ``u (|fl(T_s)| + err)``; what must be covered is
+    then about ``(L + 8) u A``, which ``c u A`` covers twice over.  Products
+    that underflow break the relative model by at most ``2**-1075`` each;
+    fewer than ``(L + 3)(1 + lam)`` of them reach one term, which the
+    absolute slack ``2**-1000 (1 + lam)`` covers.  Overflow makes a term
+    non-finite, and such a term gets the vacuous bracket.
+
+    The bound needs normal mirrors: :func:`_make_filter` returns None when
+    ``phi`` (other than exact zeros), ``lam`` or ``own`` is not finite and
+    normal, or some ``lam`` is not positive (U would not be increasing), and
+    every point is then decided exactly.
+    """
+
+    prices: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
+    own: np.ndarray
+    unit: float
+
+    def terms(self, spend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = self.phi + self.lam * (spend - self.own)
+            err = (self.unit * (np.abs(self.phi) + self.lam * (spend + self.own))
+                   + _TINY * (1.0 + self.lam))
+            lo, hi = term - err, term + err
+        vacuous = ~(np.isfinite(lo) & np.isfinite(hi))
+        lo[vacuous], hi[vacuous] = -np.inf, np.inf
+        return lo, hi
+
+    def spend_floor(self, spend: np.ndarray) -> np.ndarray:
+        """Lower bounds on the exact ``p[s] . x`` from ``spend = fl(x @ prices.T)``."""
+        return spend * (1.0 - self.unit) - _TINY
+
+
+def _make_filter(dataset: Dataset, cm: CrossMatrix,
+                 solution: AfriatSolution) -> Optional[_Filter]:
+    try:
+        phi = np.array([float(v) for v in solution.phi])
+        lam = np.array([float(v) for v in solution.lam])
+        own = np.array([float(v) for v in _own_expenditures(dataset, cm, solution)])
+    except OverflowError:
+        return None
+    if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all()
+            and (lam > 0).all() and _normal(own).all()):
+        return None
+    # phi == 0 only certifies a zero mirror when the exact value is zero.
+    if any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi)):
+        return None
+    return _Filter(dataset.price_array, phi, lam, own,
+                   unit=2 * (dataset.n_goods + 10) * 2.0 ** -53)
+
+
+def _exact_levels(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution,
+                  flt: Optional[_Filter]) -> list:
+    """Exact ``U(x[t])`` for every t, read off the cross expenditures.
+
+    ``p[s] . x[t]`` is ``costs[s][t]``, so the level of an observed bundle
+    needs no dot products: ``min_s phi[s] + lam[s] * (costs[s][t] - own[s])``.
+    With a filter, only the pieces whose float bracket can reach the
+    minimum are evaluated exactly.
+    """
+    own = _own_expenditures(dataset, cm, solution)
+    n = dataset.n_observations
+    if flt is None:
+        pieces = [range(n)] * n
+    else:
+        lo, hi = flt.terms(cm.cost_array.T)
+        pieces = [np.flatnonzero(row).tolist()
+                  for row in lo <= hi.min(axis=1, keepdims=True)]
+    return [
+        min(solution.phi[s] + solution.lam[s] * (cm.costs[s][t] - own[s]) for s in pieces[t])
+        for t in range(n)
+    ]
+
+
+def _neighbours(value) -> tuple[float, float]:
+    """Floats strictly below and strictly above the exact ``value``.
+
+    ``float(Fraction)`` rounds correctly, so the exact value lies strictly
+    between the neighbours of its nearest float.
+    """
+    try:
+        nearest = float(value)
+    except OverflowError:
+        return -np.inf, np.inf
+    return float(np.nextafter(nearest, -np.inf)), float(np.nextafter(nearest, np.inf))
+
+
 def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                            n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
     """Sample each deflated budget set and test ``U(x) <= U(x[t])``.
@@ -93,17 +267,23 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     and pulled inward by a uniform radial factor; the zero bundle and every
     observed bundle inside the budget are always included.  On the exact lane
     each proposal is scaled exactly back onto the budget set before testing,
-    so recorded violations are exact facts, not rounding artifacts.
+    so recorded violations are exact facts, not rounding artifacts; a point
+    the float filter places strictly under the level is not a violation
+    whether scaled or not (U is increasing), and skips the exact test.
     """
     ev = coerce_efficiency(e, dataset)
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets = utility_profile(solution, dataset)
+    gradients, offsets = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
+    if dataset.exact:
+        flt = _make_filter(dataset, cm, solution)
+        levels = _exact_levels(dataset, cm, solution, flt)
 
     summaries = []
     violations = []
+    exact_certified = 0
     for t in range(n):
         rng = rngs[t]
         budget = ev[t] * cm.costs[t][t]
@@ -120,9 +300,15 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         count = points.shape[0]
         bad_here = 0
         if dataset.exact:
-            level = evaluate_utility(solution, dataset, dataset.bundles[t])
+            level = levels[t]
+            if flt is None:
+                settled = np.zeros(count, dtype=bool)
+            else:
+                _, hi = flt.terms(points @ flt.prices.T)
+                settled = hi.min(axis=1) <= _neighbours(level)[0]
+            exact_certified += count - int(settled.sum())
             price_row = dataset.prices[t]
-            for row in points:
+            for row in points[~settled]:
                 coords = _exact_bundle(row)
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend > budget:
@@ -159,6 +345,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         per_observation=tuple(summaries),
         violations=tuple(violations),
         exhausted=(),
+        exact_certified=exact_certified,
     )
 
 
@@ -192,6 +379,28 @@ def _ray_level_points(rng, gradients, offsets, level: float,
     return alpha[:, None] * directions
 
 
+def _count_nudged(dataset: Dataset, solution: AfriatSolution, own: list,
+                  flt: _Filter, points: np.ndarray, spend: np.ndarray, level) -> int:
+    """How many of the filter-settled ``points`` lie strictly under ``level``.
+
+    The filter settles an upper-set point whether or not the exact path
+    would have nudged it; this decides that, for the ``nudged`` count, by
+    evaluating exactly only the pieces of U whose float bracket reaches
+    below the level (usually one per ray point, none for the rest).
+    """
+    lo, _ = flt.terms(spend)
+    open_pieces = lo < _neighbours(level)[1]
+    nudged = 0
+    for i in np.flatnonzero(open_pieces.any(axis=1)):
+        coords = _exact_bundle(points[i])
+        for s in np.flatnonzero(open_pieces[i]).tolist():
+            spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
+            if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
+                nudged += 1
+                break
+    return nudged
+
+
 def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                 n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
     """Sample each upper set and test ``p[t] . x >= e[t] * costs[t][t]``.
@@ -202,15 +411,25 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     failed); the other half are utility-level crossings along random rays,
     which sit on the boundary of the upper set where the cost inequality is
     tight.  Observed bundles at or above the level are checked as well.
+
+    On the exact lane a point under the exact level is nudged outward by a
+    factor 1.000000001 and dropped if still under it.  The float filter
+    counts a point without rational arithmetic when the nudged point is
+    certainly above the level and the point itself certainly costs more
+    than the budget: then it is counted and clean, nudged or not.
     """
     ev = coerce_efficiency(e, dataset)
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets = utility_profile(solution, dataset)
+    gradients, offsets = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
+    if dataset.exact:
+        own = _own_expenditures(dataset, cm, solution)
+        flt = _make_filter(dataset, cm, solution)
+        levels = _exact_levels(dataset, cm, solution, flt)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
@@ -218,6 +437,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     summaries = []
     violations = []
     exhausted = []
+    exact_certified = nudged = dropped = 0
     for t in range(n):
         rng = rngs[t]
         budget = ev[t] * cm.costs[t][t]
@@ -240,18 +460,31 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         bad_here = 0
         checked = 0
         if dataset.exact:
-            level = evaluate_utility(solution, dataset, dataset.bundles[t])
+            level = levels[t]
+            if flt is None:
+                settled = np.zeros(pts.shape[0], dtype=bool)
+            else:
+                spend_f = pts @ flt.prices.T
+                lo, _ = flt.terms(spend_f * float(_NUDGE))
+                settled = ((lo.min(axis=1) >= _neighbours(level)[1])
+                           & (flt.spend_floor(spend_f[:, t]) >= _neighbours(budget)[1]))
+                checked = int(settled.sum())
+                nudged += _count_nudged(dataset, solution, own, flt,
+                                        pts[settled], spend_f[settled], level)
+            exact_certified += pts.shape[0] - checked
             price_row = dataset.prices[t]
-            for raw in pts.tolist():
+            for raw in pts[~settled].tolist():
                 coords = _exact_bundle(raw)
                 value = evaluate_utility(solution, dataset, coords)
                 if value < level:
                     # Float rounding may leave a ray point a sliver under
                     # the exact level; nudge outward once, else drop it.
-                    coords = [c * Fraction(1_000_000_001, 1_000_000_000) for c in coords]
+                    coords = [c * _NUDGE for c in coords]
                     value = evaluate_utility(solution, dataset, coords)
                     if value < level:
+                        dropped += 1
                         continue
+                    nudged += 1
                 checked += 1
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend < budget:
@@ -284,6 +517,9 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         per_observation=tuple(summaries),
         violations=tuple(violations),
         exhausted=tuple(exhausted),
+        exact_certified=exact_certified,
+        nudged=nudged,
+        dropped=dropped,
     )
 
 

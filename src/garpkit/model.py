@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isfinite
 from typing import Sequence, Union
 
@@ -140,6 +140,11 @@ class Dataset:
         """Float64 mirror of the bundles."""
         return np.array([[float(v) for v in row] for row in self.bundles])
 
+    @cached_property
+    def _cross(self) -> CrossMatrix:
+        # Cached on the instance, so a lookup never hashes the whole table.
+        return _compute_cross(self)
+
 
 def validate_dataset(prices, bundles, *, exact: bool | None = None,
                      rel_tol: float = DEFAULT_FLOAT_RTOL) -> Dataset:
@@ -180,7 +185,7 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None,
     try:
         price_table = _coerce_table(price_rows, exact)
         bundle_table = _coerce_table(bundle_rows, exact)
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, OverflowError) as err:
         raise ShapeMismatchError(str(err)) from err
 
     zero = Fraction(0) if exact else 0.0
@@ -203,7 +208,6 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None,
     )
 
 
-@dataclass(frozen=True, eq=False)
 class CrossMatrix:
     """Cross expenditures and their ratios for one dataset.
 
@@ -211,10 +215,27 @@ class CrossMatrix:
     ``t``; ``ratios[t][s] = costs[t][s] / costs[t][t]`` is that cost as a
     share of the expenditure actually incurred at ``t``.  The diagonal of
     ``ratios`` is identically 1.
+
+    Each lane keeps one representation and mirrors the other on first use:
+    the exact lane holds tuples of ``Fraction`` (``costs``, ``ratios``) and
+    builds float64 ``cost_array``/``ratio_array`` from them; the float lane
+    holds the float64 arrays and builds the tuples only for the Python loops
+    that read them.
     """
 
-    costs: tuple[tuple[Number, ...], ...]
-    ratios: tuple[tuple[Number, ...], ...]
+    def __init__(self, costs=None, ratios=None, *, cost_array=None, ratio_array=None):
+        # A given representation shadows the cached property of its name.
+        given = {"costs": costs, "ratios": ratios,
+                 "cost_array": cost_array, "ratio_array": ratio_array}
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    @cached_property
+    def costs(self) -> tuple[tuple[Number, ...], ...]:
+        return tuple(map(tuple, self.cost_array.tolist()))
+
+    @cached_property
+    def ratios(self) -> tuple[tuple[Number, ...], ...]:
+        return tuple(map(tuple, self.ratio_array.tolist()))
 
     @cached_property
     def cost_array(self) -> np.ndarray:
@@ -225,14 +246,17 @@ class CrossMatrix:
         return np.array([[float(v) for v in row] for row in self.ratios])
 
 
-@lru_cache(maxsize=128)
 def cross_expenditures(dataset: Dataset) -> CrossMatrix:
-    """Compute (and cache) the cross-expenditure matrix of ``dataset``.
+    """The cross-expenditure matrix of ``dataset``, computed once per dataset.
 
     Strictly positive everywhere: prices are positive and bundles nonzero.
     On the exact lane every entry is a ``Fraction``; on the float lane the
     products are accumulated in float64.
     """
+    return dataset._cross
+
+
+def _compute_cross(dataset: Dataset) -> CrossMatrix:
     if dataset.exact:
         costs = tuple(
             tuple(sum(p * x for p, x in zip(p_row, x_row))
@@ -245,11 +269,8 @@ def cross_expenditures(dataset: Dataset) -> CrossMatrix:
         )
         return CrossMatrix(costs=costs, ratios=ratios)
     cost_arr = dataset.price_array @ dataset.bundle_array.T
-    ratio_arr = cost_arr / np.diag(cost_arr)[:, None]
-    return CrossMatrix(
-        costs=tuple(tuple(row) for row in cost_arr.tolist()),
-        ratios=tuple(tuple(row) for row in ratio_arr.tolist()),
-    )
+    return CrossMatrix(cost_array=cost_arr,
+                       ratio_array=cost_arr / np.diag(cost_arr)[:, None])
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class GarpVerdict:
 
 def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
     """Weak/strict comparisons against deflated own expenditures, plus closure."""
-    n = len(cm.costs)
+    n = dataset.n_observations
     if dataset.exact:
         weak = np.zeros((n, n), dtype=bool)
         strict = np.zeros((n, n), dtype=bool)

@@ -134,13 +134,13 @@ def test_criterion_2_consistency_equals_recoverability():
         assert cost.clean and not cost.violations
         assert check_duality_garp(floats, e_float, [util, cost])
 
-        # periodic exact-lane certification at a volume the Fraction
-        # arithmetic can afford
-        if solutions[0] is not None and n_feasible % 50 == 0:
+        # periodic exact-lane certification; the float filter decides most
+        # samples, so every 5th feasible dataset gets 1000 per observation
+        if solutions[0] is not None and n_feasible % 5 == 0:
             util_e = verify_rationalization(exact, e_exact, solutions[0],
-                                            n_samples=150, seed=i)
+                                            n_samples=1000, seed=i)
             cost_e = verify_cost_rationalization(exact, e_exact, solutions[0],
-                                                 n_samples=150, seed=i)
+                                                 n_samples=1000, seed=i)
             assert util_e.clean and cost_e.clean
 
     assert n_feasible >= 500

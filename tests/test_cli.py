@@ -137,6 +137,20 @@ def test_verify_clean(capsys, base_path):
     assert results["rationalization"]["clean"] is True
     assert results["cost_rationalization"]["clean"] is True
     assert results["duality_consistent"] is True
+    for block in ("rationalization", "cost_rationalization"):
+        counts = [results[block][k] for k in ("exact_certified", "nudged", "dropped")]
+        assert all(isinstance(c, int) and c >= 0 for c in counts)
+    # The chosen bundles sit on their own level surfaces at e = 1, so the
+    # float filter leaves at least those to the exact path.
+    assert results["rationalization"]["exact_certified"] >= 2
+
+
+def test_verify_counts_are_zero_in_float_mode(capsys, base_path):
+    code, report = run_json(capsys, "verify", base_path, "--float", "--samples", "50")
+    assert code == EXIT_OK
+    for block in ("rationalization", "cost_rationalization"):
+        assert [report["results"][block][k] for k in ("exact_certified", "nudged", "dropped")] \
+            == [0, 0, 0]
 
 
 def test_oracle_subcommand(capsys, viol_path):
@@ -173,6 +187,16 @@ def test_bad_efficiency_argument(capsys, base_path):
     code, report = run_json(capsys, "check-garp", base_path,
                             "--efficiency", "zebra")
     assert code == EXIT_INPUT_ERROR
+
+
+def test_efficiency_too_long_to_write_is_an_input_error(capsys, base_path,
+                                                         report_validator):
+    code, report = run_json(capsys, "check-garp", base_path,
+                            "--efficiency", "1e-5000")
+    assert code == EXIT_INPUT_ERROR
+    assert report["results"]["error"]["type"] == "GarpkitError"
+    assert "4300" not in report["results"]["error"]["message"]
+    assert not list(report_validator.iter_errors(report))
 
 
 def test_out_file_written_atomically(tmp_path, base_path):
@@ -329,3 +353,48 @@ def test_module_runs_as_script(viol_path):
     )
     assert done.returncode == EXIT_VIOLATION
     assert json.loads(done.stdout)["results"]["witness"]["cycle"] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("name, content, row, column", [
+    ("d.json", '{"prices": [["abc"]], "bundles": [[1]]}', 1, "p1"),
+    ("d.json", '{"prices": [[1, 2]], "bundles": [[1, "2/0"]]}', 1, "x2"),
+    ("d.json", '{"prices": [[1]], "bundles": [[1e5000]]}', 1, "x1"),
+    ("d.json", '{"prices": [[1], ["1e-5000"]], "bundles": [[1], [1]]}', 2, "p1"),
+    ("d.csv", "t,p1,x1\n1,2,1e5000\n", 2, "x1"),
+])
+def test_bad_cells_are_parse_errors_naming_the_cell(capsys, tmp_path, report_validator,
+                                                    name, content, row, column):
+    path = tmp_path / name
+    path.write_text(content)
+    code, report = run_json(capsys, "check-garp", str(path))
+    assert code == EXIT_INPUT_ERROR
+    error = report["results"]["error"]
+    assert error["type"] == "ParseError"
+    assert (error["row"], error["column"]) == (row, column)
+    assert "4300" not in error["message"]
+    assert not list(report_validator.iter_errors(report))
+
+
+@pytest.mark.parametrize("price", ["1e400", "1e-400"])
+def test_verify_refuses_data_outside_float_range(capsys, tmp_path, report_validator, price):
+    path = tmp_path / "range.csv"
+    path.write_text(f"t,p1,p2,x1,x2\n1,{price},1,1,1\n2,1,2,2,1\n")
+    for command in ("check-garp", "ccei", "afriat"):
+        code, report = run_json(capsys, command, str(path))
+        assert code == EXIT_OK, command
+        assert not list(report_validator.iter_errors(report))
+    code, report = run_json(capsys, "verify", str(path), "--samples", "10")
+    assert code == EXIT_INPUT_ERROR
+    assert report["results"]["error"]["type"] == "GarpkitError"
+    assert "float64 range" in report["results"]["error"]["message"]
+    assert not list(report_validator.iter_errors(report))
+
+
+@pytest.mark.parametrize("cell", ["1e400", "1e5000"])
+def test_float_mode_overflowing_cell_is_an_input_error(capsys, tmp_path, report_validator,
+                                                       cell):
+    path = tmp_path / "d.json"
+    path.write_text(f'{{"prices": [[{cell}]], "bundles": [[1]]}}')
+    code, report = run_json(capsys, "check-garp", "--float", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert not list(report_validator.iter_errors(report))

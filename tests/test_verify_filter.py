@@ -1,0 +1,213 @@
+"""The float64 filter in front of the exact-lane verifiers.
+
+The filtered verifiers must report exactly what the unfiltered exact code
+in ``reference_verify`` reports, and the filter's float bracket must always
+contain the exact utility.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_verify
+from conftest import make_twins, random_efficiency, random_tables
+from garpkit import (
+    ccei_exact,
+    check_e_garp,
+    evaluate_utility,
+    solve_afriat,
+    validate_dataset,
+    verify_cost_rationalization,
+    verify_rationalization,
+)
+from garpkit import duality
+from garpkit.afriat import AfriatSolution
+from garpkit.errors import AfriatInfeasibleError, GarpkitError
+from garpkit.model import coerce_efficiency, cross_expenditures
+
+VERIFIERS = (
+    (verify_rationalization, reference_verify.verify_rationalization),
+    (verify_cost_rationalization, reference_verify.verify_cost_rationalization),
+)
+
+
+def _without_counts(report):
+    return dataclasses.replace(report, exact_certified=0, nudged=0, dropped=0)
+
+
+def _tampered(solution, k):
+    phi, lam = list(solution.phi), list(solution.lam)
+    phi[k] += Fraction(1, 3)
+    lam[k] *= Fraction(3, 2)
+    return [
+        AfriatSolution(tuple(phi), solution.lam, solution.efficiency),
+        AfriatSolution(solution.phi, tuple(lam), solution.efficiency),
+    ]
+
+
+def _breakpoint_efficiency(dataset):
+    """The largest breakpoint at which e-GARP holds."""
+    result = ccei_exact(dataset)
+    if result.attained:
+        return result.value
+    return max(b for b in result.breakpoints if b < result.value)
+
+
+def test_reports_match_the_unfiltered_reference():
+    rng = np.random.default_rng(20261018)
+    compared = violations = 0
+    for i in range(24):
+        prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+        exact, _ = make_twins(prices, bundles)
+        if i % 2:
+            e = _breakpoint_efficiency(exact)
+        else:
+            e, _ = random_efficiency(rng, exact)
+        try:
+            solution = solve_afriat(exact, e)
+        except AfriatInfeasibleError:
+            continue
+        k = int(rng.integers(exact.n_observations))
+        for candidate in [solution, *_tampered(solution, k)]:
+            for fast, slow in VERIFIERS:
+                got = fast(exact, e, candidate, n_samples=40, seed=i)
+                want = slow(exact, e, candidate, n_samples=40, seed=i)
+                assert _without_counts(got) == want
+                assert got.exact_certified <= got.total_samples + got.dropped
+                compared += 1
+                violations += len(want.violations)
+    assert compared >= 60
+    assert violations > 0  # the tampered solutions are caught, exactly
+
+
+def test_nudge_counts_match_the_all_exact_path(monkeypatch):
+    # With the filter off every point takes the exact path, which counts its
+    # own nudges and drops; the filter must report the same numbers.
+    rng = np.random.default_rng(20261019)
+    filtered, unfiltered = [], []
+    for i in range(12):
+        prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+        exact, _ = make_twins(prices, bundles)
+        e = _breakpoint_efficiency(exact)
+        solution = solve_afriat(exact, e)
+        filtered.append(verify_cost_rationalization(exact, e, solution, n_samples=60, seed=i))
+        with monkeypatch.context() as m:
+            m.setattr(duality, "_make_filter", lambda *args: None)
+            unfiltered.append(verify_cost_rationalization(exact, e, solution,
+                                                          n_samples=60, seed=i))
+    for got, want in zip(filtered, unfiltered):
+        assert want.exact_certified == want.total_samples + want.dropped
+        assert dataclasses.replace(got, exact_certified=want.exact_certified) == want
+    assert sum(r.nudged for r in unfiltered) > 0
+
+
+def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
+    # At e = 1 the chosen bundle x[t] lies on its own budget line and on its
+    # own level surface: U(x[t]) equals the level and p[t] . x[t] equals the
+    # budget, so no float bracket can settle it.
+    seen = []
+    evaluate = duality.evaluate_utility
+
+    def spy(solution, dataset, bundle):
+        seen.append(tuple(bundle))
+        return evaluate(solution, dataset, bundle)
+
+    monkeypatch.setattr(duality, "evaluate_utility", spy)
+    solution = solve_afriat(base_exact)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        seen.clear()
+        report = verify(base_exact, 1, solution, n_samples=50, seed=4)
+        assert report.clean
+        for bundle in base_exact.bundles:
+            assert bundle in seen
+        assert report.exact_certified >= base_exact.n_observations
+        assert report.exact_certified < report.total_samples
+
+
+def test_counts_are_zero_on_the_float_lane(base_float):
+    solution = solve_afriat(base_float)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        report = verify(base_float, 1, solution, n_samples=100, seed=2)
+        assert (report.exact_certified, report.nudged, report.dropped) == (0, 0, 0)
+
+
+def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
+    # A level below the normal float64 range has no relative error bound,
+    # so the filter stands down and every point is decided exactly.
+    solution = solve_afriat(base_exact)
+    assert 0 in solution.phi
+    tiny = tuple(v + Fraction(1, 2**1060) for v in solution.phi)
+    shifted = AfriatSolution(tiny, solution.lam, solution.efficiency)
+    cm = cross_expenditures(base_exact)
+    assert duality._make_filter(base_exact, cm, shifted) is None
+    for fast, slow in VERIFIERS:
+        got = fast(base_exact, 1, shifted, n_samples=30, seed=8)
+        assert _without_counts(got) == slow(base_exact, 1, shifted, n_samples=30, seed=8)
+    report = verify_rationalization(base_exact, 1, shifted, n_samples=30, seed=8)
+    assert report.exact_certified == report.total_samples
+
+
+@pytest.mark.parametrize("price", ["1e400", "1e-400"])
+def test_exact_data_outside_float_range_is_refused(price):
+    dataset = validate_dataset([(price, "1"), ("1", "2")], [("1", "1"), ("2", "1")],
+                               exact=True)
+    assert check_e_garp(dataset).holds
+    solution = solve_afriat(dataset)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        with pytest.raises(GarpkitError, match="float64 range"):
+            verify(dataset, 1, solution, n_samples=5)
+
+
+def _fractions(lo, hi, max_den):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, max_den))
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(1, 5))
+    goods = draw(st.integers(1, 4))
+    prices = [[draw(_fractions(1, 10**6, 10**6)) for _ in range(goods)] for _ in range(n)]
+    bundles = []
+    for _ in range(n):
+        row = [draw(_fractions(0, 10**6, 10**6)) for _ in range(goods)]
+        row[draw(st.integers(0, goods - 1))] += 1
+        bundles.append(row)
+    dataset = validate_dataset(prices, bundles, exact=True)
+    big = 10**30  # large-denominator Afriat numbers
+    phi = tuple(draw(_fractions(-big, big, big)) for _ in range(n))
+    lam = tuple(draw(_fractions(1, big, big)) for _ in range(n))
+    e = [draw(_fractions(1, 1000, 1000).filter(lambda v: v <= 1)) for _ in range(n)]
+    solution = AfriatSolution(phi, lam, coerce_efficiency(e, dataset))
+    coordinate = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    points = draw(st.lists(st.lists(coordinate, min_size=goods, max_size=goods),
+                           min_size=1, max_size=6))
+    return dataset, solution, np.array(points, dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_problems())
+def test_float_bracket_contains_the_exact_utility(problem):
+    dataset, solution, points = problem
+    cm = cross_expenditures(dataset)
+    flt = duality._make_filter(dataset, cm, solution)
+    assert flt is not None
+    spend = points @ flt.prices.T
+    lo, hi = flt.terms(spend)
+    lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
+    floors = flt.spend_floor(spend)
+    for i, row in enumerate(points.tolist()):
+        exact = [Fraction(v) for v in row]
+        value = evaluate_utility(solution, dataset, exact)
+        assert lo[i].min() <= value <= hi[i].min()
+        nudged = evaluate_utility(solution, dataset, [c * duality._NUDGE for c in exact])
+        assert lo_nudged[i].min() <= nudged <= hi_nudged[i].min()
+        for t, p_row in enumerate(dataset.prices):
+            assert floors[i, t] <= sum(p * c for p, c in zip(p_row, exact))
+    levels = duality._exact_levels(dataset, cm, solution, flt)
+    assert levels == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
