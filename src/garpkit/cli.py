@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 from typing import Any
 
 from . import __version__
@@ -94,13 +95,12 @@ def _parse_csv(path: str, content: str, exact: bool):
         raise ParseError(path, f"header must be {','.join(expected)}")
     prices, bundles = [], []
     for r, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
+        if len(row) != len(header):
             raise ParseError(path, f"expected {len(header)} cells", row=r)
-        for c, cell in enumerate(cells):
-            _check_cell(path, cell, r, header[c], exact)
-        prices.append(cells[1 : width + 1])
-        bundles.append(cells[width + 1 :])
+        values = [_read_cell(path, cell.strip(), r, column, exact)
+                  for cell, column in zip(row, header)]
+        prices.append(values[1 : width + 1])
+        bundles.append(values[width + 1 :])
     return prices, bundles
 
 
@@ -112,34 +112,56 @@ def _parse_json(path: str, content: str, exact: bool):
     if not isinstance(doc, dict) or "prices" not in doc or "bundles" not in doc:
         raise ParseError(path, 'JSON input needs "prices" and "bundles" arrays')
     # Columns are named as in the CSV header: p1, p2, ... and x1, x2, ...
+    tables = []
     for key, letter in (("prices", "p"), ("bundles", "x")):
         table = doc[key]
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ParseError(path, f'"{key}" must be an array of arrays')
+        values = []
         for r, row in enumerate(table, start=1):
+            values.append([])
             for c, cell in enumerate(row, start=1):
                 column = f"{letter}{c}"
                 # Numbers arrive as Fractions (parse_int/parse_float) and
-                # decimal strings are read later; true, false, null, NaN and
-                # nested containers are not numbers.
+                # decimal strings as text; true, false, null, NaN and nested
+                # containers are not numbers.
                 if not isinstance(cell, (Fraction, str)):
                     raise ParseError(
                         path, f'"{key}" entry is not a number: {type(cell).__name__}',
                         row=r, column=column,
                     )
-                _check_cell(path, cell, r, column, exact)
-    return doc["prices"], doc["bundles"]
+                values[-1].append(_read_cell(path, cell, r, column, exact))
+        tables.append(values)
+    return tables
 
 
-def _check_cell(path: str, cell, row: int, column: str, exact: bool) -> None:
-    """Raise ParseError unless ``cell`` reads as a number the report can write."""
+def _read_cell(path: str, cell, row: int, column: str, exact: bool):
+    """The number in ``cell``, read once.
+
+    Raises ParseError unless ``cell`` reads as a rational number, one the
+    report can write out in full on the exact lane.  On the float lane a
+    finite ``float(cell)`` is the value (every such text is also rational);
+    other text that is rational, such as "3/4" or "1e5000", is passed on
+    unread, for :func:`validate_dataset` to refuse as it does any text that
+    is no finite float.
+    """
+    if not exact:
+        try:
+            value = float(cell)
+        except (ValueError, OverflowError):
+            value = None
+        if value is not None and isfinite(value):
+            return value
     try:
-        value = Fraction(cell)
+        number = Fraction(cell)
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(path, f"not a number: {cell!r}", row=row, column=column) from err
+    if not exact:
+        return cell
     # The exact-lane fingerprint writes every entry out in full.
-    if exact and not _writable(value):
+    if not _writable(number):
         raise ParseError(path, "number has too many digits", row=row, column=column)
+    return number
 
 
 def _writable(value: Fraction) -> bool:

@@ -28,6 +28,19 @@ surface, for instance -- is decided exactly, by the same code as without the
 filter, so reports are identical with and without it and every reported
 violation is an exact fact.  Exact data whose float64 mirror overflows or
 underflows cannot be sampled and is refused with a :class:`GarpkitError`.
+
+On the float lane, budget samples are screened first.  U is the minimum of
+its pieces, so piece t alone bounds U from above, and on budget t that
+bound is at most ``phi[t] <= U(x[t])``.  If piece t, plus a rigorous error
+term, keeps every sample of an observation under the violation threshold,
+the observation is clean and the T-piece product is skipped.  The screen is
+all or nothing per observation: if any sample fails it, every sample of
+that observation is evaluated by the full product, because the product of a
+subset of rows need not round like the same rows of the full product.
+Reports are therefore identical with and without the screen.
+
+Both verifiers refuse a solution whose ``lam`` is not positive and finite:
+U would not be increasing, and sampling along rays would divide by zero.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ import numpy as np
 
 from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
-from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures, leq
+from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures
 from .revpref import check_e_garp
 
 #: Float-lane violations must exceed this relative margin to be recorded.
@@ -112,6 +125,54 @@ def _exact_bundle(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
 
 
+def _require_increasing(solution: AfriatSolution) -> None:
+    if not all(0 < v < float("inf") for v in solution.lam):
+        raise GarpkitError(
+            "every lam of the solution must be positive and finite: otherwise "
+            "the recovered utility is not increasing"
+        )
+
+
+def _affordable(dataset: Dataset, cm: CrossMatrix, t: int, budget) -> np.ndarray:
+    """Which observed bundles cost at most ``budget`` at the prices of ``t``.
+
+    The comparison is :func:`garpkit.model.leq`, done on the whole row.
+    """
+    if dataset.exact:
+        return np.array([cost <= budget for cost in cm.costs[t]])
+    row = cm.cost_array[t]
+    budget = float(budget)
+    return row <= budget + dataset.rel_tol * np.maximum(np.abs(row), abs(budget))
+
+
+def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
+                      level: float) -> bool:
+    """Whether piece t alone shows no float-lane violation among ``points``.
+
+    The full evaluation computes ``v = fl(fl(x . g) + o)`` for every piece
+    and flags ``min v > level + FLOAT_RTOL * max(1, |level|, |min v|)``.
+    Its piece t, ``v_t``, bounds ``min v`` from above, but it is a different
+    rounding of the same dot product than the ``d = fl(x . g)`` and
+    ``s = fl(d + o)`` computed here.  Points and gradients are nonnegative
+    (``lam > 0``, prices > 0), so both dot products lie within ``gamma_L D``
+    of the exact ``D = x . g``, in any order, with or without fused
+    multiply-adds (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).  Following the roundings gives ``v_t <= s + (2u +
+    u**2) |s| + 2.001 L u d``, with ``u = 2**-53``; the bound ``s + c u (|s|
+    + d)`` with ``c = 2 (L + 2)`` covers that plus the roundings made in
+    forming it.  Underflowing products are covered by the absolute
+    ``2**-1000``; an overflow gives a bound that is not finite and fails the
+    screen.  A bound at most ``level + FLOAT_RTOL / 2 * max(1, |level|)`` is
+    then, rounding being monotone, under the full evaluation's threshold.
+    """
+    unit = 2 * (points.shape[1] + 2) * 2.0 ** -53
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = points @ gradient
+        piece = dots + offset
+        bound = piece + unit * (np.abs(piece) + dots) + _TINY
+    return bool((bound <= level + 0.5 * FLOAT_RTOL * max(1.0, abs(level))).all())
+
+
 def _normal(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
 
@@ -180,8 +241,8 @@ class _Filter:
 
     The bound needs normal mirrors: :func:`_make_filter` returns None when
     ``phi`` (other than exact zeros), ``lam`` or ``own`` is not finite and
-    normal, or some ``lam`` is not positive (U would not be increasing), and
-    every point is then decided exactly.
+    normal, and every point is then decided exactly.  ``lam`` is positive:
+    the verifiers refuse any other solution.
     """
 
     prices: np.ndarray
@@ -214,7 +275,7 @@ def _make_filter(dataset: Dataset, cm: CrossMatrix,
     except OverflowError:
         return None
     if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all()
-            and (lam > 0).all() and _normal(own).all()):
+            and _normal(own).all()):
         return None
     # phi == 0 only certifies a zero mirror when the exact value is zero.
     if any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi)):
@@ -269,8 +330,15 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     each proposal is scaled exactly back onto the budget set before testing,
     so recorded violations are exact facts, not rounding artifacts; a point
     the float filter places strictly under the level is not a violation
-    whether scaled or not (U is increasing), and skips the exact test.
+    whether scaled or not (U is increasing), and skips the exact test.  On
+    the float lane an observation whose own piece clears every sample is
+    clean without evaluating the other pieces (:func:`_own_piece_clears`).
+
+    Raises:
+        GarpkitError: some ``lam`` is not positive and finite, or exact data
+            lies outside the float64 range.
     """
+    _require_increasing(solution)
     ev = coerce_efficiency(e, dataset)
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
@@ -291,11 +359,8 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
-        extras = [np.zeros(n_goods)]
-        for s in range(n):
-            if leq(cm.costs[t][s], budget, dataset.rel_tol):
-                extras.append(dataset.bundle_array[s])
-        points = np.vstack([proposals, np.array(extras)])
+        points = np.vstack([proposals, np.zeros((1, n_goods)),
+                            dataset.bundle_array[_affordable(dataset, cm, t, budget)]])
 
         count = points.shape[0]
         bad_here = 0
@@ -325,6 +390,9 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     ))
         else:
             level = float((dataset.bundle_array[t] @ gradients.T + offsets).min())
+            if _own_piece_clears(points, gradients[t], offsets[t], level):
+                summaries.append(ObservationSummary(t, count, 0))
+                continue
             values = (points @ gradients.T + offsets).min(axis=1)
             margin = FLOAT_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
             bad = np.flatnonzero(values > level + margin)
@@ -350,7 +418,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
 
 def _ray_level_points(rng, gradients, offsets, level: float,
-                      n_rays: int, n_goods: int) -> np.ndarray:
+                      n_rays: int, n_goods: int, *, work=None) -> np.ndarray:
     """Points on (or certifiably above) the U = level surface along rays.
 
     Along a ray from the origin through direction d the utility is
@@ -359,46 +427,57 @@ def _ray_level_points(rng, gradients, offsets, level: float,
     at ``alpha = max_j (level - offset_j) / (d . g_j)``.  Where rounding
     leaves the evaluated utility a hair under the level, alpha is nudged
     outward until the point certifies as weakly above.
+
+    ``work``, a float64 array of shape ``(2, m, T)`` with ``m >= n_rays``,
+    receives the T-wide products in place of fresh arrays; the points do
+    not depend on it.
     """
     directions = rng.uniform(size=(n_rays, n_goods))
     degenerate = ~directions.any(axis=1)
     if degenerate.any():
         directions[degenerate] = 1.0
-    slopes = directions @ gradients.T  # strictly positive: prices > 0
-    alpha = ((level - offsets) / slopes).max(axis=1)
+    if work is None:
+        work = np.empty((2, n_rays, len(offsets)))
+    # Strictly positive: prices > 0.
+    slopes = np.matmul(directions, gradients.T, out=work[0, :n_rays])
+    values = work[1, :n_rays]
+    np.divide(level - offsets, slopes, out=values)
+    alpha = values.max(axis=1)
     # Strictly increasing utility puts the origin strictly under the level
     # of any observed (nonzero) bundle, so the crossing is at alpha > 0.
     np.maximum(alpha, 0.0, out=alpha)
+    np.multiply(alpha[:, None], slopes, out=values)
+    np.add(values, offsets, out=values)
+    short = np.flatnonzero(values.min(axis=1) < level)
     bump = 1e-12
     for _ in range(_MAX_NUDGES):
-        short = (alpha[:, None] * slopes + offsets).min(axis=1) < level
-        if not short.any():
+        if not short.size:
             break
         alpha[short] = alpha[short] * (1.0 + bump) + 1e-300
         bump *= 2.0
+        # A row that reached the level is never nudged again, so only the
+        # rows still short need checking.
+        short = short[(alpha[short, None] * slopes[short] + offsets).min(axis=1) < level]
     return alpha[:, None] * directions
 
 
-def _count_nudged(dataset: Dataset, solution: AfriatSolution, own: list,
-                  flt: _Filter, points: np.ndarray, spend: np.ndarray, level) -> int:
-    """How many of the filter-settled ``points`` lie strictly under ``level``.
+def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
+                 coords: list, open_pieces: Optional[np.ndarray], i: int) -> bool:
+    """Whether the exact ``U(coords) < level``.
 
-    The filter settles an upper-set point whether or not the exact path
-    would have nudged it; this decides that, for the ``nudged`` count, by
-    evaluating exactly only the pieces of U whose float bracket reaches
-    below the level (usually one per ray point, none for the rest).
+    Without a filter (``open_pieces`` None) U is evaluated in full.  With
+    one, only the pieces in ``open_pieces[i]`` are: those whose float lower
+    bound at point ``i`` reaches below the float just above the level.
+    Every other piece is certainly above the level and cannot bring U under
+    it, so the answer is the same.
     """
-    lo, _ = flt.terms(spend)
-    open_pieces = lo < _neighbours(level)[1]
-    nudged = 0
-    for i in np.flatnonzero(open_pieces.any(axis=1)):
-        coords = _exact_bundle(points[i])
-        for s in np.flatnonzero(open_pieces[i]).tolist():
-            spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
-            if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
-                nudged += 1
-                break
-    return nudged
+    if open_pieces is None:
+        return evaluate_utility(solution, dataset, coords) < level
+    for s in np.flatnonzero(open_pieces[i]).tolist():
+        spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
+        if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
+            return True
+    return False
 
 
 def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
@@ -416,8 +495,15 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     factor 1.000000001 and dropped if still under it.  The float filter
     counts a point without rational arithmetic when the nudged point is
     certainly above the level and the point itself certainly costs more
-    than the budget: then it is counted and clean, nudged or not.
+    than the budget: then it is counted and clean, nudged or not.  Every
+    other point is decided exactly, evaluating only the pieces of U whose
+    float bracket reaches below the level.
+
+    Raises:
+        GarpkitError: some ``lam`` is not positive and finite, or exact data
+            lies outside the float64 range.
     """
+    _require_increasing(solution)
     ev = coerce_efficiency(e, dataset)
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
@@ -433,6 +519,8 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
+    # One workspace for the T-wide draw and ray products of every observation.
+    work = np.empty((2, max(n_reject, n_rays), n))
 
     summaries = []
     violations = []
@@ -446,13 +534,14 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         level_f = float(observed_values[t])
 
         draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
-        draw_values = (draws @ gradients.T + offsets).min(axis=1)
-        accepted = draws[draw_values >= level_f]
+        draw_values = np.matmul(draws, gradients.T, out=work[1, :n_reject])
+        np.add(draw_values, offsets, out=draw_values)
+        accepted = draws[draw_values.min(axis=1) >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
         ray_points = _ray_level_points(
-            rng, gradients, offsets, level_f, n_rays, n_goods
+            rng, gradients, offsets, level_f, n_rays, n_goods, work=work
         )
         observed_in = dataset.bundle_array[observed_values >= level_f]
         pts = np.vstack([accepted, ray_points, observed_in])
@@ -461,27 +550,32 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         checked = 0
         if dataset.exact:
             level = levels[t]
-            if flt is None:
-                settled = np.zeros(pts.shape[0], dtype=bool)
-            else:
+            # Per point, the pieces of U that may be under the level, before
+            # and after the nudge; None without a filter (all of them).
+            before = after = None
+            settled = np.zeros(pts.shape[0], dtype=bool)
+            if flt is not None:
                 spend_f = pts @ flt.prices.T
-                lo, _ = flt.terms(spend_f * float(_NUDGE))
-                settled = ((lo.min(axis=1) >= _neighbours(level)[1])
+                above = _neighbours(level)[1]
+                before = flt.terms(spend_f)[0] < above
+                after = flt.terms(spend_f * float(_NUDGE))[0] < above
+                settled = (~after.any(axis=1)
                            & (flt.spend_floor(spend_f[:, t]) >= _neighbours(budget)[1]))
                 checked = int(settled.sum())
-                nudged += _count_nudged(dataset, solution, own, flt,
-                                        pts[settled], spend_f[settled], level)
+                # A settled point is counted and clean, nudged or not; the
+                # nudged count still needs to know which.
+                for i in np.flatnonzero(settled & before.any(axis=1)):
+                    nudged += _under_level(dataset, solution, own, level,
+                                           _exact_bundle(pts[i]), before, i)
             exact_certified += pts.shape[0] - checked
             price_row = dataset.prices[t]
-            for raw in pts[~settled].tolist():
-                coords = _exact_bundle(raw)
-                value = evaluate_utility(solution, dataset, coords)
-                if value < level:
+            for i in np.flatnonzero(~settled):
+                coords = _exact_bundle(pts[i])
+                if _under_level(dataset, solution, own, level, coords, before, i):
                     # Float rounding may leave a ray point a sliver under
                     # the exact level; nudge outward once, else drop it.
                     coords = [c * _NUDGE for c in coords]
-                    value = evaluate_utility(solution, dataset, coords)
-                    if value < level:
+                    if _under_level(dataset, solution, own, level, coords, after, i):
                         dropped += 1
                         continue
                     nudged += 1

@@ -398,3 +398,221 @@ def test_float_mode_overflowing_cell_is_an_input_error(capsys, tmp_path, report_
     code, report = run_json(capsys, "check-garp", "--float", str(path))
     assert code == EXIT_INPUT_ERROR
     assert not list(report_validator.iter_errors(report))
+
+
+# One CSV cell read on each lane: the parsed value, or the error's type, row
+# and column (ShapeMismatchError names no cell).
+CELL_TABLE = [
+    # cell,      exact lane,                      float lane
+    ("abc",      ("ParseError", 2, "x1"),         ("ParseError", 2, "x1")),
+    ("",         ("ParseError", 2, "x1"),         ("ParseError", 2, "x1")),
+    ("3/4",      Fraction(3, 4),                  ("ShapeMismatchError", None, None)),
+    ("nan",      ("ParseError", 2, "x1"),         ("ParseError", 2, "x1")),
+    ("inf",      ("ParseError", 2, "x1"),         ("ParseError", 2, "x1")),
+    ("1_000",    Fraction(1000),                  1000.0),
+    (" 2.5 ",    Fraction(5, 2),                  2.5),
+    ("1e5000",   ("ParseError", 2, "x1"),         ("ShapeMismatchError", None, None)),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("cell, on_exact, on_float", CELL_TABLE,
+                         ids=[repr(row[0]) for row in CELL_TABLE])
+def test_csv_cell_table(tmp_path, cell, on_exact, on_float, exact):
+    from garpkit.errors import GarpkitError
+
+    path = tmp_path / "d.csv"
+    path.write_text(f"t,p1,x1\n1,2,{cell}\n")
+    expected = on_exact if exact else on_float
+    if isinstance(expected, tuple):
+        with pytest.raises(GarpkitError) as info:
+            parse_input(str(path), exact=exact)
+        error = info.value
+        assert (type(error).__name__, getattr(error, "row", None),
+                getattr(error, "column", None)) == expected
+    else:
+        value = parse_input(str(path), exact=exact).bundles[0][0]
+        assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("cell, accepted", [
+    ("abc", False), ("", False), ("3/4", True), ("nan", False), ("inf", False),
+    ("1_000", True), (" 2.5 ", True), ("1e5000", None),
+])
+def test_csv_index_column_cells(tmp_path, cell, accepted, exact):
+    # The t column must hold a number; its value is not used.  A number too
+    # long to write out is refused on the exact lane only (None above).
+    from garpkit.errors import ParseError
+
+    path = tmp_path / "d.csv"
+    path.write_text(f"t,p1,x1\n{cell},2,1\n")
+    if accepted or (accepted is None and not exact):
+        assert parse_input(str(path), exact=exact).n_observations == 1
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_input(str(path), exact=exact)
+        assert (info.value.row, info.value.column) == (2, "t")
+
+
+# ------------------------------------------------------------ fuzz
+#
+# Malformed input of every kind must end in exit 2 with an error report
+# that validates against the schema, and never in a traceback.
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Text that is no number, in any column and on either lane.
+_NOT_NUMBERS = ["abc", "", "nan", "inf", "-inf", "NaN", "1/0", "1..2", "0x10",
+                "1e", "--1", "true", "1 2", "½"]
+_FUZZ = settings(max_examples=120, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _valid_table(draw, goods, observations):
+    number = st.sampled_from(["1", "2.5", "0.75", "3", "10"])
+    prices = [[draw(number) for _ in range(goods)] for _ in range(observations)]
+    bundles = [[draw(number) for _ in range(goods)] for _ in range(observations)]
+    return prices, bundles
+
+
+@st.composite
+def _malformed_csv(draw):
+    goods, observations = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    prices, bundles = _valid_table(draw, goods, observations)
+    exact = draw(st.booleans())
+    header = ["t"] + [f"p{i}" for i in range(1, goods + 1)] + [f"x{i}" for i in range(1, goods + 1)]
+    rows = [[str(t + 1)] + prices[t] + bundles[t] for t in range(observations)]
+    r = draw(st.integers(0, observations - 1))
+    c = draw(st.integers(0, 2 * goods))
+    kind = draw(st.sampled_from(["cell", "number", "ragged", "header", "zero", "empty"]))
+    if kind == "cell":
+        rows[r][c] = draw(st.sampled_from(_NOT_NUMBERS))
+    elif kind == "number":
+        # Numbers no dataset may hold in a price or bundle column.
+        c = draw(st.integers(1, 2 * goods))
+        bad = ["0", "-1", "-0.5", "1e5000"] if c <= goods else ["-1", "-0.5", "1e5000"]
+        rows[r][c] = draw(st.sampled_from(bad))
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            rows[r].append("1")
+        else:
+            rows[r].pop()
+    elif kind == "header":
+        header = draw(st.sampled_from([
+            ["a", "b", "c"], header[::-1], header[:-1], ["t"] + header[1:] + ["x9"],
+            [h.upper() for h in header],
+        ]))
+    elif kind == "zero":
+        rows[r][goods + 1:] = ["0"] * goods
+    else:
+        rows = []
+    text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    return text, exact
+
+
+@st.composite
+def _malformed_json(draw):
+    goods, observations = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    prices, bundles = _valid_table(draw, goods, observations)
+    doc = {"prices": [[float(v) for v in row] for row in prices],
+           "bundles": [[float(v) for v in row] for row in bundles]}
+    key = draw(st.sampled_from(["prices", "bundles"]))
+    r = draw(st.integers(0, observations - 1))
+    c = draw(st.integers(0, goods - 1))
+    kind = draw(st.sampled_from(["cell", "number", "table", "row", "shape", "doc", "text"]))
+    if kind == "cell":
+        doc[key][r][c] = draw(st.sampled_from(
+            [True, False, None, [1], {}, "abc", "", "nan", "1/0", "inf"]))
+    elif kind == "number":
+        doc[key][r][c] = draw(st.sampled_from(
+            [0, -1, "1e5000"] if key == "prices" else [-1, -0.5, "1e5000"]))
+    elif kind == "table":
+        doc[key] = draw(st.sampled_from([5, "x", {}, None, True]))
+    elif kind == "row":
+        doc[key][r] = draw(st.sampled_from([5, "x", {}, None]))
+    elif kind == "shape":
+        shape = draw(st.sampled_from(["ragged", "long", "empty"]))
+        if shape == "ragged":
+            doc[key][r].append(1.0)
+        elif shape == "long":
+            doc[key].append([1.0] * goods)
+        else:
+            doc = {"prices": [], "bundles": []}
+    elif kind == "doc":
+        doc = draw(st.sampled_from([[], 3, "x", None, {"prices": doc["prices"]},
+                                    {"bundles": doc["bundles"]}]))
+    text = json.dumps(doc)
+    if kind == "text":
+        # Any proper prefix of an object, or one with NaN spelt out.
+        text = draw(st.sampled_from([text[:draw(st.integers(0, len(text) - 1))],
+                                     text.replace("1.0", "NaN", 1) + "}"]))
+    return text, draw(st.booleans())
+
+
+_COMMANDS = [["check-garp"], ["ccei"], ["afriat"], ["verify", "--samples", "3"]]
+
+
+def _assert_input_error(capsys, report_validator, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR, argv
+    assert "Traceback" not in out + err
+    report = json.loads(out)
+    assert "error" in report["results"], argv
+    assert not list(report_validator.iter_errors(report)), argv
+
+
+@_FUZZ
+@given(_malformed_csv(), st.sampled_from(_COMMANDS))
+def test_fuzz_malformed_csv(capsys, tmp_path, report_validator, case, command):
+    text, exact = case
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text)
+    argv = command + [str(path)] + ([] if exact else ["--float"])
+    _assert_input_error(capsys, report_validator, argv)
+
+
+@_FUZZ
+@given(_malformed_json(), st.sampled_from(_COMMANDS))
+def test_fuzz_malformed_json(capsys, tmp_path, report_validator, case, command):
+    text, exact = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    argv = command + [str(path)] + ([] if exact else ["--float"])
+    _assert_input_error(capsys, report_validator, argv)
+
+
+@st.composite
+def _bad_flags(draw):
+    efficiency = st.sampled_from(["0", "-0.5", "1.5", "abc", "", "1,1,1", "nan", "inf",
+                                  "1e-5000", "1/0", "1,", "2/3,1/2,", "1e5000"])
+    kind = draw(st.sampled_from(["efficiency", "samples", "tol", "format"]))
+    if kind == "efficiency":
+        command = draw(st.sampled_from([["check-garp"], ["afriat"], ["verify", "--samples", "3"]]))
+        return command + [f"--efficiency={draw(efficiency)}"], "base.csv"
+    if kind == "samples":
+        return ["verify", f"--samples={draw(st.integers(-10**6, 0))}"], "base.csv"
+    if kind == "tol":
+        tol = draw(st.sampled_from(["0", "-1", "-1e-9", "nan", "inf", "-inf"]))
+        return ["ccei", f"--tol={tol}"], "base.csv"
+    command = draw(st.sampled_from(_COMMANDS))
+    return command + ["--input-format", draw(st.sampled_from(["json", "csv"]))], None
+
+
+@_FUZZ
+@given(_bad_flags(), st.booleans())
+def test_fuzz_bad_flags(capsys, tmp_path, report_validator, case, exact):
+    argv, name = case
+    csv_path = tmp_path / "base.csv"
+    csv_path.write_text(BASE_CSV)
+    json_path = tmp_path / "base.json"
+    json_path.write_text('{"prices": [[1, 1], [2, 2]], "bundles": [[1, 1], [2, 2]]}')
+    if name is None:
+        # Each file read as the other format.
+        path = csv_path if argv[-1] == "json" else json_path
+    else:
+        path = csv_path
+    argv = argv + [str(path)] + ([] if exact else ["--float"])
+    _assert_input_error(capsys, report_validator, argv)

@@ -124,3 +124,19 @@ def test_exact_lane_certifies_membership(base_exact):
     cost = verify_cost_rationalization(base_exact, 1, sol, n_samples=150, seed=11)
     assert rat.clean and cost.clean
     assert rat.total_samples > 0 and cost.total_samples > 0
+
+
+@pytest.mark.parametrize("lane, bad", [
+    ("exact", Fraction(0)), ("exact", Fraction(-1, 2)),
+    ("float", 0.0), ("float", -1.0), ("float", float("nan")), ("float", float("inf")),
+])
+def test_verifiers_refuse_lam_not_positive_and_finite(base_exact, base_float, lane, bad):
+    from garpkit.afriat import AfriatSolution
+    from garpkit.errors import GarpkitError
+
+    dataset = base_exact if lane == "exact" else base_float
+    solution = solve_afriat(dataset)
+    broken = AfriatSolution(solution.phi, (bad,) + solution.lam[1:], solution.efficiency)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        with pytest.raises(GarpkitError, match="lam"):
+            verify(dataset, 1, broken, n_samples=20, seed=0)

@@ -1,8 +1,9 @@
-"""The float64 filter in front of the exact-lane verifiers.
+"""The float64 filter of the exact lane and the float lane's array kernels.
 
 The filtered verifiers must report exactly what the unfiltered exact code
 in ``reference_verify`` reports, and the filter's float bracket must always
-contain the exact utility.
+contain the exact utility.  On the float lane the screened verifiers and
+the array ``worst_residual`` must give the reference's reports and floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from garpkit import (
     verify_rationalization,
 )
 from garpkit import duality
-from garpkit.afriat import AfriatSolution
+from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.errors import AfriatInfeasibleError, GarpkitError
 from garpkit.model import coerce_efficiency, cross_expenditures
 
@@ -60,30 +61,95 @@ def _breakpoint_efficiency(dataset):
 
 
 def test_reports_match_the_unfiltered_reference():
+    _compare_with_reference("exact", datasets=24)
+
+
+def test_float_reports_match_the_reference():
+    # The code before the own-piece screen and the reused workspace: the
+    # same report, violations and their floats included.
+    _compare_with_reference("float", datasets=60)
+
+
+def _compare_with_reference(lane, datasets):
     rng = np.random.default_rng(20261018)
     compared = violations = 0
-    for i in range(24):
+    for i in range(datasets):
         prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
-        exact, _ = make_twins(prices, bundles)
+        exact, floats = make_twins(prices, bundles)
         if i % 2:
             e = _breakpoint_efficiency(exact)
         else:
             e, _ = random_efficiency(rng, exact)
+        dataset = exact if lane == "exact" else floats
         try:
-            solution = solve_afriat(exact, e)
+            solution = solve_afriat(dataset, e)
         except AfriatInfeasibleError:
             continue
         k = int(rng.integers(exact.n_observations))
         for candidate in [solution, *_tampered(solution, k)]:
             for fast, slow in VERIFIERS:
-                got = fast(exact, e, candidate, n_samples=40, seed=i)
-                want = slow(exact, e, candidate, n_samples=40, seed=i)
-                assert _without_counts(got) == want
-                assert got.exact_certified <= got.total_samples + got.dropped
+                got = fast(dataset, e, candidate, n_samples=40, seed=i)
+                want = slow(dataset, e, candidate, n_samples=40, seed=i)
+                if lane == "exact":
+                    assert _without_counts(got) == want
+                    assert got.exact_certified <= got.total_samples + got.dropped
+                else:
+                    assert got == want
                 compared += 1
                 violations += len(want.violations)
     assert compared >= 60
-    assert violations > 0  # the tampered solutions are caught, exactly
+    assert violations > 0  # the tampered solutions are caught
+
+
+def test_float_worst_residual_is_the_loop_float():
+    rng = np.random.default_rng(20261020)
+    compared = 0
+    for i in range(40):
+        prices, bundles = random_tables(rng, int(rng.integers(1, 12)), int(rng.integers(1, 5)))
+        _, floats = make_twins(prices, bundles)
+        e = 1 if i % 2 else float(rng.uniform(0.3, 1.0))
+        try:
+            solution = solve_afriat(floats, e)
+        except AfriatInfeasibleError:
+            continue
+        k = int(rng.integers(floats.n_observations))
+        nan = AfriatSolution((float("nan"),) + solution.phi[1:], solution.lam,
+                             solution.efficiency)
+        for candidate in [solution, *_tampered(solution, k), nan]:
+            got = worst_residual(candidate, floats)
+            want = reference_verify.worst_residual(candidate, floats)
+            assert type(got) is float and got == want
+            compared += 1
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_own_piece_screen_covers_any_rounding(scale):
+    # Whenever the screen clears an observation, every rounding of piece t
+    # that the full product could produce, in any order, stays under the
+    # full evaluation's threshold.  Points near the level on a piece with
+    # large terms make the rounding error outweigh the threshold's margin.
+    rng = np.random.default_rng(20261021)
+    u = Fraction(1, 2**53)
+    cleared = 0
+    for _ in range(300):
+        goods = int(rng.integers(1, 11))
+        gradient = rng.uniform(0.1, 10.0, goods) * scale
+        points = rng.uniform(0.0, 10.0, (int(rng.integers(1, 6)), goods))
+        level = float(rng.choice([0.0, 1.0, -3.5, 1e6]))
+        dot = float((points @ gradient).max())
+        offset = level - dot + float(rng.normal()) * 1e-9 * max(1.0, dot * 1e-6)
+        if not duality._own_piece_clears(points, gradient, offset, level):
+            continue
+        cleared += 1
+        gamma = goods * u / (1 - goods * u)
+        threshold = (Fraction(level)
+                     + Fraction(duality.FLOAT_RTOL) * max(1, abs(Fraction(level))) * (1 - u))
+        for row in points.tolist():
+            exact = sum(Fraction(x) * Fraction(g) for x, g in zip(row, gradient.tolist()))
+            worst = exact * (1 + gamma) + Fraction(offset)
+            assert worst + u * abs(worst) <= threshold
+    assert cleared > 0
 
 
 def test_nudge_counts_match_the_all_exact_path(monkeypatch):
@@ -110,15 +176,17 @@ def test_nudge_counts_match_the_all_exact_path(monkeypatch):
 def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
     # At e = 1 the chosen bundle x[t] lies on its own budget line and on its
     # own level surface: U(x[t]) equals the level and p[t] . x[t] equals the
-    # budget, so no float bracket can settle it.
+    # budget, so no float bracket can settle it.  Every point decided
+    # exactly is first converted to rationals.
     seen = []
-    evaluate = duality.evaluate_utility
+    convert = duality._exact_bundle
 
-    def spy(solution, dataset, bundle):
-        seen.append(tuple(bundle))
-        return evaluate(solution, dataset, bundle)
+    def spy(row):
+        coords = convert(row)
+        seen.append(tuple(coords))
+        return coords
 
-    monkeypatch.setattr(duality, "evaluate_utility", spy)
+    monkeypatch.setattr(duality, "_exact_bundle", spy)
     solution = solve_afriat(base_exact)
     for verify in (verify_rationalization, verify_cost_rationalization):
         seen.clear()
@@ -201,13 +269,21 @@ def test_float_bracket_contains_the_exact_utility(problem):
     lo, hi = flt.terms(spend)
     lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
     floors = flt.spend_floor(spend)
+    own = duality._own_expenditures(dataset, cm, solution)
     for i, row in enumerate(points.tolist()):
         exact = [Fraction(v) for v in row]
         value = evaluate_utility(solution, dataset, exact)
         assert lo[i].min() <= value <= hi[i].min()
-        nudged = evaluate_utility(solution, dataset, [c * duality._NUDGE for c in exact])
+        nudged_coords = [c * duality._NUDGE for c in exact]
+        nudged = evaluate_utility(solution, dataset, nudged_coords)
         assert lo_nudged[i].min() <= nudged <= hi_nudged[i].min()
         for t, p_row in enumerate(dataset.prices):
             assert floors[i, t] <= sum(p * c for p, c in zip(p_row, exact))
+        # Piece by piece too: the exact cost verifier skips pieces by them.
+        for coords, low, high in ((exact, lo, hi), (nudged_coords, lo_nudged, hi_nudged)):
+            for t, p_row in enumerate(dataset.prices):
+                spent = sum(p * c for p, c in zip(p_row, coords))
+                term = solution.phi[t] + solution.lam[t] * (spent - own[t])
+                assert low[i, t] <= term <= high[i, t]
     levels = duality._exact_levels(dataset, cm, solution, flt)
     assert levels == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
