@@ -53,7 +53,7 @@ import numpy as np
 
 from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
-from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures
+from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures, leq_array
 from .revpref import check_e_garp
 
 #: Float-lane violations must exceed this relative margin to be recorded.
@@ -131,18 +131,6 @@ def _require_increasing(solution: AfriatSolution) -> None:
             "every lam of the solution must be positive and finite: otherwise "
             "the recovered utility is not increasing"
         )
-
-
-def _affordable(dataset: Dataset, cm: CrossMatrix, t: int, budget) -> np.ndarray:
-    """Which observed bundles cost at most ``budget`` at the prices of ``t``.
-
-    The comparison is :func:`garpkit.model.leq`, done on the whole row.
-    """
-    if dataset.exact:
-        return np.array([cost <= budget for cost in cm.costs[t]])
-    row = cm.cost_array[t]
-    budget = float(budget)
-    return row <= budget + dataset.rel_tol * np.maximum(np.abs(row), abs(budget))
 
 
 def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
@@ -359,8 +347,10 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
+        costs_t = cm.costs[t] if dataset.exact else cm.cost_array[t]
+        inside = leq_array(costs_t, budget, dataset.rel_tol)
         points = np.vstack([proposals, np.zeros((1, n_goods)),
-                            dataset.bundle_array[_affordable(dataset, cm, t, budget)]])
+                            dataset.bundle_array[inside]])
 
         count = points.shape[0]
         bad_here = 0
@@ -418,7 +408,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
 
 def _ray_level_points(rng, gradients, offsets, level: float,
-                      n_rays: int, n_goods: int, *, work=None) -> np.ndarray:
+                      n_rays: int, n_goods: int, work: np.ndarray) -> np.ndarray:
     """Points on (or certifiably above) the U = level surface along rays.
 
     Along a ray from the origin through direction d the utility is
@@ -429,15 +419,12 @@ def _ray_level_points(rng, gradients, offsets, level: float,
     outward until the point certifies as weakly above.
 
     ``work``, a float64 array of shape ``(2, m, T)`` with ``m >= n_rays``,
-    receives the T-wide products in place of fresh arrays; the points do
-    not depend on it.
+    receives the T-wide products; the points do not depend on its contents.
     """
     directions = rng.uniform(size=(n_rays, n_goods))
     degenerate = ~directions.any(axis=1)
     if degenerate.any():
         directions[degenerate] = 1.0
-    if work is None:
-        work = np.empty((2, n_rays, len(offsets)))
     # Strictly positive: prices > 0.
     slopes = np.matmul(directions, gradients.T, out=work[0, :n_rays])
     values = work[1, :n_rays]
@@ -463,21 +450,39 @@ def _ray_level_points(rng, gradients, offsets, level: float,
 
 def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
                  coords: list, open_pieces: Optional[np.ndarray], i: int) -> bool:
-    """Whether the exact ``U(coords) < level``.
+    """Whether the exact ``U(coords) < level``, that is, whether some piece is.
 
-    Without a filter (``open_pieces`` None) U is evaluated in full.  With
-    one, only the pieces in ``open_pieces[i]`` are: those whose float lower
-    bound at point ``i`` reaches below the float just above the level.
-    Every other piece is certainly above the level and cannot bring U under
-    it, so the answer is the same.
+    Without a filter (``open_pieces`` None) every piece is tried.  With one,
+    only the pieces in ``open_pieces[i]`` are: those whose float lower bound
+    at point ``i`` reaches below the float just above the level.  Every
+    other piece is certainly above the level, so the answer is the same.
     """
-    if open_pieces is None:
-        return evaluate_utility(solution, dataset, coords) < level
-    for s in np.flatnonzero(open_pieces[i]).tolist():
+    pieces = range(len(own)) if open_pieces is None else np.flatnonzero(open_pieces[i]).tolist()
+    for s in pieces:
         spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
         if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
             return True
     return False
+
+
+def _lift_to_level(dataset: Dataset, solution: AfriatSolution, own: list, level, row,
+                   before: Optional[np.ndarray], after: Optional[np.ndarray],
+                   i: int) -> Optional[tuple[list, bool]]:
+    """The exact coordinates of sample ``i`` (``row``) at or above the level,
+    and whether they were nudged.
+
+    Float rounding may leave a ray point a sliver under the exact level; it
+    is nudged outward once, and None is returned if it is still under.
+    ``before`` and ``after`` are the open pieces of :func:`_under_level`
+    for the point and for the nudged point.
+    """
+    coords = _exact_bundle(row)
+    if not _under_level(dataset, solution, own, level, coords, before, i):
+        return coords, False
+    coords = [c * _NUDGE for c in coords]
+    if _under_level(dataset, solution, own, level, coords, after, i):
+        return None
+    return coords, True
 
 
 def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
@@ -540,9 +545,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        ray_points = _ray_level_points(
-            rng, gradients, offsets, level_f, n_rays, n_goods, work=work
-        )
+        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, n_goods, work)
         observed_in = dataset.bundle_array[observed_values >= level_f]
         pts = np.vstack([accepted, ray_points, observed_in])
 
@@ -570,15 +573,12 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             exact_certified += pts.shape[0] - checked
             price_row = dataset.prices[t]
             for i in np.flatnonzero(~settled):
-                coords = _exact_bundle(pts[i])
-                if _under_level(dataset, solution, own, level, coords, before, i):
-                    # Float rounding may leave a ray point a sliver under
-                    # the exact level; nudge outward once, else drop it.
-                    coords = [c * _NUDGE for c in coords]
-                    if _under_level(dataset, solution, own, level, coords, after, i):
-                        dropped += 1
-                        continue
-                    nudged += 1
+                lifted = _lift_to_level(dataset, solution, own, level, pts[i], before, after, i)
+                if lifted is None:
+                    dropped += 1
+                    continue
+                coords, bumped = lifted
+                nudged += bumped
                 checked += 1
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend < budget:

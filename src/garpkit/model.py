@@ -60,6 +60,16 @@ def leq(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
     return lhs <= rhs + rel_tol * max(abs(lhs), abs(rhs))
 
 
+def leq_array(lhs, rhs: Number, rel_tol: float = 0.0) -> np.ndarray:
+    """:func:`leq` of every element of ``lhs`` against one ``rhs``, as a bool array.
+
+    ``lhs`` is a float64 array, or any sequence when ``rel_tol == 0``.
+    """
+    if rel_tol == 0.0:
+        return np.array([v <= rhs for v in lhs], dtype=bool)
+    return lhs <= rhs + rel_tol * np.maximum(np.abs(lhs), abs(rhs))
+
+
 def lt(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
     """Tolerant ``lhs < rhs``; strict counterpart of :func:`leq`.
 

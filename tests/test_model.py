@@ -22,6 +22,7 @@ from garpkit.model import (
     coerce_efficiency,
     cross_expenditures,
     leq,
+    leq_array,
     lt,
 )
 
@@ -110,6 +111,22 @@ def test_comparators_are_a_consistent_order(a, b, tol):
         assert leq(a, b, tol)
     if not leq(a, b, tol):
         assert lt(b, a, tol)
+
+
+@given(
+    values=st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=8),
+    b=st.floats(min_value=1e-6, max_value=1e6),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+)
+def test_leq_array_is_leq_elementwise(values, b, tol):
+    got = leq_array(np.array(values, dtype=float), b, tol)
+    assert got.dtype == bool
+    assert got.tolist() == [leq(v, b, tol) for v in values]
+
+
+def test_leq_array_on_fractions():
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    assert leq_array(values, Fraction(1, 2)).tolist() == [True, True, False]
 
 
 def test_efficiency_scalar_broadcast(base_exact):

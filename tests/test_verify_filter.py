@@ -176,21 +176,29 @@ def test_nudge_counts_match_the_all_exact_path(monkeypatch):
 def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
     # At e = 1 the chosen bundle x[t] lies on its own budget line and on its
     # own level surface: U(x[t]) equals the level and p[t] . x[t] equals the
-    # budget, so no float bracket can settle it.  Every point decided
-    # exactly is first converted to rationals.
+    # budget, so no float bracket can settle it.  Record the points each
+    # verifier decides exactly: verify_rationalization converts only those
+    # to rationals, and verify_cost_rationalization lifts only those to the
+    # level (it also converts settled points, to count their nudges).
     seen = []
-    convert = duality._exact_bundle
+    convert, lift = duality._exact_bundle, duality._lift_to_level
 
-    def spy(row):
+    def spy_convert(row):
         coords = convert(row)
         seen.append(tuple(coords))
         return coords
 
-    monkeypatch.setattr(duality, "_exact_bundle", spy)
+    def spy_lift(dataset, solution, own, level, row, *rest):
+        seen.append(tuple(convert(row)))
+        return lift(dataset, solution, own, level, row, *rest)
+
     solution = solve_afriat(base_exact)
-    for verify in (verify_rationalization, verify_cost_rationalization):
+    for verify, name, spy in ((verify_rationalization, "_exact_bundle", spy_convert),
+                              (verify_cost_rationalization, "_lift_to_level", spy_lift)):
         seen.clear()
-        report = verify(base_exact, 1, solution, n_samples=50, seed=4)
+        with monkeypatch.context() as m:
+            m.setattr(duality, name, spy)
+            report = verify(base_exact, 1, solution, n_samples=50, seed=4)
         assert report.clean
         for bundle in base_exact.bundles:
             assert bundle in seen
