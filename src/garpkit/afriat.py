@@ -132,36 +132,39 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
 
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
-    zero: Number = Fraction(0) if dataset.exact else 0.0
-    one: Number = Fraction(1) if dataset.exact else 1.0
-    slack = [
-        [cm.costs[t][s] - ev[t] * cm.costs[t][t] for s in range(n)]
-        for t in range(n)
-    ]
+    # One code path for both lanes: float64 arrays, or object arrays of
+    # Fractions whose elementwise operations are the exact ones.
+    if dataset.exact:
+        costs = np.array(cm.costs, dtype=object)
+        own = np.array(ev.values, dtype=object) * costs.diagonal()
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        costs = cm.cost_array
+        own = np.array(ev.values, dtype=float) * costs.diagonal()
+        zero, one = 0.0, 1.0
+    slack = costs - own[:, None]
 
-    phi: list[Number | None] = [None] * n
-    lam: list[Number | None] = [None] * n
-    done: list[int] = []
+    phi = np.empty(n, dtype=costs.dtype)
+    lam = np.empty(n, dtype=costs.dtype)
+    done = np.empty(0, dtype=np.intp)
     for members in _classes_in_order(rel.closure):
-        if done:
-            level = min(phi[t] + lam[t] * slack[t][s] for t in done for s in members)
+        m = np.array(members, dtype=np.intp)
+        if done.size:
+            level = (phi[done, None] + lam[done, None] * slack[np.ix_(done, m)]).min()
         else:
             level = zero
-        for s in members:
-            phi[s] = level
-        for t in members:
-            bound = one
-            for s in done:
-                if phi[s] > level:
-                    # No weak link points to an earlier class, so this slack
-                    # is strictly positive and the bound is well defined.
-                    needed = (phi[s] - level) / slack[t][s]
-                    if needed > bound:
-                        bound = needed
-            lam[t] = bound
-        done.extend(members)
+        phi[m] = level
+        higher = done[phi[done] > level]
+        if higher.size:
+            # No weak link points to an earlier class, so these slacks are
+            # strictly positive and the bounds are well defined.
+            needed = ((phi[higher] - level) / slack[np.ix_(m, higher)]).max(axis=1)
+            lam[m] = np.maximum(one, needed)
+        else:
+            lam[m] = one
+        done = np.concatenate([done, m])
 
-    solution = AfriatSolution(phi=tuple(phi), lam=tuple(lam), efficiency=ev)
+    solution = AfriatSolution(phi=tuple(phi.tolist()), lam=tuple(lam.tolist()), efficiency=ev)
     _verify_inequalities(solution, dataset)
     return solution
 

@@ -477,6 +477,29 @@ def _emit(report: dict, args) -> None:
 # ---------------------------------------------------------------- parser
 
 
+class UsageError(GarpkitError):
+    """A subcommand's arguments were refused (bad value, missing, unknown)."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one subcommand.
+
+    argparse answers a refused argument with a usage message and exit 2.
+    Once the subcommand is known the refusal is raised as a
+    :class:`UsageError` instead, so :func:`main` can write an error report
+    for that command; the usage line still goes to standard error.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        # add_parser names each subcommand's parser "garpkit <command>".
+        raise UsageError(self.prog.rsplit(" ", 1)[-1], message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="garpkit",
@@ -503,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     eff.add_argument("--efficiency", default="1",
                      help="budget deflator: scalar or comma list (default 1)")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     sub.add_parser("check-garp", parents=[data_common, eff],
                    help="test e-GARP, report a violating cycle if any")
     p_ccei = sub.add_parser("ccei", parents=[data_common],
@@ -527,19 +551,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    report: dict = {
+def _envelope(command: str, mode: str) -> dict:
+    return {
         "tool": "garpkit",
         "version": __version__,
-        "command": args.command,
-        "mode": "float" if getattr(args, "exact", True) is False else "exact",
+        "command": command,
+        "mode": mode,
         "parameters": {},
         "dataset": None,
         "results": {},
     }
+
+
+def _error_results(err: Exception) -> dict:
+    kind = type(err).__name__ if isinstance(err, GarpkitError) else "ValueError"
+    error = {"type": kind, "message": str(err)}
+    # The message keeps the library's 0-based indices; the *_label fields
+    # are 1-based display labels matching the CSV t column.
+    for attr in ("observation", "good"):
+        value = getattr(err, attr, None)
+        if value is not None:
+            error[f"{attr}_label"] = value + 1
+    for attr in ("row", "column"):
+        value = getattr(err, attr, None)
+        if value is not None:
+            error[attr] = value
+    return {"error": error}
+
+
+def _refused(err: UsageError, argv) -> int:
+    """Report arguments argparse refused once the subcommand was known.
+
+    ``--format`` and ``--out`` may be among the refused arguments, so the
+    report is JSON on standard output whatever they say.
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
+    float_lane = err.command == "generate" or "--float" in words
+    report = _envelope(err.command, "float" if float_lane else "exact")
+    report["results"] = _error_results(err)
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    return EXIT_INPUT_ERROR
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            raise UsageError(args.command, f"unrecognized arguments: {' '.join(unknown)}")
+        # argparse drops a value of "--", as in "--seed=--", and stores an
+        # empty list without calling the option's type; no option here
+        # takes a list.
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:
+            raise UsageError(args.command, f"argument {empty[0]}: expected one value, got '--'")
+    except UsageError as err:
+        return _refused(err, argv)
+
+    mode = "float" if getattr(args, "exact", True) is False else "exact"
+    report = _envelope(args.command, mode)
 
     try:
         if args.command == "generate":
@@ -569,24 +639,8 @@ def main(argv=None) -> int:
                 report["results"], code = _cmd_oracle(dataset, args)
             else:  # pragma: no cover - argparse restricts choices
                 raise AssertionError(args.command)
-    except GarpkitError as err:
-        report["results"] = {
-            "error": {"type": type(err).__name__, "message": str(err)}
-        }
-        # The message keeps the library's 0-based indices; the *_label fields
-        # are 1-based display labels matching the CSV t column.
-        for attr in ("observation", "good"):
-            value = getattr(err, attr, None)
-            if value is not None:
-                report["results"]["error"][f"{attr}_label"] = value + 1
-        for attr in ("row", "column"):
-            value = getattr(err, attr, None)
-            if value is not None:
-                report["results"]["error"][attr] = value
-        _emit(report, args)
-        return EXIT_INPUT_ERROR
-    except ValueError as err:
-        report["results"] = {"error": {"type": "ValueError", "message": str(err)}}
+    except (GarpkitError, ValueError) as err:
+        report["results"] = _error_results(err)
         _emit(report, args)
         return EXIT_INPUT_ERROR
 

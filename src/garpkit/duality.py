@@ -39,6 +39,21 @@ that observation is evaluated by the full product, because the product of a
 subset of rows need not round like the same rows of the full product.
 Reports are therefore identical with and without the screen.
 
+The float cost check is the cost half of the duality, and one inequality
+settles it: piece t of U is a supporting hyperplane through ``x[t]``, so a
+point at least as good as ``x[t]`` has piece t at least the level, and so
+costs at least ``(level - offsets[t]) / lam[t]`` at prices ``p[t]``; for an
+honest solution that is the deflated budget, or more.  Every point the
+verifier checks for observation t -- an accepted box draw, a ray point on
+the level surface, an observed bundle at or above the level -- obeys it up
+to rounding.  When that bound, less a rigorous error term, clears the
+violation threshold, the observation is clean without the T-wide ray
+search or the cost product (:func:`_own_piece_certifies`).  Otherwise the
+observation is checked point by point as before.  Each observation has its
+own RNG stream and nothing reads it after the rays, so reports are
+identical with and without the certificate.  The exact lane does not use
+it: its ``checked``, ``nudged`` and ``dropped`` counts need every point.
+
 Both verifiers refuse a solution whose ``lam`` is not positive and finite:
 U would not be increasing, and sampling along rays would divide by zero.
 """
@@ -159,6 +174,50 @@ def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
         piece = dots + offset
         bound = piece + unit * (np.abs(piece) + dots) + _TINY
     return bool((bound <= level + 0.5 * FLOAT_RTOL * max(1.0, abs(level))).all())
+
+
+def _own_piece_certifies(gradient: np.ndarray, offset: float, lam: float,
+                         level: float, threshold: float) -> bool:
+    """Whether every upper-set point of an observation costs at least
+    ``threshold`` in float, shown by its own piece alone.
+
+    This is the cost half of the duality: piece t, ``g . x + o`` with
+    ``g = fl(lam * p[t])`` and ``o = offsets[t]``, is a supporting hyperplane
+    at ``x[t]``, so a point at least as good as ``x[t]`` has ``g . x >= level
+    - o`` and costs ``p[t] . x >= (level - o) / lam``, up to rounding.
+
+    The points are the three kinds the float cost verifier checks, all
+    nonnegative: box draws and observed bundles whose piece t evaluates to
+    ``fl(fl(x . g) + o) >= level``, and ray points ``fl(alpha * d)`` with
+    ``alpha >= fl(fl(level - o) / fl(d . g))`` (nudges and ``max(alpha,
+    0)`` only raise alpha; a NaN alpha gives a NaN point, which is never
+    flagged).  With ``u = 2**-53``, ``m = |level| + |o|`` and each dot
+    product within ``gamma_L`` of its exact value in any order, with or
+    without fused multiply-adds (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), the first two kinds have exact ``x . g
+    >= level - o - (gamma_L + u) m``, and ray points ``x . g >= level - o -
+    (gamma_L + 3u) m``.  The ray bound needs ``fl(d . g)`` free of
+    underflow: numpy's uniform draws in [0, 1) are multiples of ``2**-53``
+    (a zero direction is replaced by ones), so every ``g`` at least
+    ``2**-960`` keeps each nonzero product normal; that also makes ``g <=
+    lam p[t] (1 + u)``.  So ``p[t] . x >= (x . g) / (lam (1 + u))``, and
+    the float cost ``fl(x . p[t])`` loses at most ``gamma_L`` more.
+
+    The bound computed here, ``((level - o) - c u m - 2**-1000 (1 + sum g))
+    / lam * (1 - c u) - 2**-1000`` with ``c = 2 (L + 4)``, covers those
+    terms, about ``(L + 3) u m`` and ``(L + 1) u`` relative, plus the
+    roundings made in forming it; the absolute ``2**-1000`` terms cover
+    products that underflow.  A negative bound proves nothing, but then it
+    is under any positive threshold, and a float cost is never negative.
+    A bound that is not finite, or NaN input, fails.
+    """
+    unit = 2 * (gradient.shape[0] + 4) * 2.0 ** -53
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = ((level - offset) - unit * (abs(level) + abs(offset))
+                 - _TINY * (1.0 + float(gradient.sum())))
+        bound = reach / lam * (1.0 - unit) - _TINY
+    return bool(np.isfinite(bound) and bound >= threshold
+                and gradient.min() >= 2.0 ** -960)
 
 
 def _normal(a: np.ndarray) -> np.ndarray:
@@ -502,7 +561,9 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     certainly above the level and the point itself certainly costs more
     than the budget: then it is counted and clean, nudged or not.  Every
     other point is decided exactly, evaluating only the pieces of U whose
-    float bracket reaches below the level.
+    float bracket reaches below the level.  On the float lane an
+    observation whose own piece certifies every such point
+    (:func:`_own_piece_certifies`) is clean without drawing its rays.
 
     Raises:
         GarpkitError: some ``lam`` is not positive and finite, or exact data
@@ -545,8 +606,16 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, n_goods, work)
         observed_in = dataset.bundle_array[observed_values >= level_f]
+        threshold = budget_f * (1.0 - FLOAT_RTOL)
+        if not dataset.exact and _own_piece_certifies(
+                gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):
+            # Nothing reads stream t after the rays, so skipping them
+            # changes no other observation's points.
+            summaries.append(ObservationSummary(
+                t, accepted.shape[0] + n_rays + observed_in.shape[0], 0))
+            continue
+        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, n_goods, work)
         pts = np.vstack([accepted, ray_points, observed_in])
 
         bad_here = 0
@@ -593,7 +662,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             checked = pts.shape[0]
             if checked:
                 costs_at_t = pts @ price_f
-                bad = np.flatnonzero(costs_at_t < budget_f * (1.0 - FLOAT_RTOL))
+                bad = np.flatnonzero(costs_at_t < threshold)
                 bad_here = bad.size
                 for i in bad:
                     violations.append(SampleViolation(

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_twins, random_tables
+import reference_afriat
+from conftest import make_twins, random_efficiency, random_tables
 from garpkit import (
     check_e_garp,
     evaluate_utility,
@@ -18,9 +19,10 @@ from garpkit import (
     validate_dataset,
     worst_residual,
 )
-from garpkit.afriat import AfriatSolution
+from garpkit.afriat import AfriatSolution, _classes_in_order
 from garpkit.errors import AfriatInfeasibleError, DimensionMismatchError
 from garpkit.model import coerce_efficiency
+from garpkit.revpref import direct_relations
 from garpkit.oracle import afriat_numbers_valid
 
 
@@ -90,6 +92,50 @@ def test_float_lane_solution(base_float):
     sol = solve_afriat(base_float)
     assert sol.phi == (-4.0, 0.0) and sol.lam == (2.0, 1.0)
     assert worst_residual(sol, base_float) <= 0
+
+
+def _same_solution(dataset, e):
+    """Whether the array construction and the loop reference agree, value
+    for value and type for type; also whether some class has two members."""
+    try:
+        want = reference_afriat.solve_afriat(dataset, e)
+    except AfriatInfeasibleError:
+        with pytest.raises(AfriatInfeasibleError):
+            solve_afriat(dataset, e)
+        return False
+    got = solve_afriat(dataset, e)
+    assert got == want
+    assert [type(v) for v in got.phi + got.lam] == [type(v) for v in want.phi + want.lam]
+    ev = coerce_efficiency(e, dataset)
+    return any(len(c) > 1 for c in _classes_in_order(direct_relations(dataset, ev).closure))
+
+
+def test_array_construction_matches_the_loop_reference():
+    # Random tables at random, breakpoint (a cross-expenditure ratio) and
+    # unit efficiency, scalar and vector, on both lanes; every third table
+    # repeats an observation, which puts two members in one class.
+    rng = np.random.default_rng(20261101)
+    compared = tied = 0
+    for i in range(300):
+        prices, bundles = random_tables(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        if i % 3 == 0:
+            k = int(rng.integers(len(prices)))
+            prices.append(prices[k])
+            bundles.append(bundles[k])
+        exact, floats = make_twins(prices, bundles)
+        e_exact, e_float = random_efficiency(rng, exact) if i % 2 else (1, 1.0)
+        for dataset, e in ((exact, e_exact), (floats, e_float)):
+            tied += _same_solution(dataset, e)
+            compared += 1
+    assert compared == 600
+    assert tied >= 50
+
+
+@pytest.mark.parametrize("e", [Fraction(4, 5), Fraction(1, 2)])
+def test_array_construction_matches_the_loop_reference_on_ties(viol_exact, viol_float, e):
+    # At e = 4/5 both links of viol tie: one class with both observations.
+    assert _same_solution(viol_exact, e) == (e == Fraction(4, 5))
+    assert _same_solution(viol_float, float(e)) == (e == Fraction(4, 5))
 
 
 @st.composite

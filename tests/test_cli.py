@@ -562,6 +562,7 @@ def _assert_input_error(capsys, report_validator, argv):
     report = json.loads(out)
     assert "error" in report["results"], argv
     assert not list(report_validator.iter_errors(report)), argv
+    return report
 
 
 @_FUZZ
@@ -588,15 +589,30 @@ def test_fuzz_malformed_json(capsys, tmp_path, report_validator, case, command):
 def _bad_flags(draw):
     efficiency = st.sampled_from(["0", "-0.5", "1.5", "abc", "", "1,1,1", "nan", "inf",
                                   "1e-5000", "1/0", "1,", "2/3,1/2,", "1e5000"])
-    kind = draw(st.sampled_from(["efficiency", "samples", "tol", "format"]))
+    # Text that is no number of the flag's type: argparse itself refuses it.
+    not_int = st.sampled_from(["abc", "", "1.5", "1e3", "0x10", "--", "½", "1/2"])
+    not_float = st.sampled_from(["x", "abc", "", "1e", "1/0", "--", "1,5", "0x1p-3"])
+    kind = draw(st.sampled_from(["efficiency", "samples", "seed", "tol", "format", "choice",
+                                 "unknown"]))
     if kind == "efficiency":
         command = draw(st.sampled_from([["check-garp"], ["afriat"], ["verify", "--samples", "3"]]))
         return command + [f"--efficiency={draw(efficiency)}"], "base.csv"
     if kind == "samples":
-        return ["verify", f"--samples={draw(st.integers(-10**6, 0))}"], "base.csv"
+        value = draw(st.one_of(st.integers(-10**6, 0).map(str), not_int))
+        return ["verify", f"--samples={value}"], "base.csv"
+    if kind == "seed":
+        return ["verify", "--samples", "3", f"--seed={draw(not_int)}"], "base.csv"
     if kind == "tol":
-        tol = draw(st.sampled_from(["0", "-1", "-1e-9", "nan", "inf", "-inf"]))
+        tol = draw(st.one_of(st.sampled_from(["0", "-1", "-1e-9", "nan", "inf", "-inf"]),
+                             not_float))
         return ["ccei", f"--tol={tol}"], "base.csv"
+    if kind == "choice":
+        flag = draw(st.sampled_from(["--format", "--input-format"]))
+        return draw(st.sampled_from(_COMMANDS)) + [f"{flag}={draw(st.sampled_from(['xml', '']))}"], \
+            "base.csv"
+    if kind == "unknown":
+        return draw(st.sampled_from(_COMMANDS)) + [draw(st.sampled_from(["--bogus", "-z"]))], \
+            "base.csv"
     command = draw(st.sampled_from(_COMMANDS))
     return command + ["--input-format", draw(st.sampled_from(["json", "csv"]))], None
 
@@ -615,4 +631,30 @@ def test_fuzz_bad_flags(capsys, tmp_path, report_validator, case, exact):
     else:
         path = csv_path
     argv = argv + [str(path)] + ([] if exact else ["--float"])
-    _assert_input_error(capsys, report_validator, argv)
+    report = _assert_input_error(capsys, report_validator, argv)
+    assert report["command"] == argv[0]
+    assert report["mode"] == ("exact" if exact else "float")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["ccei", "--tol"], ["generate"],
+                                  ["afriat", "--float", "--samples", "3"]])
+def test_refused_arguments_name_the_subcommand(capsys, report_validator, argv):
+    # A missing input, a flag without its value, missing required flags and
+    # a flag the subcommand does not have: exit 2, an error report for the
+    # subcommand on standard output, the usage line on standard error.
+    report = _assert_input_error(capsys, report_validator, argv)
+    assert report["command"] == argv[0]
+    assert report["results"]["error"]["type"] == "UsageError"
+    assert report["mode"] == ("float" if "--float" in argv or argv[0] == "generate"
+                              else "exact")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus", "x.csv"], ["--bogus"]])
+def test_no_subcommand_keeps_the_usage_exit(capsys, argv):
+    # The report's command field has no value for these, so argparse's own
+    # usage message and exit 2 stand.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == EXIT_INPUT_ERROR
+    assert not out and "usage: garpkit" in err

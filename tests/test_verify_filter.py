@@ -3,7 +3,9 @@
 The filtered verifiers must report exactly what the unfiltered exact code
 in ``reference_verify`` reports, and the filter's float bracket must always
 contain the exact utility.  On the float lane the screened verifiers and
-the array ``worst_residual`` must give the reference's reports and floats.
+the array ``worst_residual`` must give the reference's reports and floats,
+and the cost verifier's own-piece certificate must never clear an
+observation that has a point the full check would flag.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 import reference_verify
 from conftest import make_twins, random_efficiency, random_tables
 from garpkit import (
+    GeneratorSpec,
     ccei_exact,
     check_e_garp,
     evaluate_utility,
+    generate,
     solve_afriat,
     validate_dataset,
     verify_cost_rationalization,
@@ -64,10 +68,26 @@ def test_reports_match_the_unfiltered_reference():
     _compare_with_reference("exact", datasets=24)
 
 
-def test_float_reports_match_the_reference():
-    # The code before the own-piece screen and the reused workspace: the
-    # same report, violations and their floats included.
+def test_float_reports_match_the_reference(monkeypatch):
+    # The code before the own-piece screen, the reused workspace and the
+    # cost certificate: the same report, violations and their floats
+    # included, whether the certificate clears an observation or not.
+    outcomes = _spy_on_certificate(monkeypatch)
     _compare_with_reference("float", datasets=60)
+    assert True in outcomes and False in outcomes
+
+
+def _spy_on_certificate(monkeypatch) -> list:
+    """Record the outcome of every own-piece cost certificate."""
+    outcomes = []
+    certifies = duality._own_piece_certifies
+
+    def spy(*args):
+        outcomes.append(certifies(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(duality, "_own_piece_certifies", spy)
+    return outcomes
 
 
 def _compare_with_reference(lane, datasets):
@@ -150,6 +170,146 @@ def test_own_piece_screen_covers_any_rounding(scale):
             worst = exact * (1 + gamma) + Fraction(offset)
             assert worst + u * abs(worst) <= threshold
     assert cleared > 0
+
+
+def _rational_cost_floor(price, gradient, offset, level):
+    """The least float cost any covered point of the certificate can have,
+    under the worst rounding, computed in rationals.
+
+    Covered points are box draws or observed bundles whose piece value
+    ``fl(fl(x . g) + o)`` reaches ``level``, and ray points ``fl(alpha * d)``
+    with ``alpha >= fl(fl(level - o) / fl(d . g))``.  Each float operation
+    may be off by a factor ``1 + delta``, ``|delta| <= u``, and each dot
+    product by ``1 + theta``, ``|theta| <= gamma_L``.
+    """
+    u = Fraction(1, 2**53)
+    goods = len(price)
+    gamma = goods * u / (1 - goods * u)
+    level, offset = Fraction(level), Fraction(offset)
+    # fl(y) >= level needs y >= level - u |level|; d <= (x . g)(1 + gamma).
+    drawn = (level - u * abs(level) - offset) / (1 + gamma)
+    # a = fl(level - o), then q = fl(a / slope) with slope <= (d . g)(1 + gamma),
+    # then each coordinate fl(alpha * d_i).
+    reach = level - offset
+    reach -= u * abs(reach)
+    ray = max(reach, 0) * (1 - u) ** 2 / (1 + gamma)
+    # x . g = sum x_i p_i (g_i / p_i), so x . p >= (x . g) / max(g_i / p_i).
+    scale = max(Fraction(g) / Fraction(p) for g, p in zip(gradient, price))
+    return min(drawn, ray) / scale * (1 - gamma)
+
+
+@st.composite
+def _certificate_cases(draw):
+    goods = draw(st.integers(1, 10))
+    price = np.array([draw(st.floats(0.01, 100.0)) for _ in range(goods)])
+    lam = draw(st.sampled_from([1.0, 3.7, 1e3, 1e8, 1.9e14])) * draw(st.floats(1.0, 2.0))
+    gradient = lam * price
+    budget = draw(st.floats(0.1, 1e4))
+    phi = draw(st.sampled_from([0.0, 1.0, -535.2, 1e6, -5.9e5, 1e12]))
+    offset = phi - lam * budget
+    threshold = budget * (1.0 - duality.FLOAT_RTOL)
+    # Put the level where the certificate's error term decides: kappa units
+    # of u (|level| + |offset|) above the level at which the bare bound
+    # (level - offset) / lam meets the threshold.
+    scale = abs(phi) + abs(offset) + lam * threshold
+    kappa = draw(st.floats(-10.0, 3.0 * (goods + 4)))
+    level = offset + lam * threshold + kappa * 2.0 ** -53 * scale
+    return price, lam, gradient, offset, level, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificate_cases(), st.integers(0, 2**32 - 1))
+def test_cost_certificate_covers_any_rounding(case, seed):
+    # Whenever the certificate clears an observation, no covered point's
+    # float cost can fall under the threshold, whatever the rounding: both
+    # the worst case in rationals and points drawn by the verifier's own
+    # code (rays on the piece's level, draws just above it).
+    price, lam, gradient, offset, level, threshold = case
+    if not duality._own_piece_certifies(gradient, offset, lam, level, threshold):
+        return
+    assert _rational_cost_floor(price, gradient, offset, level) >= Fraction(threshold)
+    rng = np.random.default_rng(seed)
+    work = np.empty((2, 50, 1))
+    rays = duality._ray_level_points(rng, gradient[None], np.array([offset]), level,
+                                     50, len(price), work)
+    draws = rng.uniform(0.5, 1.5, (50, len(price)))
+    draws *= (level - offset) / (draws @ gradient)[:, None]
+    draws = draws[draws @ gradient + offset >= level]
+    u = Fraction(1, 2**53)
+    gamma = len(price) * u / (1 - len(price) * u)
+    for row in np.vstack([rays, draws]).tolist():
+        cost = sum(Fraction(x) * Fraction(p) for x, p in zip(row, price.tolist()))
+        assert cost * (1 - gamma) >= Fraction(threshold)
+
+
+def test_cost_certificate_fails_on_bad_input():
+    gradient = np.array([2.0, 4.0])
+    assert duality._own_piece_certifies(gradient, -10.0, 2.0, 0.0, 4.0)
+    for offset, lam, level in ((np.nan, 2.0, 0.0), (-10.0, 2.0, np.nan),
+                               (-np.inf, 2.0, 0.0), (-10.0, 2.0, np.inf)):
+        assert not duality._own_piece_certifies(gradient, offset, lam, level, 4.0)
+    assert not duality._own_piece_certifies(np.array([2.0, np.inf]), -10.0, 2.0, 0.0, 4.0)
+    assert not duality._own_piece_certifies(np.array([2.0, 1e-300]), -10.0, 2.0, 0.0, 4.0)
+
+
+def _ces_float(observations, seed):
+    spec = GeneratorSpec(family="ces", weights=(1.0, 1.5, 0.7, 1.2), elasticity=0.5,
+                         n_observations=observations, price_range=(0.5, 5.0),
+                         income_range=(50.0, 150.0), waste=0.0, seed=seed)
+    return generate(spec)
+
+
+def test_cost_certificate_skips_the_ray_search_on_honest_solutions(monkeypatch):
+    # An honest float CES solution clears every observation with its own
+    # piece, so no ray search runs.  Raising phi[k] by 1/3 can only make
+    # observation k fail the certificate, and it does for some k: then that
+    # observation, and only that one, runs the ray search.
+    levels = []
+    search = duality._ray_level_points
+
+    def spy(rng, gradients, offsets, level, *rest):
+        levels.append(level)
+        return search(rng, gradients, offsets, level, *rest)
+
+    monkeypatch.setattr(duality, "_ray_level_points", spy)
+    dataset = _ces_float(40, seed=5)
+    solution = solve_afriat(dataset)
+    report = verify_cost_rationalization(dataset, 1, solution, n_samples=200, seed=1)
+    assert report.clean and not levels
+    searched = 0
+    for k in range(dataset.n_observations):
+        phi = list(solution.phi)
+        phi[k] += 1 / 3
+        tampered = AfriatSolution(tuple(phi), solution.lam, solution.efficiency)
+        levels.clear()
+        got = verify_cost_rationalization(dataset, 1, tampered, n_samples=200, seed=1)
+        want = reference_verify.verify_cost_rationalization(dataset, 1, tampered,
+                                                            n_samples=200, seed=1)
+        assert got == want
+        assert len(levels) <= 1
+        searched += len(levels)
+    assert searched > 0
+
+
+def test_cost_certificate_on_a_table_with_huge_lam(monkeypatch):
+    # A random T = 300 table at its e*: the honest float solution has lam up
+    # to 1.9e14, and rounding puts two observed bundles' float utility under
+    # their own level.  The certificate cannot clear those two, and their
+    # full check flags points of observation 158 (a float-lane defect of the
+    # tolerance policy, not of the certificate); the report is the
+    # reference's either way.
+    rng = np.random.default_rng([9003, 7])
+    prices = rng.integers(10, 1001, (300, 10)) / 100
+    bundles = rng.integers(10, 1001, (300, 10)) / 100
+    dataset = validate_dataset(prices.tolist(), bundles.tolist(), exact=False)
+    e = 0.6537154962645189
+    solution = solve_afriat(dataset, e)
+    outcomes = _spy_on_certificate(monkeypatch)
+    got = verify_cost_rationalization(dataset, e, solution, n_samples=200, seed=0)
+    assert [t for t, ok in enumerate(outcomes) if not ok] == [57, 158]
+    assert got == reference_verify.verify_cost_rationalization(dataset, e, solution,
+                                                               n_samples=200, seed=0)
+    assert {v.observation for v in got.violations} == {158}
 
 
 def test_nudge_counts_match_the_all_exact_path(monkeypatch):
