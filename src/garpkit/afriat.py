@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -130,19 +129,10 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
     if not verdict.holds:
         raise AfriatInfeasibleError(verdict.witness)
 
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array
     n = dataset.n_observations
-    # One code path for both lanes: float64 arrays, or object arrays of
-    # Fractions whose elementwise operations are the exact ones.
-    if dataset.exact:
-        costs = np.array(cm.costs, dtype=object)
-        own = np.array(ev.values, dtype=object) * costs.diagonal()
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        costs = cm.cost_array
-        own = np.array(ev.values, dtype=float) * costs.diagonal()
-        zero, one = 0.0, 1.0
-    slack = costs - own[:, None]
+    zero, one = dataset.number(0), dataset.number(1)
+    slack = costs - (np.array(ev.values, dtype=costs.dtype) * costs.diagonal())[:, None]
 
     phi = np.empty(n, dtype=costs.dtype)
     lam = np.empty(n, dtype=costs.dtype)
@@ -183,43 +173,26 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     Exact lane: raw residuals.  Float lane: residuals minus a tolerance of
     ``CHECK_RTOL`` times the magnitude of the terms involved (including the
     lam-weighted expenditures, so amplified rounding noise stays covered),
-    computed a row of pairs at a time with the IEEE operations, in the
-    order, of the pairwise formula: the result is that formula's float.
+    computed with the IEEE operations, in the order, of the pairwise
+    formula: the result is that formula's float.
     """
-    cm = cross_expenditures(dataset)
-    ev = solution.efficiency
-    if not dataset.exact:
-        return _worst_float_residual(solution, cm.cost_array, ev)
-    n = dataset.n_observations
-    worst: Number = Fraction(0)
-    for t in range(n):
-        own = ev[t] * cm.costs[t][t]
-        for s in range(n):
-            margin = solution.phi[s] - solution.phi[t] - solution.lam[t] * (
-                cm.costs[t][s] - own
-            )
-            if margin > worst:
-                worst = margin
-    return worst
-
-
-def _worst_float_residual(solution: AfriatSolution, costs: np.ndarray,
-                          ev: EfficiencyVector) -> float:
+    costs = cross_expenditures(dataset).cost_array
+    phi = np.array(solution.phi, dtype=costs.dtype)
+    lam = np.array(solution.lam, dtype=costs.dtype)
+    own = np.array(solution.efficiency.values, dtype=costs.dtype) * costs.diagonal()
+    floor = None if dataset.exact else np.maximum(1.0, np.abs(phi))
+    worst = dataset.number(0)
     # One row t (the inequalities of t toward every s) at a time: T x T
     # temporaries would raise the peak memory of a T = 300 run by 1-3 MB.
-    phi = np.array(solution.phi, dtype=float)
-    lam = np.array(solution.lam, dtype=float)
-    own = np.array(ev.values, dtype=float) * np.diag(costs)
-    floor = np.maximum(1.0, np.abs(phi))
-    worst = 0.0
     for t in range(len(phi)):
         margin = phi - phi[t] - lam[t] * (costs[t] - own[t])
-        scale = np.maximum(np.maximum(floor, abs(phi[t])), lam[t] * (costs[t] + own[t]))
-        margin -= CHECK_RTOL * scale
+        if floor is not None:
+            scale = np.maximum(np.maximum(floor, abs(phi[t])), lam[t] * (costs[t] + own[t]))
+            margin -= CHECK_RTOL * scale
         # Only margins above the running worst count; NaN margins never do.
         above = margin[margin > worst]
         if above.size:
-            worst = float(above.max())
+            worst = max(above.tolist())
     return worst
 
 
@@ -242,7 +215,7 @@ def evaluate_utility(solution: AfriatSolution, dataset: Dataset, bundle) -> Numb
     best: Number | None = None
     for t in range(dataset.n_observations):
         spend = sum(p * c for p, c in zip(dataset.prices[t], coords))
-        term = solution.phi[t] + solution.lam[t] * (spend - ev[t] * cm.costs[t][t])
+        term = solution.phi[t] + solution.lam[t] * (spend - ev[t] * cm.cost_array.item(t, t))
         if best is None or term < best:
             best = term
     return best
@@ -254,11 +227,10 @@ def utility_profile(solution: AfriatSolution, dataset: Dataset) -> tuple[np.ndar
     Returns (gradients, offsets) with gradients[t] = lam[t] * p[t].  Used by
     vectorised samplers; exact-lane data is mirrored to float64.
     """
-    cm = cross_expenditures(dataset)
     lam = np.array([float(v) for v in solution.lam])
     phi = np.array([float(v) for v in solution.phi])
     evs = np.array([float(v) for v in solution.efficiency])
-    own = evs * np.diag(cm.cost_array)
+    own = evs * cross_expenditures(dataset).cost_array.diagonal().astype(float)
     gradients = lam[:, None] * dataset.price_array
     offsets = phi - lam * own
     return gradients, offsets

@@ -24,7 +24,6 @@ same flip point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isfinite
 from typing import Optional
 
@@ -58,16 +57,9 @@ class CceiResult:
 
 
 def _candidates(dataset: Dataset) -> list[Number]:
-    cm = cross_expenditures(dataset)
-    if not dataset.exact:
-        ratios = cm.ratio_array
-        return np.unique(np.append(ratios[(ratios > 0) & (ratios <= 1)], 1.0)).tolist()
-    found = {Fraction(1)}
-    for row in cm.ratios:
-        for r in row:
-            if 0 < r <= 1:
-                found.add(r)
-    return sorted(found)
+    ratios = cross_expenditures(dataset).ratio_array
+    found = ratios[(ratios > 0) & (ratios <= 1)]
+    return np.unique(np.append(found, dataset.number(1))).tolist()
 
 
 def ccei_exact(dataset: Dataset) -> CceiResult:
@@ -134,7 +126,7 @@ def ccei_binary_search(dataset: Dataset, tol: float = 1e-9) -> float:
     cm = cross_expenditures(dataset)
     # Probes are floats; on the exact lane they are dyadic rationals, so
     # Fraction(float) keeps the whole verdict exact.
-    number = Fraction if dataset.exact else float
+    number = dataset.number
     if uniform_verdict(dataset, cm, number(1)).holds:
         return 1.0
     lo, hi = 0.0, 1.0

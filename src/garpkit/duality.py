@@ -235,7 +235,8 @@ def _sampling_profile(dataset: Dataset, cm: CrossMatrix,
     if not dataset.exact:
         return utility_profile(solution, dataset)
     try:
-        prices, bundles, costs = dataset.price_array, dataset.bundle_array, cm.cost_array
+        prices, bundles = dataset.price_array, dataset.bundle_array
+        costs = cm.cost_array.astype(float)
         gradients, offsets = utility_profile(solution, dataset)
     except OverflowError:
         ok = False
@@ -255,7 +256,7 @@ def _sampling_profile(dataset: Dataset, cm: CrossMatrix,
 
 def _own_expenditures(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution) -> list:
     """Exact ``e[s] * costs[s][s]`` at the solution's efficiency."""
-    return [e * cm.costs[s][s] for s, e in enumerate(solution.efficiency)]
+    return [e * c for e, c in zip(solution.efficiency, cm.cost_array.diagonal().tolist())]
 
 
 @dataclass(frozen=True)
@@ -345,11 +346,12 @@ def _exact_levels(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution,
     if flt is None:
         pieces = [range(n)] * n
     else:
-        lo, hi = flt.terms(cm.cost_array.T)
+        lo, hi = flt.terms(cm.cost_array.T.astype(float))
         pieces = [np.flatnonzero(row).tolist()
                   for row in lo <= hi.min(axis=1, keepdims=True)]
+    costs = cm.cost_array
     return [
-        min(solution.phi[s] + solution.lam[s] * (cm.costs[s][t] - own[s]) for s in pieces[t])
+        min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s]) for s in pieces[t])
         for t in range(n)
     ]
 
@@ -401,13 +403,12 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exact_certified = 0
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * cm.cost_array.item(t, t)
         budget_f = float(budget)
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
-        costs_t = cm.costs[t] if dataset.exact else cm.cost_array[t]
-        inside = leq_array(costs_t, budget, dataset.rel_tol)
+        inside = leq_array(cm.cost_array[t], budget, dataset.rel_tol)
         points = np.vstack([proposals, np.zeros((1, n_goods)),
                             dataset.bundle_array[inside]])
 
@@ -594,7 +595,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exact_certified = nudged = dropped = 0
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * cm.cost_array.item(t, t)
         budget_f = float(budget)
         price_f = dataset.price_array[t]
         level_f = float(observed_values[t])

@@ -19,7 +19,11 @@ Two arithmetic lanes are supported:
   recognising ties that differ only by rounding noise.
 
 The lane is chosen at validation time and travels with the ``Dataset``; all
-other modules read it from there.
+other modules read it from there.  Each lane holds its cross expenditures
+in one numpy array -- float64 on the float lane, an object array of
+``Fraction`` on the exact lane -- so the relations, breakpoints and Afriat
+residuals downstream run one array code path on both lanes, with
+:func:`leq_array`/:func:`lt_array` as the one comparison rule.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite
-from typing import Sequence, Union
+from math import isfinite, lcm
+from typing import Union
 
 import numpy as np
 
@@ -60,14 +64,16 @@ def leq(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
     return lhs <= rhs + rel_tol * max(abs(lhs), abs(rhs))
 
 
-def leq_array(lhs, rhs: Number, rel_tol: float = 0.0) -> np.ndarray:
-    """:func:`leq` of every element of ``lhs`` against one ``rhs``, as a bool array.
+def leq_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
+    """:func:`leq` elementwise, as a bool array; ``rhs`` broadcasts against ``lhs``.
 
-    ``lhs`` is a float64 array, or any sequence when ``rel_tol == 0``.
+    ``lhs`` is a float64 array, or at ``rel_tol == 0`` any array or sequence
+    (an object array of ``Fraction`` on the exact lane).
     """
+    lhs = np.asarray(lhs)
     if rel_tol == 0.0:
-        return np.array([v <= rhs for v in lhs], dtype=bool)
-    return lhs <= rhs + rel_tol * np.maximum(np.abs(lhs), abs(rhs))
+        return lhs <= rhs
+    return lhs <= _shifted(lhs, rhs, rel_tol, np.add)
 
 
 def lt(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
@@ -79,6 +85,27 @@ def lt(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
     if rel_tol == 0.0:
         return lhs < rhs
     return lhs < rhs - rel_tol * max(abs(lhs), abs(rhs))
+
+
+def lt_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
+    """:func:`lt` elementwise, as a bool array; the strict twin of :func:`leq_array`."""
+    lhs = np.asarray(lhs)
+    if rel_tol == 0.0:
+        return lhs < rhs
+    return lhs < _shifted(lhs, rhs, rel_tol, np.subtract)
+
+
+def _shifted(lhs: np.ndarray, rhs, rel_tol: float, op) -> np.ndarray:
+    """``op(rhs, rel_tol * max(|lhs|, |rhs|))`` elementwise, in one buffer.
+
+    The IEEE operations of :func:`leq`/:func:`lt`, so results are theirs
+    bit for bit; filled in place because a relation build runs this twice
+    on a T x T array, and each extra T x T temporary is a fresh allocation.
+    """
+    out = np.abs(lhs, dtype=float)
+    np.maximum(out, np.abs(rhs), out=out)
+    out *= rel_tol
+    return op(rhs, out, out=out)
 
 
 def _to_fraction(value) -> Fraction:
@@ -139,6 +166,11 @@ class Dataset:
     @property
     def n_goods(self) -> int:
         return len(self.prices[0])
+
+    @property
+    def number(self) -> type:
+        """The lane's number type: ``Fraction`` (exact lane) or ``float``."""
+        return Fraction if self.exact else float
 
     @cached_property
     def price_array(self) -> np.ndarray:
@@ -221,23 +253,25 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None,
 class CrossMatrix:
     """Cross expenditures and their ratios for one dataset.
 
-    ``costs[t][s]`` is the cost of bundle ``s`` at the prices of observation
-    ``t``; ``ratios[t][s] = costs[t][s] / costs[t][t]`` is that cost as a
-    share of the expenditure actually incurred at ``t``.  The diagonal of
-    ``ratios`` is identically 1.
+    ``cost_array[t, s]`` is the cost of bundle ``s`` at the prices of
+    observation ``t``; ``ratio_array[t, s] = cost_array[t, s] /
+    cost_array[t, t]`` is that cost as a share of the expenditure actually
+    incurred at ``t``.  The diagonal of ``ratio_array`` is identically 1.
 
-    Each lane keeps one representation and mirrors the other on first use:
-    the exact lane holds tuples of ``Fraction`` (``costs``, ``ratios``) and
-    builds float64 ``cost_array``/``ratio_array`` from them; the float lane
-    holds the float64 arrays and builds the tuples only for the Python loops
-    that read them.
+    Each lane holds one array: float64 on the float lane, and an object
+    array of exact ``Fraction`` entries on the exact lane, whose elementwise
+    operations are the exact ones.  ``ratio_array`` is derived on first
+    use.  ``costs`` and ``ratios`` are tuple-of-tuples views of the two
+    arrays, also built on first use; code that needs a float64 mirror of
+    exact data converts with ``.astype(float)`` where it needs it.
     """
 
-    def __init__(self, costs=None, ratios=None, *, cost_array=None, ratio_array=None):
-        # A given representation shadows the cached property of its name.
-        given = {"costs": costs, "ratios": ratios,
-                 "cost_array": cost_array, "ratio_array": ratio_array}
-        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+    def __init__(self, cost_array: np.ndarray):
+        self.cost_array = cost_array
+
+    @cached_property
+    def ratio_array(self) -> np.ndarray:
+        return self.cost_array / self.cost_array.diagonal()[:, None]
 
     @cached_property
     def costs(self) -> tuple[tuple[Number, ...], ...]:
@@ -246,14 +280,6 @@ class CrossMatrix:
     @cached_property
     def ratios(self) -> tuple[tuple[Number, ...], ...]:
         return tuple(map(tuple, self.ratio_array.tolist()))
-
-    @cached_property
-    def cost_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.costs])
-
-    @cached_property
-    def ratio_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.ratios])
 
 
 def cross_expenditures(dataset: Dataset) -> CrossMatrix:
@@ -266,21 +292,20 @@ def cross_expenditures(dataset: Dataset) -> CrossMatrix:
     return dataset._cross
 
 
+def _integer_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of Fractions as integer numerators over one common denominator."""
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    nums = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+    return np.array(nums, dtype=object), np.array(dens, dtype=object)
+
+
 def _compute_cross(dataset: Dataset) -> CrossMatrix:
-    if dataset.exact:
-        costs = tuple(
-            tuple(sum(p * x for p, x in zip(p_row, x_row))
-                  for x_row in dataset.bundles)
-            for p_row in dataset.prices
-        )
-        ratios = tuple(
-            tuple(row[s] / row[t] for s in range(dataset.n_observations))
-            for t, row in enumerate(costs)
-        )
-        return CrossMatrix(costs=costs, ratios=ratios)
-    cost_arr = dataset.price_array @ dataset.bundle_array.T
-    return CrossMatrix(cost_array=cost_arr,
-                       ratio_array=cost_arr / np.diag(cost_arr)[:, None])
+    if not dataset.exact:
+        return CrossMatrix(dataset.price_array @ dataset.bundle_array.T)
+    # One integer matmul, then one Fraction (one gcd) per entry.
+    pn, pd = _integer_rows(dataset.prices)
+    xn, xd = _integer_rows(dataset.bundles)
+    return CrossMatrix(np.frompyfunc(Fraction, 2, 1)(pn @ xn.T, np.outer(pd, xd)))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ from .model import (
     Number,
     coerce_efficiency,
     cross_expenditures,
+    leq_array,
+    lt_array,
 )
 
 
@@ -68,23 +70,10 @@ class GarpVerdict:
 
 def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
     """Weak/strict comparisons against deflated own expenditures, plus closure."""
-    n = dataset.n_observations
-    if dataset.exact:
-        weak = np.zeros((n, n), dtype=bool)
-        strict = np.zeros((n, n), dtype=bool)
-        for t in range(n):
-            budget = e_values[t] * cm.costs[t][t]
-            row = cm.costs[t]
-            for s in range(n):
-                weak[t, s] = row[s] <= budget
-                strict[t, s] = row[s] < budget
-    else:
-        costs = cm.cost_array
-        budgets = np.array([float(v) for v in e_values]) * np.diag(costs)
-        rhs = budgets[:, None]
-        margin = dataset.rel_tol * np.maximum(np.abs(costs), np.abs(rhs))
-        weak = costs <= rhs + margin
-        strict = costs < rhs - margin
+    costs = cm.cost_array
+    budgets = (np.array(e_values, dtype=costs.dtype) * costs.diagonal())[:, None]
+    weak = leq_array(costs, budgets, dataset.rel_tol)
+    strict = lt_array(costs, budgets, dataset.rel_tol)
     return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
 
 

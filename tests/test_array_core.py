@@ -1,0 +1,122 @@
+"""One array per lane: the array core against the code it replaced.
+
+``reference_exact`` keeps the tuple-based cross matrix, the relation double
+loop, the ``Fraction`` candidate set and the exact residual loop.  On random
+tables, on both lanes, the array code must give their values, of their
+types: the cross matrix and its float mirror, the relations at scalar,
+vector and breakpoint efficiencies, the breakpoint candidates, and the
+worst residual of honest and tampered Afriat solutions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+import reference_exact
+import reference_verify
+from conftest import make_twins, random_efficiency, random_tables
+from garpkit import ccei_exact, direct_relations, solve_afriat
+from garpkit.afriat import AfriatSolution, worst_residual
+from garpkit.ccei import _candidates
+from garpkit.model import CrossMatrix, coerce_efficiency, cross_expenditures
+
+
+def _types(values) -> list[type]:
+    return [type(v) for v in values]
+
+
+def _passing_efficiency(exact):
+    result = ccei_exact(exact)
+    if result.attained:
+        return result.value
+    return max(b for b in result.breakpoints if b < result.value)
+
+
+def _check_cross(dataset, ref):
+    cm = cross_expenditures(dataset)
+    assert cm.costs == ref.costs and cm.ratios == ref.ratios
+    for got, want in ((cm.costs, ref.costs), (cm.ratios, ref.ratios)):
+        assert [_types(row) for row in got] == [_types(row) for row in want]
+    # The float64 mirror that exact-lane consumers take with astype(float)
+    # is the one the tuples used to build, entry for entry.
+    for got, want in ((cm.cost_array, ref.cost_array), (cm.ratio_array, ref.ratio_array)):
+        mirror = got.astype(float)
+        assert mirror.dtype == want.dtype == np.float64
+        assert np.array_equal(mirror, want)
+
+
+def _check_relations(dataset, ref, e):
+    got = direct_relations(dataset, e)
+    want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset).values)
+    for name in ("weak", "strict", "closure"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == bool
+        assert np.array_equal(a, b), name
+
+
+def _check_residuals(dataset, ref, e, k) -> list:
+    solution = solve_afriat(dataset, e)
+    out = []
+    for shift in (0, 1, -1):
+        # Raising phi[k] breaks one inequality per row; lowering it breaks
+        # many in row k.
+        phi = list(solution.phi)
+        phi[k] += shift * dataset.number(1) / 3
+        candidate = AfriatSolution(tuple(phi), solution.lam, solution.efficiency)
+        got = worst_residual(candidate, dataset)
+        if dataset.exact:
+            want = reference_exact.worst_residual(candidate, dataset, ref)
+        else:
+            want = reference_verify.worst_residual(candidate, dataset)
+        assert type(got) is type(want) and got == want
+        out.append(got)
+    return out
+
+
+def test_array_core_matches_the_tuple_reference():
+    rng = np.random.default_rng(20261030)
+    caught = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        prices, bundles = random_tables(rng, n, int(rng.integers(1, 6)))
+        exact, floats = make_twins(prices, bundles)
+        ref_exact = reference_exact.cross_expenditures(exact)
+        scalar = random_efficiency(rng, exact, allow_vector=False)
+        vector = [float(v) for v in rng.uniform(0.3, 1.0, n)]
+        vector = ([coerce_efficiency(v, exact)[0] for v in vector], vector)
+        ref_cands = reference_exact.candidates(exact, ref_exact)
+        point = ref_cands[int(rng.integers(len(ref_cands)))]
+        passing = _passing_efficiency(exact)
+        k = int(rng.integers(n))
+        for lane, dataset in enumerate((exact, floats)):
+            ref = ref_exact if dataset.exact else reference_exact.cross_expenditures(floats)
+            _check_cross(dataset, ref)
+            for e in (scalar[lane], vector[lane], [point, float(point)][lane]):
+                _check_relations(dataset, ref, e)
+            cands = _candidates(dataset)
+            want = reference_exact.candidates(dataset, ref)
+            assert cands == want and _types(cands) == _types(want)
+            assert cands[-1] == 1 and type(cands[-1]) is dataset.number
+            e = [passing, float(passing)][lane]
+            honest, raised, lowered = _check_residuals(dataset, ref, e, k)
+            assert honest <= 0
+            caught += raised > 0 and lowered > 0
+    assert caught >= 20
+
+
+def test_each_lane_holds_one_array(base_exact, base_float):
+    exact = cross_expenditures(base_exact)
+    assert exact.cost_array.dtype == object and exact.ratio_array.dtype == object
+    assert exact.cost_array.tolist() == [list(row) for row in exact.costs]
+    assert exact.ratio_array.tolist() == [list(row) for row in exact.ratios]
+    for array in (exact.cost_array, exact.ratio_array):
+        assert {type(v) for v in array.flat} == {Fraction}
+    floats = cross_expenditures(base_float)
+    assert floats.cost_array.dtype == floats.ratio_array.dtype == np.float64
+    assert floats.costs == ((2.0, 4.0), (4.0, 8.0))
+    assert floats.ratios == ((1.0, 2.0), (0.5, 1.0))
+    # The constructor takes the one array; the ratios are derived from it.
+    built = CrossMatrix(exact.cost_array)
+    assert built.ratios == exact.ratios and built.ratio_array.dtype == object

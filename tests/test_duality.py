@@ -83,6 +83,18 @@ def test_float_lane_clean_on_random_feasible_data():
     assert check_duality_garp(ds, 0.4, [rat, cost])
 
 
+def test_float_verifiers_read_the_array_not_the_tuple_view():
+    # Budgets come from the diagonal of cost_array; the T x T tuple view
+    # of the cross expenditures is never built on the float lane.
+    rng = np.random.default_rng(101)
+    ds = validate_dataset(rng.uniform(0.1, 10.0, (8, 3)).tolist(),
+                          rng.uniform(0.1, 10.0, (8, 3)).tolist(), exact=False)
+    sol = solve_afriat(ds, 0.4)
+    verify_rationalization(ds, 0.4, sol, n_samples=50, seed=0)
+    verify_cost_rationalization(ds, 0.4, sol, n_samples=50, seed=0)
+    assert "costs" not in vars(cross_expenditures(ds))
+
+
 def test_unclean_report_makes_duality_vacuous(viol_exact):
     fake = VerificationReport(
         kind="rationalization",

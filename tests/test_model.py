@@ -24,6 +24,7 @@ from garpkit.model import (
     leq,
     leq_array,
     lt,
+    lt_array,
 )
 
 
@@ -122,11 +123,29 @@ def test_leq_array_is_leq_elementwise(values, b, tol):
     got = leq_array(np.array(values, dtype=float), b, tol)
     assert got.dtype == bool
     assert got.tolist() == [leq(v, b, tol) for v in values]
+    assert lt_array(np.array(values, dtype=float), b, tol).tolist() == [
+        lt(v, b, tol) for v in values
+    ]
+    # 2-D lhs against a broadcast column of right-hand sides, as in the
+    # relation build: row i is compared with rhs[i].
+    grid = np.array([values, values[::-1]], dtype=float).reshape(2, len(values))
+    rhs = np.array([[b], [b / 2]])
+    for array_op, scalar_op in ((leq_array, leq), (lt_array, lt)):
+        got = array_op(grid, rhs, tol)
+        assert got.dtype == bool and got.shape == grid.shape
+        assert got.tolist() == [
+            [scalar_op(v, float(r[0]), tol) for v in row] for row, r in zip(grid.tolist(), rhs)
+        ]
 
 
 def test_leq_array_on_fractions():
     values = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
     assert leq_array(values, Fraction(1, 2)).tolist() == [True, True, False]
+    assert lt_array(values, Fraction(1, 2)).tolist() == [True, False, False]
+    grid = np.array([values, values[::-1]], dtype=object)
+    rhs = np.array([[Fraction(1, 2)], [Fraction(1, 3)]], dtype=object)
+    assert leq_array(grid, rhs).tolist() == [[True, True, False], [False, False, True]]
+    assert lt_array(grid, rhs).dtype == bool
 
 
 def test_efficiency_scalar_broadcast(base_exact):
