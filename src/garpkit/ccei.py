@@ -23,6 +23,7 @@ same flip point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isfinite
 from typing import Optional
@@ -57,9 +58,32 @@ class CceiResult:
 
 
 def _candidates(dataset: Dataset) -> list[Number]:
-    ratios = cross_expenditures(dataset).ratio_array
-    found = ratios[(ratios > 0) & (ratios <= 1)]
-    return np.unique(np.append(found, dataset.number(1))).tolist()
+    """The distinct ratios in (0, 1], sorted, in the dataset's arithmetic.
+
+    Sorted by float64 keys: ``float`` is monotone, so every ratio in (0, 1]
+    has a key in [0, 1], and ratios with different keys are in key order.
+    Only a run of equal keys holding different ratios is sorted in the
+    lane's arithmetic; on the float lane a key is its ratio, so no run
+    does.  The diagonal contributes 1.
+    """
+    ratios = cross_expenditures(dataset).ratio_array.ravel()
+    try:
+        keys = ratios.astype(float, copy=False)
+    except OverflowError:  # an exact ratio beyond the float range, so above 1
+        keys = np.array([float(r) if r <= 1 else 2.0 for r in ratios.tolist()])
+    inside = (keys >= 0) & (keys <= 1)
+    order = np.flatnonzero(inside)[np.argsort(keys[inside])]
+    keys, ratios = keys[order], ratios[order]
+    tied = np.flatnonzero(keys[1:] == keys[:-1])  # i and i + 1 share a key
+    first = np.ones(keys.size, dtype=bool)
+    first[tied + 1] = False
+    run = np.cumsum(first) - 1
+    found = ratios[first].tolist()
+    mixed = set(run[tied[ratios[tied] != ratios[tied + 1]]].tolist())
+    for i in sorted(mixed, reverse=True):
+        found[i : i + 1] = sorted(set(ratios[run == i].tolist()))
+    # Only the runs at keys 0 and 1 can hold ratios outside (0, 1].
+    return found[bisect_right(found, 0) : bisect_right(found, 1)]
 
 
 def ccei_exact(dataset: Dataset) -> CceiResult:

@@ -201,6 +201,15 @@ def encode_number(value) -> Any:
     return float(value)
 
 
+def _lane_encoder(dataset: Dataset):
+    """:func:`encode_number` for the numbers of one lane, decided once.
+
+    Exact-lane numbers are all ``Fraction`` and float-lane ones ``float``;
+    ``encode_number`` spends an ABC ``isinstance`` check on each of them.
+    """
+    return str if dataset.exact else float
+
+
 def decode_number(value):
     if isinstance(value, str):
         return Fraction(value)
@@ -217,11 +226,12 @@ def _encode_witness(w: CycleWitness | None):
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
+    encode = _lane_encoder(dataset)
     payload = json.dumps(
         {
             "mode": "exact" if dataset.exact else "float",
-            "prices": [[encode_number(v) for v in row] for row in dataset.prices],
-            "bundles": [[encode_number(v) for v in row] for row in dataset.bundles],
+            "prices": [list(map(encode, row)) for row in dataset.prices],
+            "bundles": [list(map(encode, row)) for row in dataset.bundles],
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -280,7 +290,7 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
         "witness_above": _encode_witness(exact_result.witness_above),
         "witness_probe": None if exact_result.witness_probe is None
         else encode_number(exact_result.witness_probe),
-        "breakpoints": [encode_number(b) for b in exact_result.breakpoints],
+        "breakpoints": list(map(_lane_encoder(dataset), exact_result.breakpoints)),
     }
     return results, EXIT_OK
 
@@ -463,9 +473,49 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _to_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte."""
+    chunks: list[str] = []
+    _json_chunks(report, chunks, 0)
+    return "".join(chunks)
+
+
+def _json_chunks(value, out: list, level: int) -> None:
+    """Append the pieces of ``json.dumps(value, indent=2)`` at ``level`` to ``out``.
+
+    With an indent, ``json`` encodes in pure Python, item by item.  Here a
+    list of scalars goes to json's C encoder, the indent written into the
+    item separator, a block of items per call: one call for a whole list of
+    breakpoints would hold its output twice, and raise the peak memory.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, dict) and value:
+        sep = "{" + pad
+        for key, item in value.items():
+            out.append(sep + json.dumps(key) + ": ")
+            _json_chunks(item, out, level + 1)
+            sep = "," + pad
+        out.append(pad[:-2] + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[" + pad
+        if {dict, list, tuple}.isdisjoint(map(type, value)):
+            for i in range(0, len(value), 2048):
+                block = json.dumps(value[i : i + 2048], separators=("," + pad, ": "))
+                out.append(sep + block[1:-1])
+                sep = "," + pad
+        else:
+            for item in value:
+                out.append(sep)
+                _json_chunks(item, out, level + 1)
+                sep = "," + pad
+        out.append(pad[:-2] + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = _to_json(report) + "\n"
     else:
         payload = _render_text(report)
     if args.out:

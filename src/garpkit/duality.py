@@ -224,16 +224,18 @@ def _normal(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
 
 
-def _sampling_profile(dataset: Dataset, cm: CrossMatrix,
-                      solution: AfriatSolution) -> tuple[np.ndarray, np.ndarray]:
-    """``utility_profile``, refusing exact data its float64 mirror cannot hold.
+def _sampling_profile(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``utility_profile`` and the float64 cross expenditures.
 
     Points are drawn in float64 from mirrors of the prices, bundles, cross
-    expenditures and utility; an entry that overflows, or a nonzero one that
-    underflows out of the normal range, would draw them from other data.
+    expenditures and utility; exact data with an entry that overflows, or a
+    nonzero one that underflows out of the normal range, is refused, as it
+    would draw them from other data.  The cross expenditures are converted
+    once per call, here.
     """
     if not dataset.exact:
-        return utility_profile(solution, dataset)
+        return (*utility_profile(solution, dataset), cm.cost_array)
     try:
         prices, bundles = dataset.price_array, dataset.bundle_array
         costs = cm.cost_array.astype(float)
@@ -251,7 +253,7 @@ def _sampling_profile(dataset: Dataset, cm: CrossMatrix,
             "a float64 mirror of the prices, bundles and recovered utility, "
             "and that mirror overflows or underflows"
         )
-    return gradients, offsets
+    return gradients, offsets, costs
 
 
 def _own_expenditures(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution) -> list:
@@ -333,20 +335,21 @@ def _make_filter(dataset: Dataset, cm: CrossMatrix,
 
 
 def _exact_levels(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution,
-                  flt: Optional[_Filter]) -> list:
+                  flt: Optional[_Filter], costs_f: np.ndarray) -> list:
     """Exact ``U(x[t])`` for every t, read off the cross expenditures.
 
     ``p[s] . x[t]`` is ``costs[s][t]``, so the level of an observed bundle
     needs no dot products: ``min_s phi[s] + lam[s] * (costs[s][t] - own[s])``.
     With a filter, only the pieces whose float bracket can reach the
-    minimum are evaluated exactly.
+    minimum are evaluated exactly; ``costs_f`` is the float64 mirror of the
+    cross expenditures the brackets are taken from.
     """
     own = _own_expenditures(dataset, cm, solution)
     n = dataset.n_observations
     if flt is None:
         pieces = [range(n)] * n
     else:
-        lo, hi = flt.terms(cm.cost_array.T.astype(float))
+        lo, hi = flt.terms(costs_f.T)
         pieces = [np.flatnonzero(row).tolist()
                   for row in lo <= hi.min(axis=1, keepdims=True)]
     costs = cm.cost_array
@@ -392,11 +395,11 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets = _sampling_profile(dataset, cm, solution)
+    gradients, offsets, costs_f = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
     if dataset.exact:
         flt = _make_filter(dataset, cm, solution)
-        levels = _exact_levels(dataset, cm, solution, flt)
+        levels = _exact_levels(dataset, cm, solution, flt, costs_f)
 
     summaries = []
     violations = []
@@ -575,14 +578,14 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     cm = cross_expenditures(dataset)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets = _sampling_profile(dataset, cm, solution)
+    gradients, offsets, costs_f = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
     if dataset.exact:
         own = _own_expenditures(dataset, cm, solution)
         flt = _make_filter(dataset, cm, solution)
-        levels = _exact_levels(dataset, cm, solution, flt)
+        levels = _exact_levels(dataset, cm, solution, flt, costs_f)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject

@@ -16,7 +16,13 @@ verdict reads the Warshall closure, and a failing verdict is certified by a
 minimal violating cycle found by one breadth-first search over boolean
 matrices from all violating sources at once (the selection rule is spelled
 out in ``_minimal_cycle``).  The CCEI search (:mod:`.ccei`) and the Afriat
-solver (:mod:`.afriat`) take their verdicts and witnesses from here.
+solver (:mod:`.afriat`) take their verdicts and witnesses from here.  The
+CCEI search's verdict (:func:`uniform_verdict`) closes only the cyclic
+core, what is left after peeling every node without an in-edge or an
+out-edge: every cycle lies in it, so it reads the same violations as the
+full closure, and near the CCEI it is a few nodes.  :func:`direct_relations`
+keeps the full closure, which :class:`RevealedRelation` exposes and the
+Afriat solver orders its classes by.
 """
 
 from __future__ import annotations
@@ -68,12 +74,16 @@ class GarpVerdict:
     witness: Optional[CycleWitness]
 
 
-def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
-    """Weak/strict comparisons against deflated own expenditures, plus closure."""
+def _comparisons(dataset: Dataset, cm: CrossMatrix, e_values) -> tuple[np.ndarray, np.ndarray]:
+    """Weak and strict comparisons against deflated own expenditures."""
     costs = cm.cost_array
     budgets = (np.array(e_values, dtype=costs.dtype) * costs.diagonal())[:, None]
-    weak = leq_array(costs, budgets, dataset.rel_tol)
-    strict = lt_array(costs, budgets, dataset.rel_tol)
+    return leq_array(costs, budgets, dataset.rel_tol), lt_array(costs, budgets, dataset.rel_tol)
+
+
+def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
+    """Weak/strict comparisons against deflated own expenditures, plus closure."""
+    weak, strict = _comparisons(dataset, cm, e_values)
     return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
 
 
@@ -83,6 +93,43 @@ def transitive_closure(weak: np.ndarray) -> np.ndarray:
     for k in range(closure.shape[0]):
         closure |= closure[:, k : k + 1] & closure[k : k + 1, :]
     return closure
+
+
+def _cyclic_core(weak: np.ndarray) -> np.ndarray:
+    """Sorted indices of the nodes left by peeling sources and sinks.
+
+    Every round drops each node with no in-edge or no out-edge among the
+    nodes still left, self-loops ignored, until none is dropped.  A node on
+    a cycle through another node always keeps both edges of that cycle, so
+    every strongly connected component of two or more nodes survives.  So
+    does every path between two survivors: the first of its inner nodes to
+    be dropped would still have had both of its path edges.  The closure of
+    the core is therefore the full closure restricted to the core.
+    """
+    edges = weak.copy()
+    np.fill_diagonal(edges, False)
+    core = np.arange(weak.shape[0])
+    while True:
+        keep = edges.any(axis=0) & edges.any(axis=1)
+        if keep.all():
+            return core
+        core, edges = core[keep], edges[keep][:, keep]
+
+
+def _core_sources(weak: np.ndarray, strict: np.ndarray) -> np.ndarray:
+    """The rows of ``closure & strict.T`` with a violation, from the core alone.
+
+    ``strict`` must lie inside ``weak``.  A violating pair (t, s) with
+    ``s != t`` has a weak path from t to s and a weak step back from s, so
+    both lie on one cycle and in the cyclic core; outside the core only a
+    strict self-loop can violate.
+    """
+    core = _cyclic_core(weak)
+    violating = weak.diagonal() & strict.diagonal()
+    # Row, then column selection: far cheaper than one np.ix_ selection.
+    closure = transitive_closure(weak[core][:, core])
+    violating[core] |= (closure & strict[core][:, core].T).any(axis=1)
+    return np.flatnonzero(violating)
 
 
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
@@ -95,7 +142,8 @@ def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
     return _relations(dataset, cross_expenditures(dataset), ev.values)
 
 
-def _minimal_cycle(rel: RevealedRelation) -> CycleWitness:
+def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
+                   sources: np.ndarray) -> CycleWitness:
     """Minimal-length violating cycle; deterministic tie-breaking.
 
     Breadth-first search over boolean matrices from every violating source
@@ -108,11 +156,10 @@ def _minimal_cycle(rel: RevealedRelation) -> CycleWitness:
     each node, the smallest weak successor that still lies on a shortest
     path to ``s`` -- which is the path a per-source BFS scanning neighbours
     in index order records.  Each cycle is rotated to start at its lowest
-    index, and the lexicographically smallest is returned.
+    index, and the lexicographically smallest is returned.  ``sources`` are
+    the rows of ``closure & strict.T`` with a violation.
     """
-    weak, strict = rel.weak, rel.strict
     n = weak.shape[0]
-    sources = np.flatnonzero((rel.closure & strict.T).any(axis=1))
     back = strict.T[sources]
     reached = np.zeros((sources.size, n), dtype=bool)
     reached[np.arange(sources.size), sources] = True
@@ -153,9 +200,16 @@ def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
     transitively revealed preferred to ``s`` while ``s`` is directly
     *strictly* revealed preferred to ``t``.
     """
-    if not (rel.closure & rel.strict.T).any():
+    sources = np.flatnonzero((rel.closure & rel.strict.T).any(axis=1))
+    return _verdict(rel.weak, rel.strict, sources, witness)
+
+
+def _verdict(weak: np.ndarray, strict: np.ndarray, sources: np.ndarray,
+             witness: bool) -> GarpVerdict:
+    if not sources.size:
         return GarpVerdict(holds=True, witness=None)
-    return GarpVerdict(holds=False, witness=_minimal_cycle(rel) if witness else None)
+    return GarpVerdict(holds=False,
+                       witness=_minimal_cycle(weak, strict, sources) if witness else None)
 
 
 def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
@@ -164,10 +218,13 @@ def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
 
     For callers that probe many efficiencies on one dataset: ``cm`` is the
     dataset's cross-expenditure matrix, and ``e`` is used as given, in the
-    dataset's arithmetic, without coercion.
+    dataset's arithmetic, without coercion.  The verdict and witness are
+    those of :func:`garp_verdict`, but only the cyclic core of the weak
+    relation is closed (:func:`_core_sources`): near the CCEI it is a few
+    nodes.
     """
-    rel = _relations(dataset, cm, [e] * dataset.n_observations)
-    return garp_verdict(rel, witness=witness)
+    weak, strict = _comparisons(dataset, cm, [e] * dataset.n_observations)
+    return _verdict(weak, strict, _core_sources(weak, strict), witness)
 
 
 def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import reference_exact
 import reference_verify
 from conftest import make_twins, random_efficiency, random_tables
-from garpkit import ccei_exact, direct_relations, solve_afriat
+from garpkit import ccei_exact, direct_relations, solve_afriat, validate_dataset
 from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.ccei import _candidates
 from garpkit.model import CrossMatrix, coerce_efficiency, cross_expenditures
@@ -104,6 +105,29 @@ def test_array_core_matches_the_tuple_reference():
             assert honest <= 0
             caught += raised > 0 and lowered > 0
     assert caught >= 20
+
+
+@pytest.mark.parametrize("bundles,exact", [
+    # 1/3 and 1/(3 + 1e-20) share a float key, and so do 1 and the ratios
+    # 3/(3 + 1e-20) < 1 < (3 + 1e-20)/3: their runs are settled exactly.
+    (["1", "3", "3.00000000000000000001", "6"], True),
+    # 1e-400 has key 0 but is a ratio in (0, 1]; 1e400 is beyond the
+    # float range.
+    (["1", "1e-400", "2", "3"], True),
+    # Float ties: 0.1 * 3 and 0.3 are distinct floats and keys; 1e-200 /
+    # 1e200 underflows to 0, which is no ratio in (0, 1].
+    ([0.1, 0.3, 0.30000000000000004, 1e-200, 1e200, 0.2], False),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_candidates_settle_runs_of_equal_keys(bundles, exact):
+    # One good at price 1: costs[t][s] = x[s], so the ratios are x[s] / x[t].
+    dataset = validate_dataset([[1]] * len(bundles), [[b] for b in bundles], exact=exact)
+    want = reference_exact.candidates(dataset, reference_exact.cross_expenditures(dataset))
+    got = _candidates(dataset)
+    assert got == want and _types(got) == _types(want)
+    # The exact cases do return distinct ratios that share a key.
+    keys = [float(v) for v in got]
+    assert len(set(keys)) < len(keys) or not exact
 
 
 def test_each_lane_holds_one_array(base_exact, base_float):

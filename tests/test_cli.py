@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,13 +10,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import random_tables
 from garpkit.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VIOLATION,
     dataset_fingerprint,
+    encode_number,
     main,
     parse_input,
 )
@@ -224,6 +228,15 @@ def test_fingerprint_tracks_content_and_lane(base_path, viol_path):
     assert dataset_fingerprint(a) == dataset_fingerprint(parse_input(base_path))
     c = parse_input(base_path, exact=False)
     assert dataset_fingerprint(a) != dataset_fingerprint(c)
+    # Pinned: the sha256 of the lane and the tables, each number written
+    # as encode_number writes it.
+    for ds in (a, b, c):
+        payload = json.dumps({
+            "mode": "exact" if ds.exact else "float",
+            "prices": [[encode_number(v) for v in row] for row in ds.prices],
+            "bundles": [[encode_number(v) for v in row] for row in ds.bundles],
+        }, separators=(",", ":"), sort_keys=True)
+        assert dataset_fingerprint(ds) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def test_generate_pipeline(capsys, tmp_path):
@@ -298,6 +311,51 @@ def test_every_report_validates_against_schema(capsys, tmp_path, base_path,
         report = json.loads(capsys.readouterr().out)
         errors = list(report_validator.iter_errors(report))
         assert not errors, f"{argv}: {errors[0].message if errors else ''}"
+
+
+def test_reports_are_indent_2_json_byte_for_byte(capsys, tmp_path, viol_path):
+    # Reports are written without json's pure-Python indent encoder; the
+    # bytes must still be json.dumps(report, indent=2), on both lanes.
+    rng = np.random.default_rng(31)
+    prices, bundles = random_tables(rng, 12, 3)
+    table = tmp_path / "random.csv"
+    table.write_text("t,p1,p2,p3,x1,x2,x3\n" + "".join(
+        ",".join([str(t + 1), *p, *x]) + "\n" for t, (p, x) in enumerate(zip(prices, bundles))))
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({
+        "family": "ces", "weights": [1.0, 2.0], "elasticity": 0.5,
+        "n_observations": 5, "price_range": [0.5, 2.0],
+        "income_range": [1.0, 3.0], "seed": 3,
+    }))
+    commands = []
+    for path in (str(table), viol_path):
+        for lane in ([], ["--float"]):
+            commands += [
+                ["check-garp", path, *lane],
+                ["ccei", path, *lane],
+                ["afriat", path, "--efficiency", "0.5", *lane],
+                ["afriat", path, *lane],
+                ["verify", path, "--efficiency", "0.5", "--samples", "20", *lane],
+                ["verify", path, "--samples", "20", *lane],
+                ["oracle", path, "--efficiency", "0.9", *lane],
+                ["check-garp", path, "--efficiency", "2", *lane],
+            ]
+    commands += [["generate", "--config", str(config), "--data-out", str(tmp_path / "g.csv")],
+                 ["ccei", str(tmp_path / "missing.csv")]]
+    for argv in commands:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_report_writer_is_json_dumps_indent_2():
+    from garpkit.cli import _to_json
+    for value in ({}, [], (), {"a": [], "b": {}, "c": [1, 2.5, "x\u00e9", None, True, -0.0,
+                                                      float("inf"), 10**30]},
+                  {"d": [{"q": [1, [2, []]]}, [], (3, (4,))], "e": [[1], {"f": None}]},
+                  [1.0, 1e-300, 0.1 + 0.2], "s\n", 3, None,
+                  {"long": [i / 7 for i in range(5000)], "tuple": tuple(range(4097))}):
+        assert _to_json(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("doc", [

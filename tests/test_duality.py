@@ -95,6 +95,31 @@ def test_float_verifiers_read_the_array_not_the_tuple_view():
     assert "costs" not in vars(cross_expenditures(ds))
 
 
+def test_exact_verifiers_convert_the_cross_expenditures_once(monkeypatch):
+    # Each exact verifier takes one float64 mirror of the T x T cross
+    # expenditures, shared by its range check and its level filter; the
+    # other conversions (phi, lam, budgets, samples) are O(T) here.
+    rng = np.random.default_rng(5)
+    n = 60
+    prices = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
+    bundles = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
+    ds = validate_dataset(prices, bundles, exact=True)
+    sol = solve_afriat(ds, Fraction(1, 4))
+    cross_expenditures(ds)
+    calls = [0]
+    to_float = Fraction.__float__
+
+    def counted(self):
+        calls[0] += 1
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counted)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        calls[0] = 0
+        assert verify(ds, Fraction(1, 4), sol, n_samples=5, seed=0).clean
+        assert n * n <= calls[0] < 2 * n * n, verify.__name__
+
+
 def test_unclean_report_makes_duality_vacuous(viol_exact):
     fake = VerificationReport(
         kind="rationalization",

@@ -3,7 +3,10 @@
 The level-synchronous BFS witness and the Kahn class order must reproduce the
 test-only references in ``reference_graph`` exactly, on datasets from both
 lanes and on random relation graphs; at T <= 8 the witness must also be one
-of the brute-force oracle's shortest violating cycles.
+of the brute-force oracle's shortest violating cycles.  The CCEI searches'
+verdict closes only the cyclic core of the weak relation; it must read the
+same violations as the full closure, on random graphs and at every probe of
+both searches, and near the CCEI it must not close the whole graph.
 """
 
 from __future__ import annotations
@@ -16,10 +19,19 @@ from hypothesis import strategies as st
 
 import reference_graph as reference
 from conftest import make_twins, random_tables
-from garpkit import check_e_garp, direct_relations
+from garpkit import ccei, check_e_garp, direct_relations, revpref
 from garpkit.afriat import _classes_in_order
+from garpkit.model import cross_expenditures
 from garpkit.oracle import garp_oracle
-from garpkit.revpref import RevealedRelation, garp_verdict, transitive_closure
+from garpkit.revpref import (
+    RevealedRelation,
+    _core_sources,
+    _cyclic_core,
+    _relations,
+    garp_verdict,
+    transitive_closure,
+    uniform_verdict,
+)
 
 EFFICIENCIES = ("1", "0.9", "0.7", "0.5")
 
@@ -99,3 +111,85 @@ def test_long_cycle_witness():
     assert witness.indices == (0, 1, 2, 5, 6, 7, 0)
     assert witness.strict_edge == 5
     assert witness == reference.minimal_cycle(rel)
+
+
+@given(rel=relation_graphs(), strict_loops=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_core_closure_reads_the_full_closure(rel, strict_loops):
+    weak, strict = rel.weak, rel.strict.copy()
+    if strict_loops:
+        # Strict self-loops on every weak one: violations outside the core.
+        strict |= np.diag(weak.diagonal())
+    core = _cyclic_core(weak)
+    inner = np.ix_(core, core)
+    assert np.array_equal(transitive_closure(weak[inner]), rel.closure[inner])
+    violating = rel.closure & strict.T
+    in_core = np.isin(np.arange(weak.shape[0]), core)
+    off_core = violating & ~np.outer(in_core, in_core)
+    assert not (off_core & ~np.eye(weak.shape[0], dtype=bool)).any()
+    full = np.flatnonzero(violating.any(axis=1))
+    assert np.array_equal(_core_sources(weak, strict), full)
+
+
+def test_core_keeps_tie_cycles_and_drops_what_hangs_off_them():
+    # Tie cycle 0 -> 1 -> 2 -> 0 (no strict step), a tail 3 -> 0 and a
+    # self-looped sink 4 reached from 2: only the cycle is kept.
+    weak = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0), (3, 0), (2, 4), (4, 4)):
+        weak[a, b] = True
+    assert _cyclic_core(weak).tolist() == [0, 1, 2]
+    strict = np.zeros_like(weak)
+    assert _core_sources(weak, strict).size == 0
+    # Strict 2 -> 0 closes the cycle through 0's path to 2: source 0.
+    strict[2, 0] = True
+    assert _core_sources(weak, strict).tolist() == [0]
+
+
+def _verdict_checker(monkeypatch, probes):
+    """Make every CCEI probe also check the verdict against the full closure."""
+    def checked(dataset, cm, e, *, witness=False):
+        got = uniform_verdict(dataset, cm, e, witness=True)
+        rel = _relations(dataset, cm, [e] * dataset.n_observations)
+        assert got == garp_verdict(rel, witness=True), e
+        probes.append(e)
+        return got if witness else revpref.GarpVerdict(got.holds, None)
+    monkeypatch.setattr(ccei, "uniform_verdict", checked)
+
+
+def test_core_verdict_matches_full_closure_at_every_probe(monkeypatch):
+    rng = np.random.default_rng(20261107)
+    probes = []
+    _verdict_checker(monkeypatch, probes)
+    for _ in range(16):
+        n = int(rng.integers(2, 40))
+        exact, floats = make_twins(*random_tables(rng, n, int(rng.integers(1, 5))))
+        for dataset in (exact, floats):
+            result = ccei.ccei_exact(dataset)
+            ccei.ccei_binary_search(dataset)
+            cm = cross_expenditures(dataset)
+            picks = rng.choice(len(result.breakpoints), size=min(8, len(result.breakpoints)))
+            for i in picks.tolist():
+                e = result.breakpoints[i]
+                rel = _relations(dataset, cm, [e] * n)
+                assert uniform_verdict(dataset, cm, e, witness=True) == garp_verdict(rel)
+    assert len(probes) > 500
+
+
+def test_ccei_probes_close_only_the_core(monkeypatch):
+    rng = np.random.default_rng([20261018, 300])
+    n = 300
+    _, floats = make_twins(*random_tables(rng, n, 10))
+    sizes = []
+
+    def spy(weak):
+        sizes.append(weak.shape[0])
+        return transitive_closure(weak)
+
+    monkeypatch.setattr(revpref, "transitive_closure", spy)
+    for search in (ccei.ccei_exact, ccei.ccei_binary_search):
+        sizes.clear()
+        search(floats)
+        # Only the first probe, at e = 1, closes the whole dense graph; the
+        # probes near the CCEI close a handful of nodes.
+        assert sizes[0] == n and max(sizes[1:]) < n
+        assert max(sizes[-8:]) <= 8

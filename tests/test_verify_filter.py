@@ -453,5 +453,5 @@ def test_float_bracket_contains_the_exact_utility(problem):
                 spent = sum(p * c for p, c in zip(p_row, coords))
                 term = solution.phi[t] + solution.lam[t] * (spent - own[t])
                 assert low[i, t] <= term <= high[i, t]
-    levels = duality._exact_levels(dataset, cm, solution, flt)
+    levels = duality._exact_levels(dataset, cm, solution, flt, cm.cost_array.astype(float))
     assert levels == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
