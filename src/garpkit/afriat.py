@@ -15,15 +15,17 @@ strictly increasing.  At ``e = (1, ..., 1)`` it satisfies ``U(x[t]) = phi[t]``.
 Construction (no LP solver, works unchanged in exact rational arithmetic):
 
 1. Group observations into equivalence classes of mutual transitive weak
-   revealed preference.  Inside a class every direct weak link has exactly
-   zero affordability slack (otherwise the class would contain a violating
+   revealed preference, read off the closure of the relation's cyclic
+   core (:mod:`.revpref`); an observation outside the core is a class of
+   its own.  Inside a class every direct weak link has exactly zero
+   affordability slack (otherwise the class would contain a violating
    cycle), so one shared utility level per class is consistent.
 2. Order classes so that every weak link points from an earlier class to a
-   later one (most-preferred first): a topological sort of the class graph
-   by Kahn's algorithm that always places the ready class with the
-   smallest member first.  Because links never point from later
-   to earlier classes, the slack from any observation toward an earlier
-   class is strictly positive.
+   later one (most-preferred first): a topological sort of the graph of
+   direct weak links between classes by Kahn's algorithm that always
+   places the ready class with the smallest member first.  Because links
+   never point from later to earlier classes, the slack from any
+   observation toward an earlier class is strictly positive.
 3. Walk the classes in that order.  Each class level is the minimum of
    ``phi[t] + lam[t] * slack[t][s]`` over already-placed observations ``t``
    and members ``s`` (0 for the first class); each member's ``lam`` is then
@@ -57,7 +59,7 @@ from .model import (
     coerce_efficiency,
     cross_expenditures,
 )
-from .revpref import direct_relations, garp_verdict
+from .revpref import RevealedRelation, direct_relations, garp_verdict
 
 #: Relative slack allowed by the float-lane post-hoc inequality check.
 CHECK_RTOL = 1e-9
@@ -72,45 +74,44 @@ class AfriatSolution:
     efficiency: EfficiencyVector
 
 
-def _classes_in_order(closure: np.ndarray) -> list[list[int]]:
+def _classes_in_order(rel: RevealedRelation) -> list[list[int]]:
     """Mutual-reachability classes, most-preferred first, deterministic.
 
-    Kahn's algorithm on the class graph: the next class is the one with the
-    smallest member among those no unplaced class is revealed preferred to.
+    The classes come from the closure of the cyclic core: an observation
+    outside the core lies on no cycle, so it is a class of its own.  Kahn's
+    algorithm on the graph of direct weak links between classes places next
+    the ready class with the smallest member.  Every placed class has its
+    ancestors placed, so a class has an unplaced ancestor exactly when it
+    has an unplaced direct predecessor: the ready classes, and so the order,
+    are those of the closure's class graph.
     """
+    core, closure = rel.core
     same = closure & closure.T
     np.fill_diagonal(same, True)
-    # Row t of `same` is t's class; its smallest member keys the class.
-    key = same.argmax(axis=1)
-    classes: dict[int, list[int]] = {}
-    for t, a in enumerate(key.tolist()):
-        classes.setdefault(a, []).append(t)
+    # Each class is keyed, and numbered in key order, by its smallest member.
+    key = np.arange(rel.weak.shape[0])
+    if core.size:  # argmax refuses an empty core
+        key[core] = core[same.argmax(axis=1)]
+    _, label = np.unique(key, return_inverse=True)
+    members = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
+    links = rel.weak[members][:, members]
+    links = np.logical_or.reduceat(np.logical_or.reduceat(links, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(links, False)
+    classes = [m.tolist() for m in np.split(members, starts[1:])]
 
-    def successors(a: int) -> list[int]:
-        # Keys of the classes that class a is revealed preferred to, read
-        # off the closure on demand: storing every class edge would cost
-        # memory quadratic in the number of classes.
-        hit = np.zeros(len(key), dtype=bool)
-        hit[key[closure[classes[a]].any(axis=0)]] = True
-        hit[a] = False
-        return np.flatnonzero(hit).tolist()
-
-    waiting = dict.fromkeys(classes, 0)
-    for a in classes:
-        for b in successors(a):
-            waiting[b] += 1
+    waiting = links.sum(axis=0)
     # A plain list, not a heapq heap: importing heapq loads an extension
     # module and adds about 0.13 MB to the peak memory of every CLI run.
-    ready = [a for a, count in waiting.items() if count == 0]
+    ready = np.flatnonzero(waiting == 0).tolist()
     order: list[list[int]] = []
     while ready:
         a = min(ready)
         ready.remove(a)
         order.append(classes[a])
-        for b in successors(a):
-            waiting[b] -= 1
-            if waiting[b] == 0:
-                ready.append(b)
+        after = np.flatnonzero(links[a])
+        waiting[after] -= 1
+        ready += after[waiting[after] == 0].tolist()
     assert len(order) == len(classes), "class preference graph has a cycle"
     return order
 
@@ -137,7 +138,7 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
     phi = np.empty(n, dtype=costs.dtype)
     lam = np.empty(n, dtype=costs.dtype)
     done = np.empty(0, dtype=np.intp)
-    for members in _classes_in_order(rel.closure):
+    for members in _classes_in_order(rel):
         m = np.array(members, dtype=np.intp)
         if done.size:
             level = (phi[done, None] + lam[done, None] * slack[np.ix_(done, m)]).min()

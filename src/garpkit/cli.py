@@ -210,12 +210,6 @@ def _lane_encoder(dataset: Dataset):
     return str if dataset.exact else float
 
 
-def decode_number(value):
-    if isinstance(value, str):
-        return Fraction(value)
-    return value
-
-
 def _encode_witness(w: CycleWitness | None):
     if w is None:
         return None

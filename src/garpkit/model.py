@@ -261,9 +261,8 @@ class CrossMatrix:
     Each lane holds one array: float64 on the float lane, and an object
     array of exact ``Fraction`` entries on the exact lane, whose elementwise
     operations are the exact ones.  ``ratio_array`` is derived on first
-    use.  ``costs`` and ``ratios`` are tuple-of-tuples views of the two
-    arrays, also built on first use; code that needs a float64 mirror of
-    exact data converts with ``.astype(float)`` where it needs it.
+    use.  Code that needs a float64 mirror of exact data converts with
+    ``.astype(float)`` where it needs it.
     """
 
     def __init__(self, cost_array: np.ndarray):
@@ -272,14 +271,6 @@ class CrossMatrix:
     @cached_property
     def ratio_array(self) -> np.ndarray:
         return self.cost_array / self.cost_array.diagonal()[:, None]
-
-    @cached_property
-    def costs(self) -> tuple[tuple[Number, ...], ...]:
-        return tuple(map(tuple, self.cost_array.tolist()))
-
-    @cached_property
-    def ratios(self) -> tuple[tuple[Number, ...], ...]:
-        return tuple(map(tuple, self.ratio_array.tolist()))
 
 
 def cross_expenditures(dataset: Dataset) -> CrossMatrix:

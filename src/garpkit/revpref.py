@@ -11,23 +11,24 @@ e-GARP holds when no bundle is transitively revealed preferred to one that
 is strictly revealed preferred back to it, i.e. there is no weak cycle
 containing a strict step.
 
-Every graph question about the relations goes through this module: the
-verdict reads the Warshall closure, and a failing verdict is certified by a
-minimal violating cycle found by one breadth-first search over boolean
-matrices from all violating sources at once (the selection rule is spelled
-out in ``_minimal_cycle``).  The CCEI search (:mod:`.ccei`) and the Afriat
-solver (:mod:`.afriat`) take their verdicts and witnesses from here.  The
-CCEI search's verdict (:func:`uniform_verdict`) closes only the cyclic
-core, what is left after peeling every node without an in-edge or an
-out-edge: every cycle lies in it, so it reads the same violations as the
-full closure, and near the CCEI it is a few nodes.  :func:`direct_relations`
-keeps the full closure, which :class:`RevealedRelation` exposes and the
-Afriat solver orders its classes by.
+Every graph question about the relations goes through this module, and
+every verdict reads the cyclic core: what is left after peeling every node
+without an in-edge or an out-edge.  Every cycle lies in it, so its closure
+reads the same violations as the full closure, and near the CCEI it is a
+few nodes.  A :class:`RevealedRelation` closes its core once, on first use,
+and the verdict and the Afriat class order (:mod:`.afriat`) share it; the
+full closure is built only when ``RevealedRelation.closure`` is read.  A
+failing verdict is certified by a minimal violating cycle found by one
+breadth-first search over boolean matrices from all violating sources at
+once (the selection rule is spelled out in ``_minimal_cycle``).  The CCEI
+search (:mod:`.ccei`) and the Afriat solver take their verdicts and
+witnesses from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,11 +46,26 @@ from .model import (
 
 @dataclass(frozen=True, eq=False)
 class RevealedRelation:
-    """Boolean T-by-T matrices: direct weak, direct strict, weak closure."""
+    """Boolean T-by-T matrices: direct weak and direct strict preference.
+
+    The closure of the cyclic core and the full weak closure are built on
+    first use.
+    """
 
     weak: np.ndarray
     strict: np.ndarray
-    closure: np.ndarray
+
+    @cached_property
+    def core(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted cyclic core (``_cyclic_core``) and its weak closure."""
+        core = _cyclic_core(self.weak)
+        # Row, then column selection: far cheaper than one np.ix_ selection.
+        return core, transitive_closure(self.weak[core][:, core])
+
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """Reachability over all T nodes by weak chains of length >= 1."""
+        return transitive_closure(self.weak)
 
 
 @dataclass(frozen=True)
@@ -74,17 +90,12 @@ class GarpVerdict:
     witness: Optional[CycleWitness]
 
 
-def _comparisons(dataset: Dataset, cm: CrossMatrix, e_values) -> tuple[np.ndarray, np.ndarray]:
+def _relation_at(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
     """Weak and strict comparisons against deflated own expenditures."""
     costs = cm.cost_array
     budgets = (np.array(e_values, dtype=costs.dtype) * costs.diagonal())[:, None]
-    return leq_array(costs, budgets, dataset.rel_tol), lt_array(costs, budgets, dataset.rel_tol)
-
-
-def _relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
-    """Weak/strict comparisons against deflated own expenditures, plus closure."""
-    weak, strict = _comparisons(dataset, cm, e_values)
-    return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
+    return RevealedRelation(weak=leq_array(costs, budgets, dataset.rel_tol),
+                            strict=lt_array(costs, budgets, dataset.rel_tol))
 
 
 def transitive_closure(weak: np.ndarray) -> np.ndarray:
@@ -116,7 +127,7 @@ def _cyclic_core(weak: np.ndarray) -> np.ndarray:
         core, edges = core[keep], edges[keep][:, keep]
 
 
-def _core_sources(weak: np.ndarray, strict: np.ndarray) -> np.ndarray:
+def _core_sources(rel: RevealedRelation) -> np.ndarray:
     """The rows of ``closure & strict.T`` with a violation, from the core alone.
 
     ``strict`` must lie inside ``weak``.  A violating pair (t, s) with
@@ -124,22 +135,20 @@ def _core_sources(weak: np.ndarray, strict: np.ndarray) -> np.ndarray:
     both lie on one cycle and in the cyclic core; outside the core only a
     strict self-loop can violate.
     """
-    core = _cyclic_core(weak)
-    violating = weak.diagonal() & strict.diagonal()
-    # Row, then column selection: far cheaper than one np.ix_ selection.
-    closure = transitive_closure(weak[core][:, core])
-    violating[core] |= (closure & strict[core][:, core].T).any(axis=1)
+    core, closure = rel.core
+    violating = rel.weak.diagonal() & rel.strict.diagonal()
+    violating[core] |= (closure & rel.strict[core][:, core].T).any(axis=1)
     return np.flatnonzero(violating)
 
 
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
-    """Build the weak/strict relations and the weak closure at efficiency e.
+    """Build the weak and strict relations at efficiency e.
 
     ``e`` may be a scalar, a sequence with one entry per observation, or an
     :class:`EfficiencyVector`.
     """
     ev = coerce_efficiency(e, dataset)
-    return _relations(dataset, cross_expenditures(dataset), ev.values)
+    return _relation_at(dataset, cross_expenditures(dataset), ev.values)
 
 
 def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
@@ -196,20 +205,17 @@ def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
 def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
     """e-GARP verdict of built relations; on failure optionally a minimal cycle.
 
-    The verdict reads the closure: (t, s) violates when ``t`` is
-    transitively revealed preferred to ``s`` while ``s`` is directly
-    *strictly* revealed preferred to ``t``.
+    (t, s) violates when ``t`` is transitively revealed preferred to ``s``
+    while ``s`` is directly *strictly* revealed preferred to ``t``; the
+    violating sources are read off the closure of the cyclic core
+    (:func:`_core_sources`), so ``rel.strict`` must lie inside ``rel.weak``,
+    as it does in every relation this module builds.
     """
-    sources = np.flatnonzero((rel.closure & rel.strict.T).any(axis=1))
-    return _verdict(rel.weak, rel.strict, sources, witness)
-
-
-def _verdict(weak: np.ndarray, strict: np.ndarray, sources: np.ndarray,
-             witness: bool) -> GarpVerdict:
+    sources = _core_sources(rel)
     if not sources.size:
         return GarpVerdict(holds=True, witness=None)
     return GarpVerdict(holds=False,
-                       witness=_minimal_cycle(weak, strict, sources) if witness else None)
+                       witness=_minimal_cycle(rel.weak, rel.strict, sources) if witness else None)
 
 
 def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
@@ -218,13 +224,10 @@ def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
 
     For callers that probe many efficiencies on one dataset: ``cm`` is the
     dataset's cross-expenditure matrix, and ``e`` is used as given, in the
-    dataset's arithmetic, without coercion.  The verdict and witness are
-    those of :func:`garp_verdict`, but only the cyclic core of the weak
-    relation is closed (:func:`_core_sources`): near the CCEI it is a few
-    nodes.
+    dataset's arithmetic, without coercion.
     """
-    weak, strict = _comparisons(dataset, cm, [e] * dataset.n_observations)
-    return _verdict(weak, strict, _core_sources(weak, strict), witness)
+    return garp_verdict(_relation_at(dataset, cm, [e] * dataset.n_observations),
+                        witness=witness)
 
 
 def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:

@@ -77,9 +77,9 @@ def random_efficiency(rng, exact_dataset, allow_vector=True):
 
     def one_scalar():
         if rng.random() < 0.35:
-            cm = cross_expenditures(exact_dataset)
+            ratios = cross_expenditures(exact_dataset).ratio_array
             pool = sorted(
-                {r for row in cm.ratios for r in row if 0 < r <= 1}
+                {r for r in ratios.flat if 0 < r <= 1}
             )
             if pool:
                 return pool[rng.integers(len(pool))]

@@ -3,40 +3,43 @@
 ``solve_afriat`` as it was before the construction became array steps: the
 slack matrix is a T x T list of Python numbers and each class level and
 each ``lam`` comes from nested loops over the already-placed observations.
-The array construction must give the same ``phi`` and ``lam``, value for
-value and type for type, on both lanes.
+The verdict and the class order come from the full-closure references in
+``reference_graph``, not from the production code under test.  The array
+construction must give the same ``phi`` and ``lam``, value for value and
+type for type, on both lanes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from garpkit.afriat import AfriatSolution, _classes_in_order, _verify_inequalities
+import reference_graph
+from garpkit.afriat import AfriatSolution, _verify_inequalities
 from garpkit.errors import AfriatInfeasibleError
 from garpkit.model import Number, coerce_efficiency, cross_expenditures
-from garpkit.revpref import direct_relations, garp_verdict
+from garpkit.revpref import direct_relations
 
 
 def solve_afriat(dataset, e=1) -> AfriatSolution:
     ev = coerce_efficiency(e, dataset)
     rel = direct_relations(dataset, ev)
-    verdict = garp_verdict(rel)
+    verdict = reference_graph.garp_verdict(rel)
     if not verdict.holds:
         raise AfriatInfeasibleError(verdict.witness)
 
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     n = dataset.n_observations
     zero: Number = Fraction(0) if dataset.exact else 0.0
     one: Number = Fraction(1) if dataset.exact else 1.0
     slack = [
-        [cm.costs[t][s] - ev[t] * cm.costs[t][t] for s in range(n)]
+        [costs[t][s] - ev[t] * costs[t][t] for s in range(n)]
         for t in range(n)
     ]
 
     phi: list[Number | None] = [None] * n
     lam: list[Number | None] = [None] * n
     done: list[int] = []
-    for members in _classes_in_order(rel.closure):
+    for members in reference_graph.classes_in_order(rel.closure):
         if done:
             level = min(phi[t] + lam[t] * slack[t][s] for t in done for s in members)
         else:

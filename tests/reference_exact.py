@@ -21,7 +21,7 @@ import numpy as np
 
 from garpkit.afriat import AfriatSolution
 from garpkit.model import Dataset, Number
-from garpkit.revpref import RevealedRelation, transitive_closure
+from garpkit.revpref import RevealedRelation
 
 
 class CrossMatrix:
@@ -83,7 +83,7 @@ def relations(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
         margin = dataset.rel_tol * np.maximum(np.abs(costs), np.abs(rhs))
         weak = costs <= rhs + margin
         strict = costs < rhs - margin
-    return RevealedRelation(weak=weak, strict=strict, closure=transitive_closure(weak))
+    return RevealedRelation(weak=weak, strict=strict)
 
 
 def candidates(dataset: Dataset, cm: CrossMatrix) -> list[Number]:

@@ -1,9 +1,11 @@
 """Test-only references for the graph core: the per-pass implementations
-that ``revpref._minimal_cycle`` and ``afriat._classes_in_order`` replaced.
+that ``revpref.garp_verdict``, ``revpref._minimal_cycle`` and
+``afriat._classes_in_order`` replaced.
 
-They are deliberately slow and simple -- one Python BFS per violating
-source, and an O(k^2)-per-step scan for the class order -- and the fast
-versions must reproduce their output exactly.
+They are deliberately slow and simple -- a verdict read off the full
+Warshall closure, one Python BFS per violating source, and an
+O(k^2)-per-step scan of the closure's class graph for the class order --
+and the fast versions must reproduce their output exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from collections import deque
 
 import numpy as np
 
-from garpkit.revpref import CycleWitness, RevealedRelation
+from garpkit.revpref import CycleWitness, GarpVerdict, RevealedRelation
+
+
+def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
+    """The e-GARP verdict with its violating sources read off the full closure."""
+    if not (rel.closure & rel.strict.T).any():
+        return GarpVerdict(holds=True, witness=None)
+    return GarpVerdict(holds=False, witness=minimal_cycle(rel) if witness else None)
 
 
 def minimal_cycle(rel: RevealedRelation) -> CycleWitness:

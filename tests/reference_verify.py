@@ -54,22 +54,22 @@ def _ray_level_points(rng, gradients, offsets, level: float,
 
 
 def worst_residual(solution: AfriatSolution, dataset: Dataset):
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     ev = solution.efficiency
     n = dataset.n_observations
     worst = Fraction(0) if dataset.exact else 0.0
     for t in range(n):
-        own = ev[t] * cm.costs[t][t]
+        own = ev[t] * costs[t][t]
         for s in range(n):
             margin = solution.phi[s] - solution.phi[t] - solution.lam[t] * (
-                cm.costs[t][s] - own
+                costs[t][s] - own
             )
             if not dataset.exact:
                 scale = max(
                     1.0,
                     abs(solution.phi[s]),
                     abs(solution.phi[t]),
-                    solution.lam[t] * (cm.costs[t][s] + own),
+                    solution.lam[t] * (costs[t][s] + own),
                 )
                 margin -= CHECK_RTOL * scale
             if margin > worst:
@@ -80,7 +80,7 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset):
 def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                   n_samples: int, seed: int) -> VerificationReport:
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -90,14 +90,14 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     violations = []
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * costs[t][t]
         budget_f = float(budget)
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
         extras = [np.zeros(n_goods)]
         for s in range(n):
-            if leq(cm.costs[t][s], budget, dataset.rel_tol):
+            if leq(costs[t][s], budget, dataset.rel_tol):
                 extras.append(dataset.bundle_array[s])
         points = np.vstack([proposals, np.array(extras)])
 
@@ -130,7 +130,7 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                        n_samples: int, seed: int) -> VerificationReport:
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -146,7 +146,7 @@ def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolu
     exhausted = []
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * costs[t][t]
         budget_f = float(budget)
         price_f = dataset.price_array[t]
         level_f = float(observed_values[t])
@@ -193,7 +193,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     if not dataset.exact:
         return _float_verify_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
@@ -202,14 +202,14 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     violations = []
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * costs[t][t]
         budget_f = float(budget)
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
         extras = [np.zeros(n_goods)]
         for s in range(n):
-            if leq(cm.costs[t][s], budget, dataset.rel_tol):
+            if leq(costs[t][s], budget, dataset.rel_tol):
                 extras.append(dataset.bundle_array[s])
         points = np.vstack([proposals, np.array(extras)])
 
@@ -249,7 +249,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     if not dataset.exact:
         return _float_verify_cost_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset).cost_array.tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -265,7 +265,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exhausted = []
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.costs[t][t]
+        budget = ev[t] * costs[t][t]
         level_f = float(observed_values[t])
 
         draws = rng.uniform(size=(n_reject, n_goods)) * box_hi

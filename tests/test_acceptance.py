@@ -73,8 +73,8 @@ def test_criterion_1_two_observation_regression():
     # swapping the two bundles would cost 4 + 4 = 8 against 2 + 8 = 10
     # spent, yet the data still cost-rationalize cleanly
     cm = cross_expenditures(exact)
-    assert cm.costs[0][1] + cm.costs[1][0] == 8
-    assert cm.costs[0][0] + cm.costs[1][1] == 10
+    assert cm.cost_array[0, 1] + cm.cost_array[1, 0] == 8
+    assert cm.cost_array[0, 0] + cm.cost_array[1, 1] == 10
 
     solution = solve_afriat(exact, 1)
     cost = verify_cost_rationalization(exact, 1, solution,

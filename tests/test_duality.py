@@ -34,8 +34,8 @@ def test_cheaper_swap_coexists_with_cost_rationalization(base_exact):
     # yet per-observation cost-rationalization still verifies clean: the
     # saving says nothing about points weakly better than the chosen ones.
     cm = cross_expenditures(base_exact)
-    swapped = cm.costs[0][1] + cm.costs[1][0]
-    observed = cm.costs[0][0] + cm.costs[1][1]
+    swapped = cm.cost_array[0, 1] + cm.cost_array[1, 0]
+    observed = cm.cost_array[0, 0] + cm.cost_array[1, 1]
     assert swapped == 8 and observed == 10 and swapped < observed
     sol = solve_afriat(base_exact)
     cost = verify_cost_rationalization(base_exact, 1, sol, n_samples=400, seed=5)
