@@ -34,15 +34,16 @@ Construction (no LP solver, works unchanged in exact rational arithmetic):
    reference quantities fixed earlier, so one pass suffices.
 
 The construction is followed by a mandatory check of all T^2 inequalities:
-exact on the exact lane; on the float lane with relative slack 1e-9 scaled
-by the lam-weighted expenditure terms, so that breakpoint wobble at the
-1e-12 comparison tolerance cannot trip it no matter how large ``lam`` is.
-The post-condition, not the construction, is the contract.
+exact on the exact lane; on the float lane with relative slack
+``model.CHECK_RTOL`` scaled by the lam-weighted expenditure terms, so that
+breakpoint wobble at the comparison tolerance ``model.COMPARE_RTOL`` cannot
+trip it no matter how large ``lam`` is.  The post-condition, not the
+construction, is the contract; the solution records the residual it passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
     DimensionMismatchError,
 )
 from .model import (
+    CHECK_RTOL,
     Dataset,
     EfficiencyVector,
     Number,
@@ -61,17 +63,18 @@ from .model import (
 )
 from .revpref import RevealedRelation, direct_relations, garp_verdict
 
-#: Relative slack allowed by the float-lane post-hoc inequality check.
-CHECK_RTOL = 1e-9
-
-
 @dataclass(frozen=True)
 class AfriatSolution:
-    """Utility levels and marginal utility weights, one pair per observation."""
+    """Utility levels and marginal utility weights, one pair per observation.
+
+    ``residual`` is the :func:`worst_residual` that :func:`solve_afriat`
+    checked these numbers against; None on a solution built by hand.
+    """
 
     phi: tuple[Number, ...]
     lam: tuple[Number, ...]
     efficiency: EfficiencyVector
+    residual: Number | None = field(default=None, compare=False)
 
 
 def _classes_in_order(rel: RevealedRelation) -> list[list[int]]:
@@ -156,26 +159,22 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
         done = np.concatenate([done, m])
 
     solution = AfriatSolution(phi=tuple(phi.tolist()), lam=tuple(lam.tolist()), efficiency=ev)
-    _verify_inequalities(solution, dataset)
-    return solution
-
-
-def _verify_inequalities(solution: AfriatSolution, dataset: Dataset) -> None:
     residual = worst_residual(solution, dataset)
     if residual > 0:
         raise AfriatVerificationError(
             f"constructed numbers violate an inequality by {residual!r}"
         )
+    return replace(solution, residual=residual)
 
 
 def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     """Largest violation of the T^2 inequality system; <= 0 means verified.
 
-    Exact lane: raw residuals.  Float lane: residuals minus a tolerance of
-    ``CHECK_RTOL`` times the magnitude of the terms involved (including the
-    lam-weighted expenditures, so amplified rounding noise stays covered),
-    computed with the IEEE operations, in the order, of the pairwise
-    formula: the result is that formula's float.
+    Exact lane: raw residuals.  Float lane: residuals minus an allowance
+    of ``model.CHECK_RTOL`` times the magnitude of the terms involved
+    (including the lam-weighted expenditures, so amplified rounding noise
+    stays covered), computed with the IEEE operations, in the order, of the
+    pairwise formula: the result is that formula's float.
     """
     costs = cross_expenditures(dataset).cost_array
     phi = np.array(solution.phi, dtype=costs.dtype)

@@ -24,10 +24,9 @@ import os
 import sys
 from fractions import Fraction
 from math import isfinite
-from typing import Any
 
 from . import __version__
-from .afriat import AfriatSolution, solve_afriat, worst_residual
+from .afriat import AfriatSolution, solve_afriat
 from .ccei import ccei_binary_search, ccei_exact
 from .datagen import GeneratorSpec, generate
 from .duality import (
@@ -194,18 +193,11 @@ def _efficiency_argument(text: str):
 # ---------------------------------------------------------------- encoding
 
 
-def encode_number(value) -> Any:
-    """Fractions as "num/den" strings (lossless); floats as JSON numbers."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return float(value)
-
-
 def _lane_encoder(dataset: Dataset):
-    """:func:`encode_number` for the numbers of one lane, decided once.
+    """The JSON encoder of the numbers of one lane.
 
-    Exact-lane numbers are all ``Fraction`` and float-lane ones ``float``;
-    ``encode_number`` spends an ABC ``isinstance`` check on each of them.
+    Exact-lane numbers are all ``Fraction`` and become lossless "num/den"
+    strings; float-lane ones are ``float`` and stay JSON numbers.
     """
     return str if dataset.exact else float
 
@@ -271,11 +263,12 @@ def _cmd_check_garp(dataset: Dataset, args) -> tuple[dict, int]:
 
 
 def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
+    encode = _lane_encoder(dataset)
     exact_result = ccei_exact(dataset)
     bisect_value = ccei_binary_search(dataset, args.tol)
     agreement = abs(bisect_value - float(exact_result.value)) <= args.tol
     results = {
-        "ccei_exact": encode_number(exact_result.value),
+        "ccei_exact": encode(exact_result.value),
         "ccei_bisect": bisect_value,
         "tol": args.tol,
         "agreement": agreement,
@@ -283,8 +276,8 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
         "garp_at_one": bool(exact_result.value == 1 and exact_result.attained),
         "witness_above": _encode_witness(exact_result.witness_above),
         "witness_probe": None if exact_result.witness_probe is None
-        else encode_number(exact_result.witness_probe),
-        "breakpoints": list(map(_lane_encoder(dataset), exact_result.breakpoints)),
+        else encode(exact_result.witness_probe),
+        "breakpoints": list(map(encode, exact_result.breakpoints)),
     }
     return results, EXIT_OK
 
@@ -300,13 +293,14 @@ def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int, AfriatSolution | Non
             "witness": _encode_witness(err.witness),
         }
         return results, EXIT_VIOLATION, None
+    encode = _lane_encoder(dataset)
     results = {
         "efficiency": _echo_efficiency(dataset, args.efficiency_value),
         "feasible": True,
-        "phi": [encode_number(v) for v in solution.phi],
-        "lambda": [encode_number(v) for v in solution.lam],
+        "phi": list(map(encode, solution.phi)),
+        "lambda": list(map(encode, solution.lam)),
         "checked_pairs": dataset.n_observations ** 2,
-        "worst_residual": float(worst_residual(solution, dataset)),
+        "worst_residual": float(solution.residual),
     }
     return results, EXIT_OK, solution
 
@@ -345,17 +339,18 @@ def _cmd_oracle(dataset: Dataset, args) -> tuple[dict, int]:
         "efficiency": _echo_efficiency(dataset, args.efficiency_value),
         "garp_holds": verdict.garp_holds,
         "violating_cycles": [[i + 1 for i in c] for c in verdict.violating_cycles],
-        "ccei": encode_number(value),
+        "ccei": _lane_encoder(dataset)(value),
     }
     return results, EXIT_OK if verdict.garp_holds else EXIT_VIOLATION
 
 
 def _echo_efficiency(dataset: Dataset, e) -> list:
     ev = coerce_efficiency(e, dataset)
-    return [encode_number(v) for v in ev.values]
+    return list(map(_lane_encoder(dataset), ev.values))
 
 
 def _cmd_generate(args) -> tuple[dict, dict, int]:
+    """The dataset block, the results and the exit code."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -391,10 +386,9 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         "observations": dataset.n_observations,
         "goods": dataset.n_goods,
         "seed": spec.seed,
-        "ccei": encode_number(index.value),
+        "ccei": _lane_encoder(dataset)(index.value),
     }
-    dataset_block = _dataset_block(dataset)
-    return {"results": results, "dataset": dataset_block}, results, EXIT_OK
+    return _dataset_block(dataset), results, EXIT_OK
 
 
 def _write_dataset(dataset: Dataset, path: str) -> None:
@@ -658,10 +652,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             report["parameters"] = {"config": args.config, "data_out": args.data_out}
-            blocks, results, code = _cmd_generate(args)
-            report["dataset"] = blocks["dataset"]
+            report["dataset"], report["results"], code = _cmd_generate(args)
             report["mode"] = "float"
-            report["results"] = results
         else:
             dataset = parse_input(args.input, args.input_format, exact=args.exact)
             report["dataset"] = _dataset_block(dataset)

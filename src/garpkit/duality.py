@@ -29,13 +29,15 @@ filter, so reports are identical with and without it and every reported
 violation is an exact fact.  Exact data whose float64 mirror overflows or
 underflows cannot be sampled and is refused with a :class:`GarpkitError`.
 
-On the float lane, budget samples are screened first.  U is the minimum of
-its pieces, so piece t alone bounds U from above, and on budget t that
-bound is at most ``phi[t] <= U(x[t])``.  If piece t, plus a rigorous error
-term, keeps every sample of an observation under the violation threshold,
-the observation is clean and the T-piece product is skipped.  The screen is
-all or nothing per observation: if any sample fails it, every sample of
-that observation is evaluated by the full product, because the product of a
+On the float lane, a sample is a violation only beyond the relative
+allowance ``model.CHECK_RTOL``, the Afriat post-check's allowance too.
+Budget samples are screened first.  U is the minimum of its pieces, so
+piece t alone bounds U from above, and on budget t that bound is at most
+``phi[t] <= U(x[t])``.  If piece t, plus a rigorous error term, keeps
+every sample of an observation under the violation threshold, the
+observation is clean and the T-piece product is skipped.  The screen is all
+or nothing per observation: if any sample fails it, every sample of that
+observation is evaluated by the full product, because the product of a
 subset of rows need not round like the same rows of the full product.
 Reports are therefore identical with and without the screen.
 
@@ -68,11 +70,15 @@ import numpy as np
 
 from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
-from .model import CrossMatrix, Dataset, coerce_efficiency, cross_expenditures, leq_array
+from .model import (
+    CHECK_RTOL,
+    CrossMatrix,
+    Dataset,
+    coerce_efficiency,
+    cross_expenditures,
+    leq_array,
+)
 from .revpref import check_e_garp
-
-#: Float-lane violations must exceed this relative margin to be recorded.
-FLOAT_RTOL = 1e-9
 
 #: Cap on the outward-nudge loop that certifies ray points sit weakly above
 #: the target level after float rounding; usually 0 or 1 passes are needed.
@@ -153,7 +159,7 @@ def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
     """Whether piece t alone shows no float-lane violation among ``points``.
 
     The full evaluation computes ``v = fl(fl(x . g) + o)`` for every piece
-    and flags ``min v > level + FLOAT_RTOL * max(1, |level|, |min v|)``.
+    and flags ``min v > level + CHECK_RTOL * max(1, |level|, |min v|)``.
     Its piece t, ``v_t``, bounds ``min v`` from above, but it is a different
     rounding of the same dot product than the ``d = fl(x . g)`` and
     ``s = fl(d + o)`` computed here.  Points and gradients are nonnegative
@@ -165,7 +171,7 @@ def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
     + d)`` with ``c = 2 (L + 2)`` covers that plus the roundings made in
     forming it.  Underflowing products are covered by the absolute
     ``2**-1000``; an overflow gives a bound that is not finite and fails the
-    screen.  A bound at most ``level + FLOAT_RTOL / 2 * max(1, |level|)`` is
+    screen.  A bound at most ``level + CHECK_RTOL / 2 * max(1, |level|)`` is
     then, rounding being monotone, under the full evaluation's threshold.
     """
     unit = 2 * (points.shape[1] + 2) * 2.0 ** -53
@@ -173,7 +179,7 @@ def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
         dots = points @ gradient
         piece = dots + offset
         bound = piece + unit * (np.abs(piece) + dots) + _TINY
-    return bool((bound <= level + 0.5 * FLOAT_RTOL * max(1.0, abs(level))).all())
+    return bool((bound <= level + 0.5 * CHECK_RTOL * max(1.0, abs(level))).all())
 
 
 def _own_piece_certifies(gradient: np.ndarray, offset: float, lam: float,
@@ -447,7 +453,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                 summaries.append(ObservationSummary(t, count, 0))
                 continue
             values = (points @ gradients.T + offsets).min(axis=1)
-            margin = FLOAT_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
+            margin = CHECK_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
             bad = np.flatnonzero(values > level + margin)
             bad_here = bad.size
             for i in bad:
@@ -611,7 +617,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             exhausted.append(t)
 
         observed_in = dataset.bundle_array[observed_values >= level_f]
-        threshold = budget_f * (1.0 - FLOAT_RTOL)
+        threshold = budget_f * (1.0 - CHECK_RTOL)
         if not dataset.exact and _own_piece_certifies(
                 gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):
             # Nothing reads stream t after the rays, so skipping them

@@ -14,9 +14,9 @@ Two arithmetic lanes are supported:
   (for example ``4 == 0.8 * 5``) are decided exactly.  Comparisons carry no
   tolerance.
 * float lane -- entries are ``float`` and order comparisons treat values
-  within a relative tolerance (default 1e-12) as equal.  This keeps verdicts
-  stable for large data where exact rationals are too slow, while still
-  recognising ties that differ only by rounding noise.
+  within a relative tolerance as equal.  This keeps verdicts stable for
+  large data where exact rationals are too slow, while still recognising
+  ties that differ only by rounding noise.
 
 The lane is chosen at validation time and travels with the ``Dataset``; all
 other modules read it from there.  Each lane holds its cross expenditures
@@ -24,6 +24,14 @@ in one numpy array -- float64 on the float lane, an object array of
 ``Fraction`` on the exact lane -- so the relations, breakpoints and Afriat
 residuals downstream run one array code path on both lanes, with
 :func:`leq_array`/:func:`lt_array` as the one comparison rule.
+
+The float lane's tolerance policy is two numbers, both defined here.
+:data:`COMPARE_RTOL` (1e-12) is the tolerance of the e-GARP comparisons, so
+it sets the relations, the CCEI and the Afriat classes; ``Dataset.rel_tol``
+reads it off the lane.  :data:`CHECK_RTOL` (1e-9) is the allowance of every
+check downstream of them: the Afriat post-check and both float verifiers.
+It is the wider one, so a tie decided at the comparison tolerance never
+trips a check of the numbers built on it.
 """
 
 from __future__ import annotations
@@ -47,28 +55,20 @@ from .errors import (
 
 Number = Union[Fraction, float]
 
-#: Relative tolerance used for float-lane order comparisons.
-DEFAULT_FLOAT_RTOL = 1e-12
+#: Relative tolerance of the float lane's e-GARP comparisons.
+COMPARE_RTOL = 1e-12
 
-
-def leq(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
-    """Tolerant ``lhs <= rhs``.
-
-    With ``rel_tol == 0`` this is an exact comparison (the exact lane).  With
-    a positive tolerance, values within ``rel_tol * max(|lhs|, |rhs|)`` of
-    each other count as equal, so a knife-edge tie never degrades into a
-    strict inequality because of rounding.
-    """
-    if rel_tol == 0.0:
-        return lhs <= rhs
-    return lhs <= rhs + rel_tol * max(abs(lhs), abs(rhs))
+#: Relative allowance of the float lane's Afriat post-check and verifiers.
+CHECK_RTOL = 1e-9
 
 
 def leq_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
-    """:func:`leq` elementwise, as a bool array; ``rhs`` broadcasts against ``lhs``.
+    """Tolerant ``lhs <= rhs`` elementwise, as a bool array; ``rhs`` broadcasts.
 
-    ``lhs`` is a float64 array, or at ``rel_tol == 0`` any array or sequence
-    (an object array of ``Fraction`` on the exact lane).
+    At ``rel_tol == 0`` this is the plain comparison of any array or
+    sequence (an object array of ``Fraction`` on the exact lane).  Otherwise
+    ``lhs`` is float64 and the test is ``lhs <= rhs + rel_tol * max(|lhs|,
+    |rhs|)``, so a knife-edge tie never turns strict because of rounding.
     """
     lhs = np.asarray(lhs)
     if rel_tol == 0.0:
@@ -76,19 +76,12 @@ def leq_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
     return lhs <= _shifted(lhs, rhs, rel_tol, np.add)
 
 
-def lt(lhs: Number, rhs: Number, rel_tol: float = 0.0) -> bool:
-    """Tolerant ``lhs < rhs``; strict counterpart of :func:`leq`.
-
-    ``lt(a, b, tol)`` implies ``leq(a, b, tol)``, and ``not leq(a, b, tol)``
-    implies ``lt(b, a, tol)``, mirroring the exact-order relationships.
-    """
-    if rel_tol == 0.0:
-        return lhs < rhs
-    return lhs < rhs - rel_tol * max(abs(lhs), abs(rhs))
-
-
 def lt_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
-    """:func:`lt` elementwise, as a bool array; the strict twin of :func:`leq_array`."""
+    """Tolerant ``lhs < rhs``; the strict twin of :func:`leq_array`.
+
+    The tolerant test is ``lhs < rhs - rel_tol * max(|lhs|, |rhs|)``: strict
+    implies weak, and failing weak one way implies strict the other way.
+    """
     lhs = np.asarray(lhs)
     if rel_tol == 0.0:
         return lhs < rhs
@@ -98,9 +91,8 @@ def lt_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
 def _shifted(lhs: np.ndarray, rhs, rel_tol: float, op) -> np.ndarray:
     """``op(rhs, rel_tol * max(|lhs|, |rhs|))`` elementwise, in one buffer.
 
-    The IEEE operations of :func:`leq`/:func:`lt`, so results are theirs
-    bit for bit; filled in place because a relation build runs this twice
-    on a T x T array, and each extra T x T temporary is a fresh allocation.
+    Filled in place because a relation build runs this twice on a T x T
+    array, and each extra T x T temporary is a fresh allocation.
     """
     out = np.abs(lhs, dtype=float)
     np.maximum(out, np.abs(rhs), out=out)
@@ -150,14 +142,17 @@ class Dataset:
         prices: T rows of L strictly positive prices.
         bundles: T rows of L nonnegative quantities, no row entirely zero.
         exact: True when entries are ``Fraction`` (exact lane).
-        rel_tol: relative tolerance for order comparisons; 0.0 on the exact
-            lane.
     """
 
     prices: tuple[tuple[Number, ...], ...]
     bundles: tuple[tuple[Number, ...], ...]
     exact: bool
-    rel_tol: float
+
+    @property
+    def rel_tol(self) -> float:
+        """Relative tolerance of order comparisons: 0.0 on the exact lane,
+        :data:`COMPARE_RTOL` on the float lane."""
+        return 0.0 if self.exact else COMPARE_RTOL
 
     @property
     def n_observations(self) -> int:
@@ -188,8 +183,7 @@ class Dataset:
         return _compute_cross(self)
 
 
-def validate_dataset(prices, bundles, *, exact: bool | None = None,
-                     rel_tol: float = DEFAULT_FLOAT_RTOL) -> Dataset:
+def validate_dataset(prices, bundles, *, exact: bool | None = None) -> Dataset:
     """Validate raw price/bundle tables and build a :class:`Dataset`.
 
     Args:
@@ -198,7 +192,6 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None,
         bundles: sequence of T bundle rows with the same shape.
         exact: force the exact lane (True) or the float lane (False).  When
             None the lane is inferred: exact unless any entry is a float.
-        rel_tol: float-lane comparison tolerance; ignored on the exact lane.
 
     Raises:
         ShapeMismatchError: tables are empty, ragged, or of different shape.
@@ -242,12 +235,7 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None,
         if all(v == zero for v in row):
             raise ZeroBundleError(t)
 
-    return Dataset(
-        prices=price_table,
-        bundles=bundle_table,
-        exact=exact,
-        rel_tol=0.0 if exact else float(rel_tol),
-    )
+    return Dataset(prices=price_table, bundles=bundle_table, exact=exact)
 
 
 class CrossMatrix:

@@ -18,6 +18,12 @@ from .model import Dataset, Number, coerce_efficiency
 
 MAX_OBSERVATIONS = 8
 
+# The float lane's tolerances, stated here again rather than read from
+# ``model`` so that a change there shows up as a disagreement in the tests:
+# the e-GARP comparisons, then the allowance of the Afriat check.
+_COMPARE_RTOL = 1e-12
+_CHECK_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleVerdict:
@@ -49,7 +55,7 @@ def _lt(a, b, tol: float) -> bool:
 def _direct(dataset: Dataset, e_values):
     """Weak/strict direct relations as dicts of booleans, by brute force."""
     n = dataset.n_observations
-    tol = dataset.rel_tol
+    tol = 0.0 if dataset.exact else _COMPARE_RTOL
     weak = {}
     strict = {}
     for t in range(n):
@@ -116,7 +122,6 @@ def ccei_oracle(dataset: Dataset) -> Number:
     """
     _guard_size(dataset)
     n = dataset.n_observations
-    tol = dataset.rel_tol
     ratios = []
     for t in range(n):
         own = sum(p * x for p, x in zip(dataset.prices[t], dataset.bundles[t]))
@@ -190,7 +195,6 @@ def afriat_numbers_valid(dataset: Dataset, e, phi, lam) -> bool:
     _guard_size(dataset)
     ev = coerce_efficiency(e, dataset)
     n = dataset.n_observations
-    tol = dataset.rel_tol
     for t in range(n):
         if not lam[t] > 0:
             return False
@@ -198,13 +202,13 @@ def afriat_numbers_valid(dataset: Dataset, e, phi, lam) -> bool:
         for s in range(n):
             spend = sum(p * x for p, x in zip(dataset.prices[t], dataset.bundles[s]))
             rhs = phi[t] + lam[t] * (spend - ev[t] * own)
-            if tol == 0.0:
+            if dataset.exact:
                 # No float creeps in here: adding a float zero would turn
                 # the exact comparison into a rounded one.
                 if phi[s] > rhs:
                     return False
             else:
                 scale = abs(phi[t]) + abs(phi[s]) + lam[t] * (spend + ev[t] * own)
-                if phi[s] > rhs + 1e-9 * max(1.0, scale):
+                if phi[s] > rhs + _CHECK_RTOL * max(1.0, scale):
                     return False
     return True

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import reference_graph
-from garpkit.afriat import AfriatSolution, _verify_inequalities
-from garpkit.errors import AfriatInfeasibleError
+from garpkit.afriat import AfriatSolution, worst_residual
+from garpkit.errors import AfriatInfeasibleError, AfriatVerificationError
 from garpkit.model import Number, coerce_efficiency, cross_expenditures
 from garpkit.revpref import direct_relations
 
@@ -59,5 +59,9 @@ def solve_afriat(dataset, e=1) -> AfriatSolution:
         done.extend(members)
 
     solution = AfriatSolution(phi=tuple(phi), lam=tuple(lam), efficiency=ev)
-    _verify_inequalities(solution, dataset)
+    residual = worst_residual(solution, dataset)
+    if residual > 0:
+        raise AfriatVerificationError(
+            f"constructed numbers violate an inequality by {residual!r}"
+        )
     return solution

@@ -19,17 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from garpkit.afriat import CHECK_RTOL, AfriatSolution, evaluate_utility, utility_profile
+from garpkit.afriat import AfriatSolution, evaluate_utility, utility_profile
 from garpkit.duality import (
     _MAX_NUDGES,
-    FLOAT_RTOL,
     ObservationSummary,
     SampleViolation,
     VerificationReport,
     _child_rngs,
     _exact_bundle,
 )
-from garpkit.model import Dataset, coerce_efficiency, cross_expenditures, leq
+from garpkit.model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
+from garpkit.model import CHECK_RTOL as FLOAT_RTOL  # the verifiers' allowance
+from reference_compare import leq
 
 
 def _ray_level_points(rng, gradients, offsets, level: float,

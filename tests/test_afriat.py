@@ -34,6 +34,17 @@ def test_base_solution(base_exact):
     assert afriat_numbers_valid(base_exact, 1, sol.phi, sol.lam)
 
 
+def test_solution_records_the_residual_it_was_checked_against(base_exact, base_float):
+    for ds in (base_exact, base_float):
+        sol = solve_afriat(ds)
+        assert sol.residual == worst_residual(sol, ds) <= 0
+        assert type(sol.residual) is ds.number
+        # A solution built by hand carries none, and the residual is not
+        # part of a solution's identity.
+        manual = AfriatSolution(sol.phi, sol.lam, sol.efficiency)
+        assert manual.residual is None and manual == sol
+
+
 def test_base_alternative_numbers_also_valid(base_exact):
     # Independent feasible point for the same system, checked by direct
     # substitution: phi = (0, 2), lam = (1, 1/2).

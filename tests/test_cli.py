@@ -19,7 +19,6 @@ from garpkit.cli import (
     EXIT_OK,
     EXIT_VIOLATION,
     dataset_fingerprint,
-    encode_number,
     main,
     parse_input,
 )
@@ -229,12 +228,14 @@ def test_fingerprint_tracks_content_and_lane(base_path, viol_path):
     c = parse_input(base_path, exact=False)
     assert dataset_fingerprint(a) != dataset_fingerprint(c)
     # Pinned: the sha256 of the lane and the tables, each number written
-    # as encode_number writes it.
+    # as a "num/den" string on the exact lane and a JSON number on the
+    # float lane.
     for ds in (a, b, c):
+        encode = str if ds.exact else float
         payload = json.dumps({
             "mode": "exact" if ds.exact else "float",
-            "prices": [[encode_number(v) for v in row] for row in ds.prices],
-            "bundles": [[encode_number(v) for v in row] for row in ds.bundles],
+            "prices": [[encode(v) for v in row] for row in ds.prices],
+            "bundles": [[encode(v) for v in row] for row in ds.bundles],
         }, separators=(",", ":"), sort_keys=True)
         assert dataset_fingerprint(ds) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -400,6 +401,30 @@ def test_verify_solves_afriat_once(capsys, monkeypatch, base_path):
     code, report = run_json(capsys, "verify", base_path, "--samples", "20")
     assert code == EXIT_OK and report["results"]["feasible"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["afriat", "verify"])
+def test_afriat_inequalities_are_checked_once_per_command(capsys, monkeypatch,
+                                                          base_path, command):
+    import garpkit.afriat as afriat
+    import garpkit.cli as cli
+
+    calls = []
+    checked = afriat.worst_residual
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    # The CLI reads the residual that solve_afriat recorded; it has no
+    # worst_residual of its own to call.
+    for module in (afriat, cli):
+        monkeypatch.setattr(module, "worst_residual", counted, raising=False)
+    extra = ["--samples", "5"] if command == "verify" else []
+    code, report = run_json(capsys, command, base_path, *extra)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert report["results"]["worst_residual"] == float(checked(*calls[0]))
 
 
 def test_module_runs_as_script(viol_path):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from garpkit import (
+    GeneratorSpec,
     check_duality_garp,
+    generate,
     solve_afriat,
     validate_dataset,
     verify_cost_rationalization,
@@ -177,3 +179,23 @@ def test_verifiers_refuse_lam_not_positive_and_finite(base_exact, base_float, la
     for verify in (verify_rationalization, verify_cost_rationalization):
         with pytest.raises(GarpkitError, match="lam"):
             verify(dataset, 1, broken, n_samples=20, seed=0)
+
+
+@pytest.mark.parametrize("scale", [
+    1.0,
+    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the float rationalization margin is relative to the "
+        "level, so rounding noise of large utility terms near a level of 0 "
+        "is reported as a violation"))),
+])
+def test_scaled_cobb_douglas_verifies_clean(scale):
+    # Scaling prices and bundles by a common factor changes no revealed
+    # preference, so the float verifier's report should not change either.
+    w = np.random.default_rng(0).dirichlet(np.ones(4))
+    base = generate(GeneratorSpec("cobb_douglas", tuple(w / w.sum()), 6,
+                                  (0.5, 5.0), (50.0, 150.0), seed=0))
+    ds = validate_dataset((np.array(base.prices) * scale).tolist(),
+                          (np.array(base.bundles) * scale).tolist(), exact=False)
+    solution = solve_afriat(ds, e=1)
+    report = verify_rationalization(ds, 1, solution, n_samples=200, seed=0)
+    assert report.clean, report.violations

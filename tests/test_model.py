@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from garpkit import validate_dataset
+from garpkit import Dataset, afriat, ccei, duality, model, oracle, revpref, validate_dataset
 from garpkit.errors import (
     LengthMismatchError,
     NegativeBundleError,
@@ -18,14 +20,14 @@ from garpkit.errors import (
     ZeroBundleError,
 )
 from garpkit.model import (
-    DEFAULT_FLOAT_RTOL,
+    CHECK_RTOL,
+    COMPARE_RTOL,
     coerce_efficiency,
     cross_expenditures,
-    leq,
     leq_array,
-    lt,
     lt_array,
 )
+from reference_compare import leq, lt
 
 
 def test_lane_inferred_exact_for_text_and_ints():
@@ -38,7 +40,23 @@ def test_lane_inferred_exact_for_text_and_ints():
 def test_lane_inferred_float_when_any_float_present():
     ds = validate_dataset([(0.5, 2)], [(1, 3)])
     assert not ds.exact
-    assert ds.rel_tol == DEFAULT_FLOAT_RTOL
+    assert ds.rel_tol == COMPARE_RTOL
+
+
+def test_tolerance_policy_lives_in_model():
+    # The lane is the only tolerance setting: no per-dataset knob.
+    assert "rel_tol" not in inspect.signature(validate_dataset).parameters
+    assert [f.name for f in dataclasses.fields(Dataset)] == ["prices", "bundles", "exact"]
+    assert validate_dataset([("1",)], [("1",)]).rel_tol == 0.0
+    assert validate_dataset([(1.0,)], [(1.0,)]).rel_tol == COMPARE_RTOL
+    assert (COMPARE_RTOL, CHECK_RTOL) == (1e-12, 1e-9)
+    # Downstream modules read model's two numbers and define none of their own.
+    for module in (afriat, ccei, duality, revpref):
+        for name, value in vars(module).items():
+            if name.isupper() and "TOL" in name:
+                assert value is getattr(model, name), (module.__name__, name)
+    # The oracle states its own copy, which must agree with model's.
+    assert (oracle._COMPARE_RTOL, oracle._CHECK_RTOL) == (COMPARE_RTOL, CHECK_RTOL)
 
 
 def test_decimal_strings_parse_without_binary_rounding():

@@ -34,7 +34,7 @@ from garpkit import (
 from garpkit import duality
 from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.errors import AfriatInfeasibleError, GarpkitError
-from garpkit.model import coerce_efficiency, cross_expenditures
+from garpkit.model import CHECK_RTOL, coerce_efficiency, cross_expenditures
 
 VERIFIERS = (
     (verify_rationalization, reference_verify.verify_rationalization),
@@ -164,7 +164,7 @@ def test_own_piece_screen_covers_any_rounding(scale):
         cleared += 1
         gamma = goods * u / (1 - goods * u)
         threshold = (Fraction(level)
-                     + Fraction(duality.FLOAT_RTOL) * max(1, abs(Fraction(level))) * (1 - u))
+                     + Fraction(CHECK_RTOL) * max(1, abs(Fraction(level))) * (1 - u))
         for row in points.tolist():
             exact = sum(Fraction(x) * Fraction(g) for x, g in zip(row, gradient.tolist()))
             worst = exact * (1 + gamma) + Fraction(offset)
@@ -207,7 +207,7 @@ def _certificate_cases(draw):
     budget = draw(st.floats(0.1, 1e4))
     phi = draw(st.sampled_from([0.0, 1.0, -535.2, 1e6, -5.9e5, 1e12]))
     offset = phi - lam * budget
-    threshold = budget * (1.0 - duality.FLOAT_RTOL)
+    threshold = budget * (1.0 - CHECK_RTOL)
     # Put the level where the certificate's error term decides: kappa units
     # of u (|level| + |offset|) above the level at which the bare bound
     # (level - offset) / lam meets the threshold.
