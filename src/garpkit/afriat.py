@@ -15,11 +15,11 @@ strictly increasing.  At ``e = (1, ..., 1)`` it satisfies ``U(x[t]) = phi[t]``.
 Construction (no LP solver, works unchanged in exact rational arithmetic):
 
 1. Group observations into equivalence classes of mutual transitive weak
-   revealed preference, read off the closure of the relation's cyclic
-   core (:mod:`.revpref`); an observation outside the core is a class of
-   its own.  Inside a class every direct weak link has exactly zero
-   affordability slack (otherwise the class would contain a violating
-   cycle), so one shared utility level per class is consistent.
+   revealed preference: the strongly connected components of the weak
+   relation, as the verdict labels them (:mod:`.revpref`).  Inside a class
+   every direct weak link has exactly zero affordability slack (otherwise
+   the class would contain a violating cycle), so one shared utility level
+   per class is consistent.
 2. Order classes so that every weak link points from an earlier class to a
    later one (most-preferred first): a topological sort of the graph of
    direct weak links between classes by Kahn's algorithm that always
@@ -80,22 +80,16 @@ class AfriatSolution:
 def _classes_in_order(rel: RevealedRelation) -> list[list[int]]:
     """Mutual-reachability classes, most-preferred first, deterministic.
 
-    The classes come from the closure of the cyclic core: an observation
-    outside the core lies on no cycle, so it is a class of its own.  Kahn's
-    algorithm on the graph of direct weak links between classes places next
-    the ready class with the smallest member.  Every placed class has its
-    ancestors placed, so a class has an unplaced ancestor exactly when it
-    has an unplaced direct predecessor: the ready classes, and so the order,
-    are those of the closure's class graph.
+    The classes are the SCCs of the weak relation, as the verdict labels
+    them (``RevealedRelation.components``).  Kahn's algorithm on the graph
+    of direct weak links between classes places next the ready class with
+    the smallest member.  Every placed class has its ancestors placed, so a
+    class has an unplaced ancestor exactly when it has an unplaced direct
+    predecessor: the ready classes, and so the order, are those of the
+    closure's class graph.
     """
-    core, closure = rel.core
-    same = closure & closure.T
-    np.fill_diagonal(same, True)
-    # Each class is keyed, and numbered in key order, by its smallest member.
-    key = np.arange(rel.weak.shape[0])
-    if core.size:  # argmax refuses an empty core
-        key[core] = core[same.argmax(axis=1)]
-    _, label = np.unique(key, return_inverse=True)
+    # Classes are numbered in the order of their labels, their smallest members.
+    label = rel.components[1]
     members = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[members], prepend=-1))
     links = rel.weak[members][:, members]

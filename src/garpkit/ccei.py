@@ -18,7 +18,8 @@ Attainment is genuinely two-sided and is reported, not assumed:
   and ``attained`` is False.
 
 Both cases agree with binary search on the verdict, which converges to the
-same flip point.
+same flip point.  Both searches probe on nested cores (``_Probes``): each
+probe below a failing one builds its relations on that probe's cyclic core.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isfinite
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import InvalidToleranceError
 from .model import Dataset, Number, cross_expenditures
-from .revpref import CycleWitness, uniform_verdict
+from .revpref import CycleWitness, GarpVerdict, _relation, garp_verdict
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,48 @@ def _candidates(dataset: Dataset) -> list[Number]:
     return found[bisect_right(found, 0) : bisect_right(found, 1)]
 
 
+# Per cross matrix, so per dataset: (1, the cyclic core at 1) when e-GARP
+# fails at 1, else (None, None).  Both searches open with that probe, and the
+# ``ccei`` command runs both.
+_AT_ONE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+class _Probes:
+    """Uniform e-GARP verdicts of one dataset, each on the fewest nodes that decide it.
+
+    Both relations only grow with e (on the float lane, every rounding step
+    of the tolerant test is monotone in the budget), so the cyclic core at e
+    lies inside the core at any larger e.  A probe at or below the lowest
+    failing one builds its relations on that probe's core alone, with the
+    verdict and mapped-back witness of the full relations; a probe above
+    builds them in full.  No probe exceeds 1, so no strict self-loop occurs.
+    """
+
+    def __init__(self, dataset: Dataset):
+        cm = cross_expenditures(dataset)
+        self.costs, self.rel_tol = cm.cost_array, dataset.rel_tol
+        self.failing: Optional[Number] = None  # the lowest failing efficiency so far
+        self.core: Optional[np.ndarray] = None  # and its cyclic core
+        if cm not in _AT_ONE:
+            self.verdict(dataset.number(1))
+            _AT_ONE[cm] = self.failing, self.core
+        self.failing, self.core = _AT_ONE[cm]
+
+    def verdict(self, e: Number, *, witness: bool = False) -> GarpVerdict:
+        nodes = self.core if self.failing is not None and e <= self.failing else None
+        costs = self.costs if nodes is None else self.costs[nodes][:, nodes]
+        rel = _relation(costs, e * costs.diagonal(), self.rel_tol)
+        verdict = garp_verdict(rel, witness=witness)
+        if verdict.holds or (nodes is None and self.failing is not None):
+            return verdict
+        core = rel.components[0]
+        self.failing, self.core = e, core if nodes is None else nodes[core]
+        if nodes is None or not witness:
+            return verdict
+        w = verdict.witness
+        return GarpVerdict(False, CycleWitness(tuple(nodes[list(w.indices)].tolist()), w.strict_edge))
+
+
 def ccei_exact(dataset: Dataset) -> CceiResult:
     """Exact critical cost efficiency via breakpoint search.
 
@@ -94,47 +138,34 @@ def ccei_exact(dataset: Dataset) -> CceiResult:
     their midpoint decides whether the flip happens just above the passing
     candidate (attained) or exactly at the failing one (not attained).
     """
-    cm = cross_expenditures(dataset)
     cands = _candidates(dataset)
     one = cands[-1]
-    if uniform_verdict(dataset, cm, one).holds:
-        return CceiResult(
-            value=one,
-            attained=True,
-            witness_above=None,
-            witness_probe=None,
-            breakpoints=tuple(cands),
-        )
+    probes = _Probes(dataset)
+    if probes.failing is None:  # e-GARP holds at 1
+        return CceiResult(value=one, attained=True, witness_above=None, witness_probe=None,
+                          breakpoints=tuple(cands))
     # The smallest breakpoint always passes: below it no relation is strict.
     lo, hi = 0, len(cands) - 1  # invariant: cands[lo] passes, cands[hi] fails
-    assert uniform_verdict(dataset, cm, cands[0]).holds, "smallest breakpoint must pass"
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if uniform_verdict(dataset, cm, cands[mid]).holds:
+        if probes.verdict(cands[mid]).holds:
             lo = mid
         else:
             hi = mid
     passing, failing = cands[lo], cands[hi]
     midpoint = (passing + failing) / 2
-    if uniform_verdict(dataset, cm, midpoint).holds:
+    if probes.verdict(midpoint).holds:
         # Open interval below `failing` passes: supremum not attained.
         value, attained = failing, False
-        if hi + 1 < len(cands):
-            probe = (failing + cands[hi + 1]) / 2
-        else:
-            probe = one  # flip at 1: nothing above 1 to probe
+        # At a flip at 1 there is nothing above 1 to probe.
+        probe = (failing + cands[hi + 1]) / 2 if hi + 1 < len(cands) else one
     else:
         value, attained = passing, True
         probe = midpoint
-    above = uniform_verdict(dataset, cm, probe, witness=True)
+    above = probes.verdict(probe, witness=True)
     assert not above.holds, "witness requested at a passing efficiency"
-    return CceiResult(
-        value=value,
-        attained=attained,
-        witness_above=above.witness,
-        witness_probe=probe,
-        breakpoints=tuple(cands),
-    )
+    return CceiResult(value=value, attained=attained, witness_above=above.witness,
+                      witness_probe=probe, breakpoints=tuple(cands))
 
 
 def ccei_binary_search(dataset: Dataset, tol: float = 1e-9) -> float:
@@ -147,16 +178,16 @@ def ccei_binary_search(dataset: Dataset, tol: float = 1e-9) -> float:
     """
     if not (isinstance(tol, (int, float)) and isfinite(tol)) or tol <= 0:
         raise InvalidToleranceError(f"tolerance must be positive and finite, got {tol!r}")
-    cm = cross_expenditures(dataset)
+    probes = _Probes(dataset)
+    if probes.failing is None:  # e-GARP holds at 1
+        return 1.0
     # Probes are floats; on the exact lane they are dyadic rationals, so
     # Fraction(float) keeps the whole verdict exact.
     number = dataset.number
-    if uniform_verdict(dataset, cm, number(1)).holds:
-        return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if uniform_verdict(dataset, cm, number(mid)).holds:
+        if probes.verdict(number(mid)).holds:
             lo = mid
         else:
             hi = mid

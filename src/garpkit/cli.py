@@ -23,26 +23,44 @@ import json
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 from math import isfinite
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .afriat import AfriatSolution, solve_afriat
-from .ccei import ccei_binary_search, ccei_exact
-from .datagen import GeneratorSpec, generate
-from .duality import (
-    VerificationReport,
-    check_duality_garp,
-    verify_cost_rationalization,
-    verify_rationalization,
-)
 from .errors import AfriatInfeasibleError, GarpkitError, ParseError
 from .model import Dataset, coerce_efficiency, validate_dataset
-from .oracle import ccei_oracle, garp_oracle
-from .revpref import CycleWitness, check_e_garp
+
+if TYPE_CHECKING:
+    from .afriat import AfriatSolution
+    from .duality import VerificationReport
+    from .revpref import CycleWitness
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+
+# The library names the commands call, imported on first use: a value set
+# on this module (a test double, a tracing wrapper) is the one called.
+_LAZY = {"check_e_garp": "revpref", "ccei_exact": "ccei", "ccei_binary_search": "ccei",
+         "solve_afriat": "afriat", "check_duality_garp": "duality",
+         "verify_rationalization": "duality", "verify_cost_rationalization": "duality",
+         "ccei_oracle": "oracle", "garp_oracle": "oracle",
+         "GeneratorSpec": "datagen", "generate": "datagen"}
+# What each command imports before it reads its input (later, compiling
+# them would add to the peak memory).
+_RUNS = {"check-garp": "revpref", "ccei": "ccei", "afriat": "afriat", "verify": "afriat duality",
+         "oracle": "oracle", "generate": "datagen ccei"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------- input
@@ -253,7 +271,7 @@ def _verification_json(report: VerificationReport):
 
 
 def _cmd_check_garp(dataset: Dataset, args) -> tuple[dict, int]:
-    verdict = check_e_garp(dataset, args.efficiency_value)
+    verdict = _cli.check_e_garp(dataset, args.efficiency_value)
     results = {
         "efficiency": _echo_efficiency(dataset, args.efficiency_value),
         "holds": verdict.holds,
@@ -264,8 +282,8 @@ def _cmd_check_garp(dataset: Dataset, args) -> tuple[dict, int]:
 
 def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
     encode = _lane_encoder(dataset)
-    exact_result = ccei_exact(dataset)
-    bisect_value = ccei_binary_search(dataset, args.tol)
+    exact_result = _cli.ccei_exact(dataset)
+    bisect_value = _cli.ccei_binary_search(dataset, args.tol)
     agreement = abs(bisect_value - float(exact_result.value)) <= args.tol
     results = {
         "ccei_exact": encode(exact_result.value),
@@ -285,7 +303,7 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
 def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int, AfriatSolution | None]:
     """The afriat results and exit code, plus the solution if feasible."""
     try:
-        solution = solve_afriat(dataset, args.efficiency_value)
+        solution = _cli.solve_afriat(dataset, args.efficiency_value)
     except AfriatInfeasibleError as err:
         results = {
             "efficiency": _echo_efficiency(dataset, args.efficiency_value),
@@ -313,16 +331,15 @@ def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
         base.update({
             "rationalization": None,
             "cost_rationalization": None,
-            "duality_consistent": check_duality_garp(
-                dataset, args.efficiency_value, [None, None]
-            ),
+            "duality_consistent": _cli.check_duality_garp(dataset, args.efficiency_value,
+                                                          [None, None]),
         })
         return base, code
-    rat = verify_rationalization(dataset, args.efficiency_value, solution,
-                                 n_samples=args.samples, seed=args.seed)
-    cost = verify_cost_rationalization(dataset, args.efficiency_value, solution,
-                                       n_samples=args.samples, seed=args.seed)
-    consistent = check_duality_garp(dataset, args.efficiency_value, [rat, cost])
+    rat = _cli.verify_rationalization(dataset, args.efficiency_value, solution,
+                                      n_samples=args.samples, seed=args.seed)
+    cost = _cli.verify_cost_rationalization(dataset, args.efficiency_value, solution,
+                                            n_samples=args.samples, seed=args.seed)
+    consistent = _cli.check_duality_garp(dataset, args.efficiency_value, [rat, cost])
     base.update({
         "rationalization": _verification_json(rat),
         "cost_rationalization": _verification_json(cost),
@@ -333,8 +350,8 @@ def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
 
 
 def _cmd_oracle(dataset: Dataset, args) -> tuple[dict, int]:
-    verdict = garp_oracle(dataset, args.efficiency_value)
-    value = ccei_oracle(dataset)
+    verdict = _cli.garp_oracle(dataset, args.efficiency_value)
+    value = _cli.ccei_oracle(dataset)
     results = {
         "efficiency": _echo_efficiency(dataset, args.efficiency_value),
         "garp_holds": verdict.garp_holds,
@@ -364,7 +381,7 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
     if unknown:
         raise ParseError(args.config, f"unknown config keys: {sorted(unknown)}")
     try:
-        spec = GeneratorSpec(
+        spec = _cli.GeneratorSpec(
             family=raw.get("family", "cobb_douglas"),
             weights=tuple(raw.get("weights", ())),
             elasticity=raw.get("elasticity"),
@@ -377,9 +394,9 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         )
     except (ValueError, TypeError) as err:
         raise ParseError(args.config, str(err)) from err
-    dataset = generate(spec)
+    dataset = _cli.generate(spec)
     _write_dataset(dataset, args.data_out)
-    index = ccei_exact(dataset)
+    index = _cli.ccei_exact(dataset)
     results = {
         "data_out": args.data_out,
         "family": spec.family,
@@ -646,6 +663,8 @@ def main(argv=None) -> int:
     except UsageError as err:
         return _refused(err, argv)
 
+    for module in _RUNS[args.command].split():
+        import_module(f".{module}", __package__)
     mode = "float" if getattr(args, "exact", True) is False else "exact"
     report = _envelope(args.command, mode)
 
@@ -660,21 +679,12 @@ def main(argv=None) -> int:
             if hasattr(args, "efficiency"):
                 args.efficiency_value = _efficiency_argument(args.efficiency)
                 report["parameters"]["efficiency"] = args.efficiency
-            if args.command == "check-garp":
-                report["results"], code = _cmd_check_garp(dataset, args)
-            elif args.command == "ccei":
-                report["parameters"]["tol"] = args.tol
-                report["results"], code = _cmd_ccei(dataset, args)
-            elif args.command == "afriat":
-                report["results"], code, _ = _cmd_afriat(dataset, args)
-            elif args.command == "verify":
-                report["parameters"]["samples"] = args.samples
-                report["parameters"]["seed"] = args.seed
-                report["results"], code = _cmd_verify(dataset, args)
-            elif args.command == "oracle":
-                report["results"], code = _cmd_oracle(dataset, args)
-            else:  # pragma: no cover - argparse restricts choices
-                raise AssertionError(args.command)
+            for name in ("tol", "samples", "seed"):
+                if hasattr(args, name):
+                    report["parameters"][name] = getattr(args, name)
+            command = {"check-garp": _cmd_check_garp, "ccei": _cmd_ccei, "afriat": _cmd_afriat,
+                       "verify": _cmd_verify, "oracle": _cmd_oracle}[args.command]
+            report["results"], code = command(dataset, args)[:2]
     except (GarpkitError, ValueError) as err:
         report["results"] = _error_results(err)
         _emit(report, args)

@@ -8,21 +8,15 @@ steps (paths of length >= 1; no free reflexive step, so at ``e[t] < 1`` an
 observation is not revealed preferred to itself by fiat).
 
 e-GARP holds when no bundle is transitively revealed preferred to one that
-is strictly revealed preferred back to it, i.e. there is no weak cycle
-containing a strict step.
-
-Every graph question about the relations goes through this module, and
-every verdict reads the cyclic core: what is left after peeling every node
-without an in-edge or an out-edge.  Every cycle lies in it, so its closure
-reads the same violations as the full closure, and near the CCEI it is a
-few nodes.  A :class:`RevealedRelation` closes its core once, on first use,
-and the verdict and the Afriat class order (:mod:`.afriat`) share it; the
-full closure is built only when ``RevealedRelation.closure`` is read.  A
-failing verdict is certified by a minimal violating cycle found by one
-breadth-first search over boolean matrices from all violating sources at
-once (the selection rule is spelled out in ``_minimal_cycle``).  The CCEI
-search (:mod:`.ccei`) and the Afriat solver take their verdicts and
-witnesses from here.
+is strictly revealed preferred back to it: no weak cycle has a strict step,
+so no strict link joins two observations of one strongly connected component
+(SCC) of the weak relation, and no closure is needed (Talla Nobibon,
+Smeulders & Spieksma, JOTA 2015).  Every graph question about the relations
+goes through this module.  A :class:`RevealedRelation` labels its SCCs once,
+by forward-backward search (Fleischer, Hendrickson & Pinar 2000), for the
+verdict and the Afriat class order (:mod:`.afriat`) both; the full closure
+is built only when read.  A failing verdict is certified by a minimal
+violating cycle (see ``_minimal_cycle``).
 """
 
 from __future__ import annotations
@@ -33,34 +27,20 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    CrossMatrix,
-    Dataset,
-    Number,
-    coerce_efficiency,
-    cross_expenditures,
-    leq_array,
-    lt_array,
-)
+from .model import Dataset, coerce_efficiency, cross_expenditures, leq_array, lt_array
 
 
 @dataclass(frozen=True, eq=False)
 class RevealedRelation:
-    """Boolean T-by-T matrices: direct weak and direct strict preference.
-
-    The closure of the cyclic core and the full weak closure are built on
-    first use.
-    """
+    """Boolean T-by-T matrices: direct weak and direct strict preference."""
 
     weak: np.ndarray
     strict: np.ndarray
 
     @cached_property
-    def core(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted cyclic core (``_cyclic_core``) and its weak closure."""
-        core = _cyclic_core(self.weak)
-        # Row, then column selection: far cheaper than one np.ix_ selection.
-        return core, transitive_closure(self.weak[core][:, core])
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted cyclic core, and each node's SCC label (``_components``)."""
+        return _components(self.weak)
 
     @cached_property
     def closure(self) -> np.ndarray:
@@ -90,12 +70,11 @@ class GarpVerdict:
     witness: Optional[CycleWitness]
 
 
-def _relation_at(dataset: Dataset, cm: CrossMatrix, e_values) -> RevealedRelation:
-    """Weak and strict comparisons against deflated own expenditures."""
-    costs = cm.cost_array
-    budgets = (np.array(e_values, dtype=costs.dtype) * costs.diagonal())[:, None]
-    return RevealedRelation(weak=leq_array(costs, budgets, dataset.rel_tol),
-                            strict=lt_array(costs, budgets, dataset.rel_tol))
+def _relation(costs: np.ndarray, budgets: np.ndarray, rel_tol: float) -> RevealedRelation:
+    """Weak and strict comparisons of each row of ``costs`` against its budget."""
+    budgets = budgets[:, None]
+    return RevealedRelation(weak=leq_array(costs, budgets, rel_tol),
+                            strict=lt_array(costs, budgets, rel_tol))
 
 
 def transitive_closure(weak: np.ndarray) -> np.ndarray:
@@ -106,39 +85,72 @@ def transitive_closure(weak: np.ndarray) -> np.ndarray:
     return closure
 
 
-def _cyclic_core(weak: np.ndarray) -> np.ndarray:
-    """Sorted indices of the nodes left by peeling sources and sinks.
+def _trim(nodes: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peel sources and sinks: the nodes left, and the edges among them.
 
-    Every round drops each node with no in-edge or no out-edge among the
-    nodes still left, self-loops ignored, until none is dropped.  A node on
-    a cycle through another node always keeps both edges of that cycle, so
-    every strongly connected component of two or more nodes survives.  So
-    does every path between two survivors: the first of its inner nodes to
-    be dropped would still have had both of its path edges.  The closure of
-    the core is therefore the full closure restricted to the core.
+    ``edges`` holds no self-loop.  Every round drops each node with no
+    in-edge or no out-edge among the nodes still left, until none is
+    dropped.  A node on a cycle keeps both of its cycle edges, so only
+    nodes on no cycle are dropped, each an SCC of its own.
     """
-    edges = weak.copy()
-    np.fill_diagonal(edges, False)
-    core = np.arange(weak.shape[0])
     while True:
         keep = edges.any(axis=0) & edges.any(axis=1)
         if keep.all():
-            return core
-        core, edges = core[keep], edges[keep][:, keep]
+            return nodes, edges
+        nodes, edges = nodes[keep], edges[keep][:, keep]
 
 
-def _core_sources(rel: RevealedRelation) -> np.ndarray:
-    """The rows of ``closure & strict.T`` with a violation, from the core alone.
+def _scc_of_first(edges: np.ndarray) -> np.ndarray:
+    """Mask of the SCC of node 0 in ``edges`` (boolean, no self-loops).
 
-    ``strict`` must lie inside ``weak``.  A violating pair (t, s) with
-    ``s != t`` has a weak path from t to s and a weak step back from s, so
-    both lie on one cycle and in the cyclic core; outside the core only a
-    strict self-loop can violate.
+    Breadth-first searches forward and backward from node 0 take a level
+    each in turn, one gather of the rows (columns) of the frontier.  Once one
+    has reached all it can, the other keeps to that set, which holds the
+    SCC, so a round costs about the shorter search.
     """
-    core, closure = rel.core
-    violating = rel.weak.diagonal() & rel.strict.diagonal()
-    violating[core] |= (closure & rel.strict[core][:, core].T).any(axis=1)
-    return np.flatnonzero(violating)
+    reached = np.zeros((2, edges.shape[0]), dtype=bool)
+    reached[:, 0] = True
+    fronts, inside, side = reached.copy(), True, 0
+    while fronts[side].any():
+        rows = np.flatnonzero(fronts[side])
+        step = edges[:, rows].any(axis=1) if side else edges[rows].any(axis=0)
+        fronts[side] = step & ~reached[side] & inside
+        reached[side] |= fronts[side]
+        if not fronts[side].any():
+            inside = reached[side]
+        if fronts[1 - side].any():
+            side = 1 - side
+    return reached[0] & reached[1]
+
+
+def _components(weak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted cyclic core, and each node's SCC labelled by its smallest member.
+
+    Each round takes the smallest node left, finds its SCC, removes it (the
+    others stay whole) and trims again.  A node trimmed away is an SCC of its
+    own.  Self-loops are ignored.
+    """
+    edges = weak.copy()
+    np.fill_diagonal(edges, False)
+    core, edges = _trim(np.arange(weak.shape[0]), edges)
+    label = np.arange(weak.shape[0])
+    left = core
+    while left.size:
+        scc = _scc_of_first(edges)
+        label[left[scc]] = left[0]
+        rest = ~scc
+        left, edges = _trim(left[rest], edges[rest][:, rest])
+    return core, label
+
+
+def _violating_sources(rel: RevealedRelation) -> np.ndarray:
+    """The rows of ``closure & strict.T`` with a violation, from the SCC labels.
+
+    ``strict`` must lie inside ``weak``.  Then (t, s) violates exactly when
+    the strict link from s to t lies inside one SCC, or is a self-loop.
+    """
+    label = rel.components[1]
+    return np.flatnonzero((rel.strict & (label[:, None] == label)).any(axis=0))
 
 
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
@@ -148,7 +160,9 @@ def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
     :class:`EfficiencyVector`.
     """
     ev = coerce_efficiency(e, dataset)
-    return _relation_at(dataset, cross_expenditures(dataset), ev.values)
+    costs = cross_expenditures(dataset).cost_array
+    budgets = np.array(ev.values, dtype=costs.dtype) * costs.diagonal()
+    return _relation(costs, budgets, dataset.rel_tol)
 
 
 def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
@@ -167,6 +181,10 @@ def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
     in index order records.  Each cycle is rotated to start at its lowest
     index, and the lexicographically smallest is returned.  ``sources`` are
     the rows of ``closure & strict.T`` with a violation.
+    At depth 1 the cycle of pair (t, s) is (min, max, min).  Deeper, a cycle
+    from ``t`` holds only nodes ``t`` reaches in ``d`` steps or fewer: the
+    sources are walked by the lowest of those, until it exceeds the best
+    cycle's first entry.
     """
     n = weak.shape[0]
     back = strict.T[sources]
@@ -181,23 +199,33 @@ def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
         frontier = (frontier @ weak) & ~reached
         levels.append(frontier)
     depth = len(levels)
+    closing = frontier & back
 
-    best: tuple[int, ...] | None = None
-    for i, s in np.argwhere(frontier & back).tolist():
-        path = [int(sources[i])]
-        if depth > 1:
-            # The nodes r steps along some shortest path from t to s, for
-            # r = depth - 1 down to 1.
-            on = [levels[depth - 2][i] & weak[:, s]]
-            for r in range(depth - 2, 0, -1):
-                on.append(levels[r - 1][i] & (weak @ on[-1]))
-            for step in reversed(on):
-                path.append(int(np.argmax(weak[path[-1]] & step)))
-        path.append(s)
-        pivot = path.index(min(path))
-        ring = tuple(path[pivot:] + path[: pivot + 1])
-        if best is None or ring < best:
-            best = ring
+    if depth == 1:
+        rows, ends = np.nonzero(closing)
+        pairs = np.sort(np.c_[sources[rows], ends], axis=1)
+        low, high = pairs[np.lexsort(pairs.T[::-1])[0]].tolist()
+        best = (low, high, low)
+    else:
+        bound = (reached | closing).argmax(axis=1)
+        best = None
+        for i in np.argsort(bound, kind="stable").tolist():
+            if best is not None and bound[i] > best[0]:
+                break
+            for s in np.flatnonzero(closing[i]).tolist():
+                # The nodes r steps along some shortest path from t to s,
+                # for r = depth - 1 down to 1.
+                on = [levels[depth - 2][i] & weak[:, s]]
+                for r in range(depth - 2, 0, -1):
+                    on.append(levels[r - 1][i] & (weak @ on[-1]))
+                path = [int(sources[i])]
+                for step in reversed(on):
+                    path.append(int(np.argmax(weak[path[-1]] & step)))
+                path.append(s)
+                pivot = path.index(min(path))
+                ring = tuple(path[pivot:] + path[: pivot + 1])
+                if best is None or ring < best:
+                    best = ring
     strict_edge = next(i for i in range(depth + 1) if strict[best[i], best[i + 1]])
     return CycleWitness(indices=best, strict_edge=strict_edge)
 
@@ -207,27 +235,15 @@ def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
 
     (t, s) violates when ``t`` is transitively revealed preferred to ``s``
     while ``s`` is directly *strictly* revealed preferred to ``t``; the
-    violating sources are read off the closure of the cyclic core
-    (:func:`_core_sources`), so ``rel.strict`` must lie inside ``rel.weak``,
-    as it does in every relation this module builds.
+    violating sources are read off the SCC labels
+    (:func:`_violating_sources`), so ``rel.strict`` must lie inside
+    ``rel.weak``, as it does in every relation this module builds.
     """
-    sources = _core_sources(rel)
+    sources = _violating_sources(rel)
     if not sources.size:
         return GarpVerdict(holds=True, witness=None)
     return GarpVerdict(holds=False,
                        witness=_minimal_cycle(rel.weak, rel.strict, sources) if witness else None)
-
-
-def uniform_verdict(dataset: Dataset, cm: CrossMatrix, e: Number, *,
-                    witness: bool = False) -> GarpVerdict:
-    """e-GARP verdict with the efficiency ``e`` shared by every observation.
-
-    For callers that probe many efficiencies on one dataset: ``cm`` is the
-    dataset's cross-expenditure matrix, and ``e`` is used as given, in the
-    dataset's arithmetic, without coercion.
-    """
-    return garp_verdict(_relation_at(dataset, cm, [e] * dataset.n_observations),
-                        witness=witness)
 
 
 def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:

@@ -126,3 +126,15 @@ def test_twin_lane_indices_agree(seed):
     v_exact = ccei_exact(exact).value
     v_float = ccei_exact(floats).value
     assert abs(float(v_exact) - v_float) <= 1e-9 * max(1.0, float(v_exact))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_smallest_breakpoint_passes(seed):
+    # ccei_exact's search starts from this: at the smallest ratio no link is
+    # strict yet, so no cycle has a strict step.
+    rng = np.random.default_rng(seed)
+    exact, floats = make_twins(*random_tables(rng, int(rng.integers(1, 12)),
+                                              int(rng.integers(1, 4))))
+    for ds in (exact, floats):
+        assert check_e_garp(ds, ccei_exact(ds).breakpoints[0], witness=False).holds

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -388,9 +389,13 @@ def test_verify_rejects_nonpositive_samples(capsys, base_path, report_validator,
 
 
 def test_verify_solves_afriat_once(capsys, monkeypatch, base_path):
+    import garpkit.afriat as afriat
     import garpkit.cli as cli
 
+    # The CLI imports solve_afriat on first use; it resolves as an attribute
+    # all the same, and a wrapper set there is the one verify calls.
     solve = cli.solve_afriat
+    assert solve is afriat.solve_afriat
     calls = []
 
     def counting(*args, **kwargs):
@@ -425,6 +430,73 @@ def test_afriat_inequalities_are_checked_once_per_command(capsys, monkeypatch,
     assert code == EXIT_OK
     assert len(calls) == 1
     assert report["results"]["worst_residual"] == float(checked(*calls[0]))
+
+
+def test_traced_cli_names_resolve_and_are_called(capsys, monkeypatch, viol_path, tmp_path):
+    # perfbench's layertrace wraps garpkit.cli names from outside; each one
+    # the CLI still calls must resolve, and its wrapper must be the one run.
+    import garpkit.cli as cli
+
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    names = [attr for module, attr, _ in layertrace.WRAPPED if module == "garpkit.cli"]
+    # worst_residual is read off the solution now, so the CLI has none.
+    assert [n for n in names if getattr(cli, n, None) is None] == ["worst_residual"]
+    names.remove("worst_residual")
+    called = set()
+
+    def wrapper(name, real):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(cli, name, wrapper(name, getattr(cli, name)))
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"family": "cobb_douglas", "weights": [0.5, 0.5],
+                                  "n_observations": 4, "price_range": [0.5, 2.0],
+                                  "income_range": [1.0, 5.0], "seed": 3}))
+    for argv in (["check-garp", viol_path], ["ccei", viol_path],
+                 ["verify", viol_path, "--efficiency", "4/5", "--samples", "5"],
+                 ["generate", "--config", str(config), "--data-out", str(tmp_path / "g.csv")]):
+        run_json(capsys, *argv)
+    assert called == set(names)
+
+
+def test_commands_load_only_the_modules_they_run(viol_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import io, sys, contextlib\n"
+        "from garpkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('garpkit'))))\n"
+    )
+    for command in ("check-garp", "ccei"):
+        done = subprocess.run([sys.executable, "-c", script, command, viol_path, "--float"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        loaded = done.stdout.split()
+        assert "garpkit.revpref" in loaded, done.stderr
+        assert not {"garpkit.afriat", "garpkit.datagen", "garpkit.duality",
+                    "garpkit.oracle"} & set(loaded), (command, loaded)
+    # Every public name still resolves, lazily, and unknown ones fail as
+    # attribute errors, so submodules import as before.
+    script = (
+        "import garpkit\n"
+        "assert all(getattr(garpkit, name) is not None for name in garpkit.__all__)\n"
+        "assert set(garpkit.__all__) <= set(dir(garpkit))\n"
+        "assert not hasattr(garpkit, 'no_such_name')\n"
+        "from garpkit import cli, revpref\n"
+        "from garpkit import *\n"
+        "print(len(garpkit.__all__), revpref.check_e_garp is check_e_garp)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.stdout.split() == ["41", "True"], done.stderr
 
 
 def test_module_runs_as_script(viol_path):

@@ -184,7 +184,7 @@ def test_verifiers_refuse_lam_not_positive_and_finite(base_exact, base_float, la
 @pytest.mark.parametrize("scale", [
     1.0,
     pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4: the float rationalization margin is relative to the "
+        "ROADMAP item 5: the float rationalization margin is relative to the "
         "level, so rounding noise of large utility terms near a level of 0 "
         "is reported as a violation"))),
 ])
@@ -199,3 +199,18 @@ def test_scaled_cobb_douglas_verifies_clean(scale):
     solution = solve_afriat(ds, e=1)
     report = verify_rationalization(ds, 1, solution, n_samples=200, seed=0)
     assert report.clean, report.violations
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: the float Afriat post-check's allowance scales with lam "
+    "times the costs and the cost verifier's margin does not, so with lam up "
+    "to 1.9e14 the solver's own solution fails the cost verifier"))
+def test_float_cost_verifier_passes_the_solvers_own_solution_at_huge_lam():
+    rng = np.random.default_rng([9003, 7])
+    prices = rng.integers(10, 1001, (300, 10)) / 100
+    bundles = rng.integers(10, 1001, (300, 10)) / 100
+    dataset = validate_dataset(prices.tolist(), bundles.tolist(), exact=False)
+    e = 0.6537154962645189
+    solution = solve_afriat(dataset, e)
+    report = verify_cost_rationalization(dataset, e, solution, n_samples=200, seed=0)
+    assert report.clean, len(report.violations)

@@ -4,11 +4,13 @@ The verdict, the level-synchronous BFS witness and the Kahn class order must
 reproduce the test-only full-closure references in ``reference_graph``
 exactly, on datasets from both lanes and on random relation graphs; at
 T <= 8 the witness must also be one of the brute-force oracle's shortest
-violating cycles.  Every verdict and the class order close only the cyclic
-core of the weak relation; they must read the same violations and classes
-as the full closure, on random graphs and at every probe of both CCEI
-searches, and no production path may close the whole graph unless the
-graph is its own core.
+violating cycles.  Every verdict and the class order read one labelling of
+the weak relation's strongly connected components (SCCs), found by
+forward-backward search on the cyclic core; the labels must read the same
+violations and classes as the full closure, on random graphs and at every
+probe of both CCEI searches, and no verdict path may build a closure.  The
+CCEI probes below a failing one build their relations on its cyclic core
+alone, which must hold every cycle: the cores are nested in e.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from conftest import make_twins, random_tables
 from garpkit import (
     ccei,
     check_e_garp,
+    cli,
     direct_relations,
     revpref,
     solve_afriat,
@@ -31,16 +34,14 @@ from garpkit import (
 )
 from garpkit.afriat import _classes_in_order
 from garpkit.datagen import GeneratorSpec, generate
-from garpkit.model import cross_expenditures
 from garpkit.oracle import garp_oracle
 from garpkit.revpref import (
+    CycleWitness,
     RevealedRelation,
-    _core_sources,
-    _cyclic_core,
-    _relation_at,
+    _components,
+    _violating_sources,
     garp_verdict,
     transitive_closure,
-    uniform_verdict,
 )
 
 EFFICIENCIES = ("1", "0.9", "0.7", "0.5")
@@ -117,26 +118,54 @@ def test_long_cycle_witness():
     assert witness.indices == (0, 1, 2, 5, 6, 7, 0)
     assert witness.strict_edge == 5
     assert witness == reference.minimal_cycle(rel)
+    # Two 3-step cycles through 0: strict 1 -> 0 closes 0 -> 4 -> 1, and
+    # strict 2 -> 3 closes 3 -> 0 -> 2.  Sources 0 and 3 both reach 0, so
+    # the walk must not stop at source 3 although it cannot start lower.
+    weak = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 4), (4, 1), (1, 0), (0, 2), (2, 3), (3, 0)):
+        weak[a, b] = True
+    strict = np.zeros_like(weak)
+    strict[1, 0] = strict[2, 3] = True
+    rel = RevealedRelation(weak=weak, strict=strict)
+    assert garp_verdict(rel).witness == CycleWitness((0, 2, 3, 0), 1) == reference.minimal_cycle(rel)
+
+
+def _scc_reference(weak: np.ndarray) -> np.ndarray:
+    """Each node's SCC labelled by its smallest member, off the full closure."""
+    closure = transitive_closure(weak)
+    same = closure & closure.T
+    np.fill_diagonal(same, True)
+    return same.argmax(axis=1)
+
+
+def _peel_reference(weak: np.ndarray) -> np.ndarray:
+    """The cyclic core by its definition: drop sources and sinks one at a time."""
+    left = set(range(weak.shape[0]))
+    while True:
+        drop = [v for v in left
+                if not any(weak[u, v] for u in left - {v}) or not any(weak[v, u] for u in left - {v})]
+        if not drop:
+            return np.array(sorted(left), dtype=int)
+        left.discard(drop[0])
 
 
 @given(rel=relation_graphs(), strict_loops=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_core_closure_reads_the_full_closure(rel, strict_loops):
+def test_scc_labels_read_the_full_closure(rel, strict_loops):
     weak, strict = rel.weak, rel.strict.copy()
     if strict_loops:
         # Strict self-loops on every weak one: violations outside the core.
         strict |= np.diag(weak.diagonal())
     split = RevealedRelation(weak=weak, strict=strict)
-    core, closure = split.core
-    assert np.array_equal(core, _cyclic_core(weak))
-    inner = np.ix_(core, core)
-    assert np.array_equal(closure, rel.closure[inner])
+    core, label = split.components
+    assert np.array_equal(core, _peel_reference(weak))
+    assert np.array_equal(label, _scc_reference(weak))
+    # Every SCC of two or more nodes lies in the core.
+    multi = np.bincount(label, minlength=weak.shape[0])[label] > 1
+    assert np.isin(np.flatnonzero(multi), core).all()
     violating = rel.closure & strict.T
-    in_core = np.isin(np.arange(weak.shape[0]), core)
-    off_core = violating & ~np.outer(in_core, in_core)
-    assert not (off_core & ~np.eye(weak.shape[0], dtype=bool)).any()
     full = np.flatnonzero(violating.any(axis=1))
-    assert np.array_equal(_core_sources(split), full)
+    assert np.array_equal(_violating_sources(split), full)
 
 
 def test_core_keeps_tie_cycles_and_drops_what_hangs_off_them():
@@ -145,71 +174,98 @@ def test_core_keeps_tie_cycles_and_drops_what_hangs_off_them():
     weak = np.zeros((5, 5), dtype=bool)
     for a, b in ((0, 1), (1, 2), (2, 0), (3, 0), (2, 4), (4, 4)):
         weak[a, b] = True
-    assert _cyclic_core(weak).tolist() == [0, 1, 2]
+    core, label = _components(weak)
+    assert core.tolist() == [0, 1, 2] and label.tolist() == [0, 0, 0, 3, 4]
     strict = np.zeros_like(weak)
-    assert _core_sources(RevealedRelation(weak=weak, strict=strict)).size == 0
+    assert _violating_sources(RevealedRelation(weak=weak, strict=strict)).size == 0
     # Strict 2 -> 0 closes the cycle through 0's path to 2: source 0.
     strict[2, 0] = True
-    assert _core_sources(RevealedRelation(weak=weak, strict=strict)).tolist() == [0]
+    assert _violating_sources(RevealedRelation(weak=weak, strict=strict)).tolist() == [0]
     # Observation 3 hangs off the cycle, 4 off its own self-loop: both are
     # classes of their own, and 3 is placed before the cycle it points to.
     assert _classes_in_order(RevealedRelation(weak=weak, strict=strict)) == [[3], [0, 1, 2], [4]]
 
 
-def _verdict_checker(monkeypatch, probes):
-    """Make every CCEI probe also check the verdict against the full closure."""
-    def checked(dataset, cm, e, *, witness=False):
-        got = uniform_verdict(dataset, cm, e, witness=True)
-        rel = _relation_at(dataset, cm, [e] * dataset.n_observations)
-        assert got == reference.garp_verdict(rel), e
-        probes.append(e)
+def _spy(monkeypatch, module, name, record):
+    """Wrap ``module.name`` so that every call first passes its arguments to ``record``."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        record(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def _verdict_checker(monkeypatch, probes, current):
+    """Make every CCEI probe also check its verdict and witness against the
+    full-closure reference on the full relation of ``current[0]``, and
+    record the efficiency and the size of the relation it built."""
+    real = ccei._Probes.verdict
+    built = []
+    _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
+
+    def checked(self, e, *, witness=False):
+        got = real(self, e, witness=True)
+        dataset = current[0]
+        assert got == reference.garp_verdict(direct_relations(dataset, e)), e
+        probes.append((e, built[-1], dataset.n_observations))
         return got if witness else revpref.GarpVerdict(got.holds, None)
-    monkeypatch.setattr(ccei, "uniform_verdict", checked)
+    monkeypatch.setattr(ccei._Probes, "verdict", checked)
 
 
 def test_core_verdict_matches_full_closure_at_every_probe(monkeypatch):
     rng = np.random.default_rng(20261107)
-    probes = []
-    _verdict_checker(monkeypatch, probes)
+    probes, current = [], [None]
+    _verdict_checker(monkeypatch, probes, current)
     for _ in range(16):
         n = int(rng.integers(2, 40))
         exact, floats = make_twins(*random_tables(rng, n, int(rng.integers(1, 5))))
         for dataset in (exact, floats):
+            current[0] = dataset
             result = ccei.ccei_exact(dataset)
             ccei.ccei_binary_search(dataset)
-            cm = cross_expenditures(dataset)
             picks = rng.choice(len(result.breakpoints), size=min(8, len(result.breakpoints)))
             for i in picks.tolist():
-                e = result.breakpoints[i]
-                rel = _relation_at(dataset, cm, [e] * n)
-                assert uniform_verdict(dataset, cm, e, witness=True) == reference.garp_verdict(rel)
+                rel = direct_relations(dataset, result.breakpoints[i])
+                assert garp_verdict(rel) == reference.garp_verdict(rel)
     assert len(probes) > 500
+    # Most probes were decided on a core smaller than the whole table.
+    assert sum(size < n for _, size, n in probes) > len(probes) // 2
 
 
-def _closure_sizes(monkeypatch) -> list[int]:
-    """Record the size of every graph ``revpref`` closes from now on."""
-    sizes = []
-
-    def spy(weak):
-        sizes.append(weak.shape[0])
-        return transitive_closure(weak)
-
-    monkeypatch.setattr(revpref, "transitive_closure", spy)
-    return sizes
-
-
-def test_ccei_probes_close_only_the_core(monkeypatch):
+def test_ccei_probes_build_only_the_last_failing_core(monkeypatch, tmp_path):
     rng = np.random.default_rng([20261018, 300])
     n = 300
-    _, floats = make_twins(*random_tables(rng, n, 10))
-    sizes = _closure_sizes(monkeypatch)
-    for search in (ccei.ccei_exact, ccei.ccei_binary_search):
-        sizes.clear()
-        search(floats)
-        # Only the first probe, at e = 1, closes the whole dense graph; the
-        # probes near the CCEI close a handful of nodes.
-        assert sizes[0] == n and max(sizes[1:]) < n
-        assert max(sizes[-8:]) <= 8
+    prices, bundles = random_tables(rng, n, 10)
+    path = tmp_path / "d.csv"
+    header = ["t"] + [f"p{i}" for i in range(1, 11)] + [f"x{i}" for i in range(1, 11)]
+    path.write_text("\n".join([",".join(header)] + [
+        ",".join([str(t + 1), *p, *x]) for t, (p, x) in enumerate(zip(prices, bundles))]) + "\n")
+    real = ccei._Probes.verdict
+    built, probes = [], []
+    _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
+
+    def recorded(self, e, *, witness=False):
+        before = (self.failing, None if self.core is None else self.core.size)
+        verdict = real(self, e, witness=witness)
+        probes.append((e, *before, built[-1], self.core.size))
+        return verdict
+    monkeypatch.setattr(ccei._Probes, "verdict", recorded)
+    code = cli.main(["ccei", str(path), "--float", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    # e = 1 is built once, for both searches, on the whole table; every
+    # later probe at or below the lowest failing efficiency builds on that
+    # probe's core, and only the witness probe above it builds the whole
+    # table again.
+    assert [e for e, *_ in probes].count(1.0) == 1 and probes[0][:2] == (1.0, None)
+    above = [p for p in probes[1:] if p[0] > p[1]]
+    assert len(above) <= 1 and all(size == n for *_, size, _ in above)
+    below = [p for p in probes[1:] if p[0] <= p[1]]
+    assert len(below) > 40
+    assert all(size == core for _, _, core, size, _ in below)
+    # The cores shrink to a handful of nodes near the CCEI.
+    assert probes[-1][-1] <= 8 < probes[0][-1]
 
 
 def test_verdict_and_class_order_close_only_the_core(monkeypatch):
@@ -226,17 +282,114 @@ def test_verdict_and_class_order_close_only_the_core(monkeypatch):
     rows = np.r_[np.arange(n - 1), 0]
     ces = validate_dataset(base.price_array[rows].tolist(),
                            base.bundle_array[rows].tolist(), exact=False)
-    sizes = _closure_sizes(monkeypatch)
+    closures, labelled, searched = [], [], []
+    _spy(monkeypatch, revpref, "transitive_closure", lambda weak: closures.append(weak.shape[0]))
+    _spy(monkeypatch, revpref, "_components", lambda weak: labelled.append(weak.shape[0]))
+    _spy(monkeypatch, revpref, "_scc_of_first", lambda edges: searched.append(edges.shape[0]))
     for dataset, e in ((floats, e_star), (ces, 1.0)):
-        core = _cyclic_core(direct_relations(dataset, e).weak)
-        sizes.clear()
+        core = _peel_reference(direct_relations(dataset, e).weak)
+        labelled.clear()
+        searched.clear()
         assert check_e_garp(dataset, e).holds
         solve_afriat(dataset, e)
-        # One closure per relation, of the core alone; the solver's verdict
-        # and class order share it.
-        assert sizes == [core.size, core.size] and core.size < n
+        # One labelling per relation: the solver's verdict and class order
+        # share it, and its searches run on the core alone.
+        assert labelled == [n, n] and max(searched, default=0) <= core.size < n
+        ccei.ccei_exact(dataset)
+        assert closures == []
         rel = direct_relations(dataset, e)
-        assert len(sizes) == 2
         closure = rel.closure
-        assert sizes[2:] == [n] and rel.closure is closure
+        assert closures == [n] and rel.closure is closure
         assert np.array_equal(closure, transitive_closure(rel.weak))
+        closures.clear()
+
+
+@st.composite
+def nested_efficiencies(draw):
+    """A dataset on either lane and two efficiencies e <= e2 in (0, 1].
+
+    Each is a breakpoint, or on the float lane a float next to one, so the
+    knife-edge ties at and around each ratio are drawn often.
+    """
+    dataset, _ = draw(lane_cases(max_observations=12))
+    cands = ccei._candidates(dataset)
+    picks = sorted(draw(st.lists(st.sampled_from(cands), min_size=2, max_size=2)))
+    if not dataset.exact:
+        shift = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=2, max_size=2))
+        picks = sorted(min(1.0, float(np.nextafter(e, 2.0 * d))) if d else e
+                       for e, d in zip(picks, shift))
+    return dataset, picks[0], picks[1]
+
+
+@given(case=nested_efficiencies())
+@settings(max_examples=300, deadline=None)
+def test_relations_and_cores_are_nested_in_e(case):
+    dataset, e, e2 = case
+    low, high = direct_relations(dataset, e), direct_relations(dataset, e2)
+    assert not (low.weak & ~high.weak).any() and not (low.strict & ~high.strict).any()
+    assert np.isin(low.components[0], high.components[0]).all()
+
+
+def _rounds(monkeypatch):
+    """Record the size of the graph of every forward-backward round from now on."""
+    searches = []
+    _spy(monkeypatch, revpref, "_scc_of_first", lambda edges: searches.append(edges.shape[0]))
+    return searches
+
+
+@st.composite
+def chains_and_ties(draw):
+    """``relation_graphs`` made chain-like or tie-heavy.
+
+    A chain adds links t -> t + 1 in a random order of the nodes, so BFS
+    runs long; ties add the reverse of every link with probability 1/2,
+    so the graph splits into many small SCCs.
+    """
+    weak = draw(relation_graphs()).weak.copy()
+    n = weak.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        order = rng.permutation(n)
+        weak[order[:-1], order[1:]] = True
+    if draw(st.booleans()):
+        weak |= weak.T & (rng.random((n, n)) < 0.5)
+    return weak
+
+
+def test_forward_backward_round_counts(monkeypatch):
+    # Each round removes one SCC that survived the trim, so the rounds are
+    # at least the SCCs of two or more nodes and at most all the SCCs in
+    # the core.
+    searches = _rounds(monkeypatch)
+
+    @given(weak=chains_and_ties())
+    @settings(max_examples=400, deadline=None)
+    def check(weak):
+        searches.clear()
+        core, label = _components(weak)
+        assert np.array_equal(label, _scc_reference(weak))
+        sccs = np.unique(label[core]).size
+        multi = int((np.bincount(label)[np.unique(label)] > 1).sum())
+        assert multi <= len(searches) <= sccs
+
+    check()
+    # The worst case found: a chain of tie pairs, 2i <-> 2i + 1 -> 2i + 2.
+    # The trim keeps every pair and each round takes one; the backward
+    # search ends after a level, so the forward one stops there too.
+    k = 12
+    weak = np.zeros((2 * k, 2 * k), dtype=bool)
+    pairs = np.arange(0, 2 * k, 2)
+    weak[pairs, pairs + 1] = weak[pairs + 1, pairs] = True
+    weak[pairs[:-1] + 1, pairs[1:]] = True
+    searches.clear()
+    core, label = _components(weak)
+    assert core.size == 2 * k and label.tolist() == np.repeat(pairs, 2).tolist()
+    assert searches == list(range(2 * k, 0, -2))
+    # A path node between two tie pairs, 0 <-> 1 -> 2 -> 3 <-> 4, is in the
+    # core; once the first pair is gone, the trim drops it without a round.
+    weak = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3)):
+        weak[a, b] = True
+    searches.clear()
+    assert _components(weak)[1].tolist() == [0, 0, 2, 3, 3]
+    assert searches == [5, 2]
