@@ -373,6 +373,8 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ParseError(args.config, f"cannot read generator config: {err}") from err
+    if not isinstance(raw, dict):
+        raise ParseError(args.config, "generator config must be a JSON object")
     known = {
         "family", "weights", "elasticity", "n_observations", "price_range",
         "income_range", "waste", "seed",
@@ -644,7 +646,7 @@ def _refused(err: UsageError, argv) -> int:
     float_lane = err.command == "generate" or "--float" in words
     report = _envelope(err.command, "float" if float_lane else "exact")
     report["results"] = _error_results(err)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(_to_json(report) + "\n")
     return EXIT_INPUT_ERROR
 
 

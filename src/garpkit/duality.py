@@ -24,10 +24,16 @@ predicate pattern of Shewchuk, 1997): it brackets the exact utility of every
 sampled point between two floats under a rigorous forward error bound, and a
 point whose bracket already settles its test is counted without rational
 arithmetic.  Every other point -- the observed bundles on their own level
-surface, for instance -- is decided exactly, by the same code as without the
-filter, so reports are identical with and without it and every reported
-violation is an exact fact.  Exact data whose float64 mirror overflows or
-underflows cannot be sampled and is refused with a :class:`GarpkitError`.
+surface, for instance -- is decided exactly, so reports are the all-rational
+ones and every reported violation is an exact fact.  Without normal float64
+mirrors of the Afriat numbers the filter is vacuous: its brackets are
+``(-inf, inf)``, so it settles no point and every point is decided exactly.
+Exact data whose float64 mirror overflows or underflows cannot be sampled
+and is refused with a :class:`GarpkitError`.
+
+The observed bundles in budget t are those t weakly reveals preference over,
+read off :func:`.revpref.direct_relations`, so the budget-membership rule is
+the relations' own on both lanes.
 
 On the float lane, a sample is a violation only beyond the relative
 allowance ``model.CHECK_RTOL``, the Afriat post-check's allowance too.
@@ -70,15 +76,8 @@ import numpy as np
 
 from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
-from .model import (
-    CHECK_RTOL,
-    CrossMatrix,
-    Dataset,
-    coerce_efficiency,
-    cross_expenditures,
-    leq_array,
-)
-from .revpref import check_e_garp
+from .model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
+from .revpref import check_e_garp, direct_relations
 
 #: Cap on the outward-nudge loop that certifies ray points sit weakly above
 #: the target level after float rounding; usually 0 or 1 passes are needed.
@@ -144,14 +143,6 @@ def _child_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 def _exact_bundle(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
-
-
-def _require_increasing(solution: AfriatSolution) -> None:
-    if not all(0 < v < float("inf") for v in solution.lam):
-        raise GarpkitError(
-            "every lam of the solution must be positive and finite: otherwise "
-            "the recovered utility is not increasing"
-        )
 
 
 def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
@@ -230,43 +221,6 @@ def _normal(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
 
 
-def _sampling_profile(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``utility_profile`` and the float64 cross expenditures.
-
-    Points are drawn in float64 from mirrors of the prices, bundles, cross
-    expenditures and utility; exact data with an entry that overflows, or a
-    nonzero one that underflows out of the normal range, is refused, as it
-    would draw them from other data.  The cross expenditures are converted
-    once per call, here.
-    """
-    if not dataset.exact:
-        return (*utility_profile(solution, dataset), cm.cost_array)
-    try:
-        prices, bundles = dataset.price_array, dataset.bundle_array
-        costs = cm.cost_array.astype(float)
-        gradients, offsets = utility_profile(solution, dataset)
-    except OverflowError:
-        ok = False
-    else:
-        zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
-        ok = (_normal(prices).all() and _normal(costs).all()
-              and (_normal(bundles) | zero).all()
-              and np.isfinite(gradients).all() and np.isfinite(offsets).all())
-    if not ok:
-        raise GarpkitError(
-            "exact data outside the float64 range: sampling draws points from "
-            "a float64 mirror of the prices, bundles and recovered utility, "
-            "and that mirror overflows or underflows"
-        )
-    return gradients, offsets, costs
-
-
-def _own_expenditures(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution) -> list:
-    """Exact ``e[s] * costs[s][s]`` at the solution's efficiency."""
-    return [e * c for e, c in zip(solution.efficiency, cm.cost_array.diagonal().tolist())]
-
-
 @dataclass(frozen=True)
 class _Filter:
     """Float64 bracket of the exact recovered utility at float points.
@@ -295,10 +249,11 @@ class _Filter:
     absolute slack ``2**-1000 (1 + lam)`` covers.  Overflow makes a term
     non-finite, and such a term gets the vacuous bracket.
 
-    The bound needs normal mirrors: :func:`_make_filter` returns None when
-    ``phi`` (other than exact zeros), ``lam`` or ``own`` is not finite and
-    normal, and every point is then decided exactly.  ``lam`` is positive:
-    the verifiers refuse any other solution.
+    The bound needs normal mirrors: when ``phi`` (other than exact zeros),
+    ``lam`` or ``own`` is not finite and normal, :func:`_make_filter` makes
+    ``phi`` NaN, so every term gets the vacuous bracket and every point is
+    decided exactly.  ``lam`` is positive: the verifiers refuse any other
+    solution.
     """
 
     prices: np.ndarray
@@ -322,47 +277,72 @@ class _Filter:
         return spend * (1.0 - self.unit) - _TINY
 
 
-def _make_filter(dataset: Dataset, cm: CrossMatrix,
-                 solution: AfriatSolution) -> Optional[_Filter]:
+def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filter:
+    n = dataset.n_observations
     try:
-        phi = np.array([float(v) for v in solution.phi])
-        lam = np.array([float(v) for v in solution.lam])
-        own = np.array([float(v) for v in _own_expenditures(dataset, cm, solution)])
+        phi, lam, own_f = (np.array([float(v) for v in values])
+                           for values in (solution.phi, solution.lam, own))
     except OverflowError:
-        return None
-    if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all()
-            and _normal(own).all()):
-        return None
+        phi = lam = own_f = np.full(n, np.nan)
     # phi == 0 only certifies a zero mirror when the exact value is zero.
-    if any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi)):
-        return None
-    return _Filter(dataset.price_array, phi, lam, own,
+    if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all() and _normal(own_f).all()
+            and not any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi))):
+        phi = np.full(n, np.nan)
+    return _Filter(dataset.price_array, phi, lam, own_f,
                    unit=2 * (dataset.n_goods + 10) * 2.0 ** -53)
 
 
-def _exact_levels(dataset: Dataset, cm: CrossMatrix, solution: AfriatSolution,
-                  flt: Optional[_Filter], costs_f: np.ndarray) -> list:
-    """Exact ``U(x[t])`` for every t, read off the cross expenditures.
+def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
+    """What both verifiers sample with: ``(ev, cm, gradients, offsets, own,
+    flt, levels)``, the last three None on the float lane.
 
-    ``p[s] . x[t]`` is ``costs[s][t]``, so the level of an observed bundle
-    needs no dot products: ``min_s phi[s] + lam[s] * (costs[s][t] - own[s])``.
-    With a filter, only the pieces whose float bracket can reach the
-    minimum are evaluated exactly; ``costs_f`` is the float64 mirror of the
-    cross expenditures the brackets are taken from.
+    ``ev`` is the efficiency, ``cm`` the cross expenditures, and
+    ``gradients`` and ``offsets`` the ``utility_profile``.  Points are drawn
+    in float64 from mirrors of the prices, bundles, cross expenditures and
+    utility; exact data with an entry that overflows, or a nonzero one that
+    underflows out of the normal range, is refused, as it would draw them
+    from other data.  On the exact lane ``own[s]`` is ``e[s] * costs[s][s]``
+    at the solution's efficiency, ``flt`` the filter, and ``levels[t]`` the
+    exact ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``, so it needs no dot
+    products, and only the pieces whose float bracket can reach the minimum
+    are evaluated exactly.
     """
-    own = _own_expenditures(dataset, cm, solution)
-    n = dataset.n_observations
-    if flt is None:
-        pieces = [range(n)] * n
+    if not all(0 < v < float("inf") for v in solution.lam):
+        raise GarpkitError(
+            "every lam of the solution must be positive and finite: otherwise "
+            "the recovered utility is not increasing"
+        )
+    ev = coerce_efficiency(e, dataset)
+    cm = cross_expenditures(dataset)
+    if not dataset.exact:
+        return (ev, cm, *utility_profile(solution, dataset), None, None, None)
+    try:
+        prices, bundles = dataset.price_array, dataset.bundle_array
+        costs_f = cm.cost_array.astype(float)
+        gradients, offsets = utility_profile(solution, dataset)
+    except OverflowError:
+        ok = False
     else:
-        lo, hi = flt.terms(costs_f.T)
-        pieces = [np.flatnonzero(row).tolist()
-                  for row in lo <= hi.min(axis=1, keepdims=True)]
+        zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
+        ok = (_normal(prices).all() and _normal(costs_f).all()
+              and (_normal(bundles) | zero).all()
+              and np.isfinite(gradients).all() and np.isfinite(offsets).all())
+    if not ok:
+        raise GarpkitError(
+            "exact data outside the float64 range: sampling draws points from "
+            "a float64 mirror of the prices, bundles and recovered utility, "
+            "and that mirror overflows or underflows"
+        )
     costs = cm.cost_array
-    return [
-        min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s]) for s in pieces[t])
-        for t in range(n)
+    own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
+    flt = _make_filter(dataset, solution, own)
+    lo, hi = flt.terms(costs_f.T)
+    levels = [
+        min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s])
+            for s in np.flatnonzero(row).tolist())
+        for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
     ]
+    return ev, cm, gradients, offsets, own, flt, levels
 
 
 def _neighbours(value) -> tuple[float, float]:
@@ -396,16 +376,11 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    _require_increasing(solution)
-    ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    ev, cm, gradients, offsets, _, flt, levels = _set_up(dataset, e, solution)
+    inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets, costs_f = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
-    if dataset.exact:
-        flt = _make_filter(dataset, cm, solution)
-        levels = _exact_levels(dataset, cm, solution, flt, costs_f)
 
     summaries = []
     violations = []
@@ -417,19 +392,15 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
-        inside = leq_array(cm.cost_array[t], budget, dataset.rel_tol)
         points = np.vstack([proposals, np.zeros((1, n_goods)),
-                            dataset.bundle_array[inside]])
+                            dataset.bundle_array[inside[t]]])
 
         count = points.shape[0]
         bad_here = 0
         if dataset.exact:
             level = levels[t]
-            if flt is None:
-                settled = np.zeros(count, dtype=bool)
-            else:
-                _, hi = flt.terms(points @ flt.prices.T)
-                settled = hi.min(axis=1) <= _neighbours(level)[0]
+            _, hi = flt.terms(points @ flt.prices.T)
+            settled = hi.min(axis=1) <= _neighbours(level)[0]
             exact_certified += count - int(settled.sum())
             price_row = dataset.prices[t]
             for row in points[~settled]:
@@ -518,16 +489,14 @@ def _ray_level_points(rng, gradients, offsets, level: float,
 
 
 def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
-                 coords: list, open_pieces: Optional[np.ndarray], i: int) -> bool:
+                 coords: list, open_pieces: np.ndarray) -> bool:
     """Whether the exact ``U(coords) < level``, that is, whether some piece is.
 
-    Without a filter (``open_pieces`` None) every piece is tried.  With one,
-    only the pieces in ``open_pieces[i]`` are: those whose float lower bound
-    at point ``i`` reaches below the float just above the level.  Every
-    other piece is certainly above the level, so the answer is the same.
+    Only the pieces set in ``open_pieces``, the point's row, are tried: those
+    whose float lower bound reaches below the float just above the level.
+    Every other piece is certainly above the level, so the answer is the same.
     """
-    pieces = range(len(own)) if open_pieces is None else np.flatnonzero(open_pieces[i]).tolist()
-    for s in pieces:
+    for s in np.flatnonzero(open_pieces).tolist():
         spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
         if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
             return True
@@ -535,9 +504,8 @@ def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
 
 
 def _lift_to_level(dataset: Dataset, solution: AfriatSolution, own: list, level, row,
-                   before: Optional[np.ndarray], after: Optional[np.ndarray],
-                   i: int) -> Optional[tuple[list, bool]]:
-    """The exact coordinates of sample ``i`` (``row``) at or above the level,
+                   before: np.ndarray, after: np.ndarray) -> Optional[tuple[list, bool]]:
+    """The exact coordinates of the sample ``row`` at or above the level,
     and whether they were nudged.
 
     Float rounding may leave a ray point a sliver under the exact level; it
@@ -546,10 +514,10 @@ def _lift_to_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
     for the point and for the nudged point.
     """
     coords = _exact_bundle(row)
-    if not _under_level(dataset, solution, own, level, coords, before, i):
+    if not _under_level(dataset, solution, own, level, coords, before):
         return coords, False
     coords = [c * _NUDGE for c in coords]
-    if _under_level(dataset, solution, own, level, coords, after, i):
+    if _under_level(dataset, solution, own, level, coords, after):
         return None
     return coords, True
 
@@ -579,19 +547,12 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    _require_increasing(solution)
-    ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    ev, cm, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    gradients, offsets, costs_f = _sampling_profile(dataset, cm, solution)
     rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
-    if dataset.exact:
-        own = _own_expenditures(dataset, cm, solution)
-        flt = _make_filter(dataset, cm, solution)
-        levels = _exact_levels(dataset, cm, solution, flt, costs_f)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
@@ -629,30 +590,27 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         pts = np.vstack([accepted, ray_points, observed_in])
 
         bad_here = 0
-        checked = 0
         if dataset.exact:
             level = levels[t]
             # Per point, the pieces of U that may be under the level, before
-            # and after the nudge; None without a filter (all of them).
-            before = after = None
-            settled = np.zeros(pts.shape[0], dtype=bool)
-            if flt is not None:
-                spend_f = pts @ flt.prices.T
-                above = _neighbours(level)[1]
-                before = flt.terms(spend_f)[0] < above
-                after = flt.terms(spend_f * float(_NUDGE))[0] < above
-                settled = (~after.any(axis=1)
-                           & (flt.spend_floor(spend_f[:, t]) >= _neighbours(budget)[1]))
-                checked = int(settled.sum())
-                # A settled point is counted and clean, nudged or not; the
-                # nudged count still needs to know which.
-                for i in np.flatnonzero(settled & before.any(axis=1)):
-                    nudged += _under_level(dataset, solution, own, level,
-                                           _exact_bundle(pts[i]), before, i)
+            # and after the nudge.
+            spend_f = pts @ flt.prices.T
+            above = _neighbours(level)[1]
+            before = flt.terms(spend_f)[0] < above
+            after = flt.terms(spend_f * float(_NUDGE))[0] < above
+            settled = (~after.any(axis=1)
+                       & (flt.spend_floor(spend_f[:, t]) >= _neighbours(budget)[1]))
+            checked = int(settled.sum())
+            # A settled point is counted and clean, nudged or not; the
+            # nudged count still needs to know which.
+            for i in np.flatnonzero(settled & before.any(axis=1)):
+                nudged += _under_level(dataset, solution, own, level,
+                                       _exact_bundle(pts[i]), before[i])
             exact_certified += pts.shape[0] - checked
             price_row = dataset.prices[t]
             for i in np.flatnonzero(~settled):
-                lifted = _lift_to_level(dataset, solution, own, level, pts[i], before, after, i)
+                lifted = _lift_to_level(dataset, solution, own, level, pts[i],
+                                        before[i], after[i])
                 if lifted is None:
                     dropped += 1
                     continue

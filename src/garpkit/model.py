@@ -46,6 +46,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    GarpkitError,
     LengthMismatchError,
     NegativeBundleError,
     NonpositivePriceError,
@@ -267,6 +268,10 @@ def cross_expenditures(dataset: Dataset) -> CrossMatrix:
     Strictly positive everywhere: prices are positive and bundles nonzero.
     On the exact lane every entry is a ``Fraction``; on the float lane the
     products are accumulated in float64.
+
+    Raises:
+        GarpkitError: on the float lane, some entry overflows float64 or
+            underflows to zero.
     """
     return dataset._cross
 
@@ -280,7 +285,14 @@ def _integer_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 def _compute_cross(dataset: Dataset) -> CrossMatrix:
     if not dataset.exact:
-        return CrossMatrix(dataset.price_array @ dataset.bundle_array.T)
+        with np.errstate(over="ignore"):
+            costs = dataset.price_array @ dataset.bundle_array.T
+        if not (costs.min() > 0 and costs.max() < np.inf):
+            raise GarpkitError(
+                "float data outside the float64 range: a cross expenditure "
+                "p[t] . x[s] overflows or underflows to zero"
+            )
+        return CrossMatrix(costs)
     # One integer matmul, then one Fraction (one gcd) per entry.
     pn, pd = _integer_rows(dataset.prices)
     xn, xd = _integer_rows(dataset.bundles)

@@ -275,6 +275,20 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
     assert "zebra" in report["results"]["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["5", "null", "[1]", '"abc"'])
+def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
+                                                         report_validator, value):
+    config = tmp_path / "gen.json"
+    config.write_text(value)
+    code, report = run_json(capsys, "generate", "--config", str(config),
+                            "--data-out", str(tmp_path / "d.csv"))
+    assert code == EXIT_INPUT_ERROR
+    error = report["results"]["error"]
+    assert error["type"] == "ParseError"
+    assert "generator config must be a JSON object" in error["message"]
+    assert not list(report_validator.iter_errors(report))
+
+
 @pytest.fixture
 def report_validator():
     jsonschema = pytest.importorskip("jsonschema")
@@ -543,6 +557,22 @@ def test_verify_refuses_data_outside_float_range(capsys, tmp_path, report_valida
     assert report["results"]["error"]["type"] == "GarpkitError"
     assert "float64 range" in report["results"]["error"]["message"]
     assert not list(report_validator.iter_errors(report))
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_float_cross_expenditures_outside_float_range_are_refused(capsys, tmp_path,
+                                                                  report_validator, scale):
+    # Every cell is a finite float, but p[t] . x[s] overflows to inf
+    # (1e200 * 1e200) or underflows to 0 (1e-200 * 1e-200).
+    path = tmp_path / "range.csv"
+    path.write_text(f"t,p1,p2,x1,x2\n1,{scale},{scale},{scale},{scale}\n"
+                    f"2,{scale},2{scale[1:]},2{scale[1:]},{scale}\n")
+    for command in ("check-garp", "ccei", "afriat", "verify"):
+        code, report = run_json(capsys, command, "--float", str(path))
+        assert code == EXIT_INPUT_ERROR, command
+        assert report["results"]["error"]["type"] == "GarpkitError"
+        assert "float64 range" in report["results"]["error"]["message"]
+        assert not list(report_validator.iter_errors(report))
 
 
 @pytest.mark.parametrize("cell", ["1e400", "1e5000"])

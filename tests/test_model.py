@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from garpkit import Dataset, afriat, ccei, duality, model, oracle, revpref, validate_dataset
 from garpkit.errors import (
+    GarpkitError,
     LengthMismatchError,
     NegativeBundleError,
     NonpositivePriceError,
@@ -98,6 +99,18 @@ def test_cross_expenditures_section_values(base_exact):
     assert cm.cost_array.tolist() == [[2, 4], [4, 8]]
     assert cm.ratio_array.tolist() == [[1, 2], [Fraction(1, 2), 1]]
     assert np.allclose(cm.cost_array, [[2.0, 4.0], [4.0, 8.0]])
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_float_cross_expenditures_stay_in_float_range(scale):
+    # Finite cells whose products overflow to inf or underflow to 0: the
+    # float lane refuses them, the exact lane holds them exactly.
+    prices, bundles = [(scale,), (scale,)], [(scale,), ("2" + scale[1:],)]
+    floats = validate_dataset(prices, bundles, exact=False)
+    with pytest.raises(GarpkitError, match="float64 range"):
+        cross_expenditures(floats)
+    exact = validate_dataset(prices, bundles, exact=True)
+    assert cross_expenditures(exact).cost_array[0, 1] == 2 * Fraction(scale) ** 2
 
 
 def test_cross_expenditures_cached(base_exact):

@@ -313,8 +313,15 @@ def test_cost_certificate_on_a_table_with_huge_lam(monkeypatch):
 
 
 def test_nudge_counts_match_the_all_exact_path(monkeypatch):
-    # With the filter off every point takes the exact path, which counts its
-    # own nudges and drops; the filter must report the same numbers.
+    # With a vacuous filter every point takes the exact path, which counts
+    # its own nudges and drops; the filter must report the same numbers.
+    make = duality._make_filter
+
+    def vacuous(*args):
+        # NaN phi: every bracket is (-inf, inf), as for non-normal mirrors.
+        flt = make(*args)
+        return dataclasses.replace(flt, phi=np.full_like(flt.phi, np.nan))
+
     rng = np.random.default_rng(20261019)
     filtered, unfiltered = [], []
     for i in range(12):
@@ -324,7 +331,7 @@ def test_nudge_counts_match_the_all_exact_path(monkeypatch):
         solution = solve_afriat(exact, e)
         filtered.append(verify_cost_rationalization(exact, e, solution, n_samples=60, seed=i))
         with monkeypatch.context() as m:
-            m.setattr(duality, "_make_filter", lambda *args: None)
+            m.setattr(duality, "_make_filter", vacuous)
             unfiltered.append(verify_cost_rationalization(exact, e, solution,
                                                           n_samples=60, seed=i))
     for got, want in zip(filtered, unfiltered):
@@ -375,13 +382,17 @@ def test_counts_are_zero_on_the_float_lane(base_float):
 
 def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
     # A level below the normal float64 range has no relative error bound,
-    # so the filter stands down and every point is decided exactly.
+    # so every bracket of the filter is vacuous and every point is decided
+    # exactly.
     solution = solve_afriat(base_exact)
     assert 0 in solution.phi
     tiny = tuple(v + Fraction(1, 2**1060) for v in solution.phi)
     shifted = AfriatSolution(tiny, solution.lam, solution.efficiency)
-    cm = cross_expenditures(base_exact)
-    assert duality._make_filter(base_exact, cm, shifted) is None
+    flt = duality._set_up(base_exact, 1, shifted)[5]
+    points = np.vstack([np.zeros((1, base_exact.n_goods)), base_exact.bundle_array])
+    for spend in (points @ flt.prices.T, cross_expenditures(base_exact).cost_array.astype(float)):
+        lo, hi = flt.terms(spend)
+        assert np.isneginf(lo).all() and np.isposinf(hi).all()
     for fast, slow in VERIFIERS:
         got = fast(base_exact, 1, shifted, n_samples=30, seed=8)
         assert _without_counts(got) == slow(base_exact, 1, shifted, n_samples=30, seed=8)
@@ -430,14 +441,14 @@ def _problems(draw):
 @given(_problems())
 def test_float_bracket_contains_the_exact_utility(problem):
     dataset, solution, points = problem
-    cm = cross_expenditures(dataset)
-    flt = duality._make_filter(dataset, cm, solution)
-    assert flt is not None
+    own, flt, levels = duality._set_up(dataset, solution.efficiency, solution)[4:]
     spend = points @ flt.prices.T
     lo, hi = flt.terms(spend)
     lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
+    # The mirrors are normal, so every bracket is finite: the filter is on.
+    for bound in (lo, hi, lo_nudged, hi_nudged):
+        assert np.isfinite(bound).all()
     floors = flt.spend_floor(spend)
-    own = duality._own_expenditures(dataset, cm, solution)
     for i, row in enumerate(points.tolist()):
         exact = [Fraction(v) for v in row]
         value = evaluate_utility(solution, dataset, exact)
@@ -453,5 +464,4 @@ def test_float_bracket_contains_the_exact_utility(problem):
                 spent = sum(p * c for p, c in zip(p_row, coords))
                 term = solution.phi[t] + solution.lam[t] * (spent - own[t])
                 assert low[i, t] <= term <= high[i, t]
-    levels = duality._exact_levels(dataset, cm, solution, flt, cm.cost_array.astype(float))
     assert levels == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
