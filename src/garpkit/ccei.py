@@ -24,8 +24,7 @@ probe below a failing one builds its relations on that probe's cyclic core.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import Optional
 from weakref import WeakKeyDictionary
@@ -49,43 +48,55 @@ class CceiResult:
         witness_probe: the efficiency at which ``witness_above`` was found;
             the midpoint to the next breakpoint above ``value``, or 1 when
             the flip happens at 1 itself.
-        breakpoints: sorted candidate ratios in (0, 1], including 1.
+        breakpoints: sorted candidate ratios in (0, 1], including 1, as one
+            1-D array in the lane's representation: float64 on the float
+            lane, an object array of ``Fraction`` on the exact lane.  There
+            are O(T^2) of them, so no Python list of them is built.  Left
+            out of equality, which an array cannot answer with one bool.
     """
 
     value: Number
     attained: bool
     witness_above: Optional[CycleWitness]
     witness_probe: Optional[Number]
-    breakpoints: tuple[Number, ...]
+    breakpoints: np.ndarray = field(compare=False)
 
 
-def _candidates(dataset: Dataset) -> list[Number]:
-    """The distinct ratios in (0, 1], sorted, in the dataset's arithmetic.
+def _candidates(dataset: Dataset) -> np.ndarray:
+    """The distinct ratios in (0, 1], sorted, as one array of the lane's numbers.
 
-    Sorted by float64 keys: ``float`` is monotone, so every ratio in (0, 1]
-    has a key in [0, 1], and ratios with different keys are in key order.
-    Only a run of equal keys holding different ratios is sorted in the
-    lane's arithmetic; on the float lane a key is its ratio, so no run
-    does.  The diagonal contributes 1.
+    The ratios ``cost_array[t, s] / cost_array[t, t]`` are divided out in
+    one T x T buffer, freed once the ratios in (0, 1] are taken from it; the
+    cached ``CrossMatrix.ratio_array`` is not filled.  They are sorted by
+    float64 keys: ``float`` is monotone, so every ratio in (0, 1] has a key
+    in [0, 1], and ratios with different keys are in key order.  A float
+    ratio is its own key, so the float lane sorts in place, with no index
+    array of T^2 / 2 entries; the exact lane gathers its ``Fraction``s in
+    key order.  Only a run of equal keys holding different ratios is then
+    sorted in the lane's arithmetic, and only the exact lane has such runs.
+    The diagonal contributes 1.
     """
-    ratios = cross_expenditures(dataset).ratio_array.ravel()
+    costs = cross_expenditures(dataset).cost_array
+    ratios = (costs / costs.diagonal()[:, None]).ravel()
     try:
         keys = ratios.astype(float, copy=False)
     except OverflowError:  # an exact ratio beyond the float range, so above 1
-        keys = np.array([float(r) if r <= 1 else 2.0 for r in ratios.tolist()])
-    inside = (keys >= 0) & (keys <= 1)
-    order = np.flatnonzero(inside)[np.argsort(keys[inside])]
-    keys, ratios = keys[order], ratios[order]
+        keys = np.minimum(ratios, 2).astype(float)
+    inside = keys <= 1  # no key is negative: costs are positive
+    if ratios.dtype == object:
+        order = np.flatnonzero(inside)[keys[inside].argsort()]
+        ratios, keys = ratios[order], keys[order]
+    else:
+        ratios = keys = ratios[inside]
+        ratios.sort()
     tied = np.flatnonzero(keys[1:] == keys[:-1])  # i and i + 1 share a key
-    first = np.ones(keys.size, dtype=bool)
-    first[tied + 1] = False
-    run = np.cumsum(first) - 1
-    found = ratios[first].tolist()
-    mixed = set(run[tied[ratios[tied] != ratios[tied + 1]]].tolist())
-    for i in sorted(mixed, reverse=True):
-        found[i : i + 1] = sorted(set(ratios[run == i].tolist()))
+    for i in tied[ratios[tied] != ratios[tied + 1]]:  # keys[i] holds distinct ratios
+        ratios[keys.searchsorted(keys[i]) : keys.searchsorted(keys[i], "right")].sort()
+    distinct = np.ones(ratios.size, dtype=bool)
+    distinct[tied + 1] = ratios[tied] != ratios[tied + 1]
+    ratios = ratios[distinct]
     # Only the runs at keys 0 and 1 can hold ratios outside (0, 1].
-    return found[bisect_right(found, 0) : bisect_right(found, 1)]
+    return ratios[ratios.searchsorted(0, "right") : ratios.searchsorted(1, "right")]
 
 
 # Per cross matrix, so per dataset: (1, the cyclic core at 1) when e-GARP
@@ -117,7 +128,9 @@ class _Probes:
 
     def verdict(self, e: Number, *, witness: bool = False) -> GarpVerdict:
         nodes = self.core if self.failing is not None and e <= self.failing else None
-        costs = self.costs if nodes is None else self.costs[nodes][:, nodes]
+        costs = self.costs
+        if nodes is not None and nodes.size < len(costs):  # one gather, no K x T copy
+            costs = costs[np.ix_(nodes, nodes)]
         rel = _relation(costs, e * costs.diagonal(), self.rel_tol)
         verdict = garp_verdict(rel, witness=witness)
         if verdict.holds or (nodes is None and self.failing is not None):
@@ -139,33 +152,35 @@ def ccei_exact(dataset: Dataset) -> CceiResult:
     candidate (attained) or exactly at the failing one (not attained).
     """
     cands = _candidates(dataset)
-    one = cands[-1]
+    # Values and probes are the lane's numbers, not numpy scalars.
+    number = dataset.number
+    one = number(cands[-1])
     probes = _Probes(dataset)
     if probes.failing is None:  # e-GARP holds at 1
         return CceiResult(value=one, attained=True, witness_above=None, witness_probe=None,
-                          breakpoints=tuple(cands))
+                          breakpoints=cands)
     # The smallest breakpoint always passes: below it no relation is strict.
-    lo, hi = 0, len(cands) - 1  # invariant: cands[lo] passes, cands[hi] fails
+    lo, hi = 0, cands.size - 1  # invariant: cands[lo] passes, cands[hi] fails
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if probes.verdict(cands[mid]).holds:
+        if probes.verdict(number(cands[mid])).holds:
             lo = mid
         else:
             hi = mid
-    passing, failing = cands[lo], cands[hi]
+    passing, failing = number(cands[lo]), number(cands[hi])
     midpoint = (passing + failing) / 2
     if probes.verdict(midpoint).holds:
         # Open interval below `failing` passes: supremum not attained.
         value, attained = failing, False
         # At a flip at 1 there is nothing above 1 to probe.
-        probe = (failing + cands[hi + 1]) / 2 if hi + 1 < len(cands) else one
+        probe = (failing + number(cands[hi + 1])) / 2 if hi + 1 < cands.size else one
     else:
         value, attained = passing, True
         probe = midpoint
     above = probes.verdict(probe, witness=True)
     assert not above.holds, "witness requested at a passing efficiency"
     return CceiResult(value=value, attained=attained, witness_above=above.witness,
-                      witness_probe=probe, breakpoints=tuple(cands))
+                      witness_probe=probe, breakpoints=cands)
 
 
 def ccei_binary_search(dataset: Dataset, tol: float = 1e-9) -> float:

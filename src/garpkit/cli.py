@@ -16,6 +16,7 @@ inputs; the library itself is 0-based.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -24,8 +25,11 @@ import os
 import sys
 from fractions import Fraction
 from importlib import import_module
+from itertools import chain
 from math import isfinite
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import __version__
 from .errors import AfriatInfeasibleError, GarpkitError, ParseError
@@ -295,7 +299,7 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
         "witness_above": _encode_witness(exact_result.witness_above),
         "witness_probe": None if exact_result.witness_probe is None
         else encode(exact_result.witness_probe),
-        "breakpoints": list(map(encode, exact_result.breakpoints)),
+        "breakpoints": exact_result.breakpoints,
     }
     return results, EXIT_OK
 
@@ -394,7 +398,7 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
             else tuple(raw.get("waste")),
             seed=int(raw.get("seed", 0)),
         )
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, OverflowError) as err:
         raise ParseError(args.config, str(err)) from err
     dataset = _cli.generate(spec)
     _write_dataset(dataset, args.data_out)
@@ -429,14 +433,24 @@ def _write_dataset(dataset: Dataset, path: str) -> None:
                 + [repr(float(v)) for v in dataset.bundles[t]]
             )
         payload = buf.getvalue()
-    _atomic_write(path, payload)
+    _atomic_write(path, [payload])
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings of ``pieces`` to ``path`` through a ``.tmp`` file.
+
+    The file appears under ``path`` only once complete; if writing fails,
+    the temporary file is removed and the error raised.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------- rendering
@@ -482,53 +496,61 @@ def _render_text(report: dict) -> str:
 
 def _to_json(report: dict) -> str:
     """``json.dumps(report, indent=2)``, byte for byte."""
-    chunks: list[str] = []
-    _json_chunks(report, chunks, 0)
-    return "".join(chunks)
+    return "".join(_json_chunks(report))
 
 
-def _json_chunks(value, out: list, level: int) -> None:
-    """Append the pieces of ``json.dumps(value, indent=2)`` at ``level`` to ``out``.
+def _json_chunks(value, level: int = 0):
+    """Yield the pieces of ``json.dumps(value, indent=2)`` at ``level``.
 
     With an indent, ``json`` encodes in pure Python, item by item.  Here a
     list of scalars goes to json's C encoder, the indent written into the
-    item separator, a block of items per call: one call for a whole list of
-    breakpoints would hold its output twice, and raise the peak memory.
+    item separator, a block of 2048 items per call, so no piece is larger
+    than one block's text.  A 1-D array, such as the ``ccei`` breakpoints,
+    is written the same way as the list of its lane's numbers: a float64
+    block through ``.tolist()``, an object block of ``Fraction`` as the
+    "num/den" strings of ``str``.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(value, dict) and value:
         sep = "{" + pad
         for key, item in value.items():
-            out.append(sep + json.dumps(key) + ": ")
-            _json_chunks(item, out, level + 1)
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(item, level + 1)
             sep = "," + pad
-        out.append(pad[:-2] + "}")
-    elif isinstance(value, (list, tuple)) and value:
+        yield pad[:-2] + "}"
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         sep = "[" + pad
-        if {dict, list, tuple}.isdisjoint(map(type, value)):
+        if isinstance(value, np.ndarray) or {dict, list, tuple}.isdisjoint(map(type, value)):
             for i in range(0, len(value), 2048):
-                block = json.dumps(value[i : i + 2048], separators=("," + pad, ": "))
-                out.append(sep + block[1:-1])
+                block = value[i : i + 2048]
+                if isinstance(block, np.ndarray):
+                    block = list(map(str, block)) if block.dtype == object else block.tolist()
+                yield sep + json.dumps(block, separators=("," + pad, ": "))[1:-1]
                 sep = "," + pad
         else:
             for item in value:
-                out.append(sep)
-                _json_chunks(item, out, level + 1)
+                yield sep
+                yield from _json_chunks(item, level + 1)
                 sep = "," + pad
-        out.append(pad[:-2] + "]")
+        yield pad[:-2] + "]"
     else:
-        out.append(json.dumps(value))
+        yield json.dumps(value)
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report piece by piece, to ``args.out`` or to standard output.
+
+    A JSON report is never held whole: the pieces of :func:`_json_chunks`
+    go straight to the file (through :func:`_atomic_write`) or the stream.
+    """
     if args.format == "json":
-        payload = _to_json(report) + "\n"
+        pieces = chain(_json_chunks(report), ["\n"])
     else:
-        payload = _render_text(report)
+        pieces = [_render_text(report)]
     if args.out:
-        _atomic_write(args.out, payload)
+        _atomic_write(args.out, pieces)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------- parser

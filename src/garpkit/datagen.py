@@ -19,6 +19,7 @@ infeasible and reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -46,8 +47,9 @@ class GeneratorSpec:
             sigma -> 1 limit is Cobb-Douglas; request that family directly).
             Must be None for Cobb-Douglas.
         n_observations: number of price/income draws.
-        price_range: (low, high) for uniform price draws, 0 < low <= high.
-        income_range: (low, high) for uniform income draws.
+        price_range: (low, high) for uniform price draws, 0 < low <= high,
+            both finite.
+        income_range: (low, high) for uniform income draws, likewise.
         waste: scalar or per-observation sequence in [0, 1).
         seed: RNG seed; identical spec and seed reproduce the dataset
             bit for bit.
@@ -82,8 +84,8 @@ class GeneratorSpec:
             raise ValueError("need at least one observation")
         for name in ("price_range", "income_range"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 < low <= high")
+            if not (0 < lo <= hi and isfinite(hi)):
+                raise ValueError(f"{name} must satisfy 0 < low <= high, both finite")
             object.__setattr__(self, name, (float(lo), float(hi)))
         waste = self.waste
         if isinstance(waste, (int, float)):

@@ -19,7 +19,8 @@ def test_base_index_is_one(base_exact):
     result = ccei_exact(base_exact)
     assert result.value == 1 and result.attained
     assert result.witness_above is None and result.witness_probe is None
-    assert result.breakpoints == (Fraction(1, 2), 1)
+    assert result.breakpoints.tolist() == [Fraction(1, 2), 1]
+    assert {type(b) for b in result.breakpoints.tolist()} == {Fraction}
     assert ccei_binary_search(base_exact) == 1.0
 
 
@@ -42,6 +43,8 @@ def test_viol_float_lane(viol_float):
     result = ccei_exact(viol_float)
     assert result.value == pytest.approx(0.8, abs=1e-12)
     assert result.attained
+    # The lane's numbers, not numpy scalars of the breakpoint array.
+    assert type(result.value) is type(result.witness_probe) is float
     assert abs(ccei_binary_search(viol_float) - 0.8) <= 1e-9
 
 
@@ -52,7 +55,8 @@ def test_noattain_four_fifths_not_attained(noattain_exact):
     result = ccei_exact(noattain_exact)
     assert result.value == Fraction(4, 5)
     assert not result.attained
-    assert result.breakpoints == (Fraction(1, 2), Fraction(4, 5), 1)
+    assert result.breakpoints.tolist() == [Fraction(1, 2), Fraction(4, 5), 1]
+    assert {type(b) for b in result.breakpoints.tolist()} == {Fraction}
     assert not check_e_garp(noattain_exact, Fraction(4, 5), witness=False).holds
     assert check_e_garp(noattain_exact, Fraction(79, 100), witness=False).holds
     assert result.witness_probe == Fraction(9, 10)
@@ -106,7 +110,8 @@ def test_verdict_matches_reported_attainment(ds):
         assert not check_e_garp(ds, result.witness_probe, witness=False).holds
         assert validate_witness(ds, result.witness_probe, result.witness_above)
     if not result.attained:
-        below = result.breakpoints[result.breakpoints.index(result.value) - 1]
+        breakpoints = result.breakpoints.tolist()
+        below = breakpoints[breakpoints.index(result.value) - 1]
         assert check_e_garp(ds, (below + result.value) / 2, witness=False).holds
 
 

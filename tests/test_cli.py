@@ -55,6 +55,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def random_csv(path, rng, n_obs, n_goods) -> str:
+    """Write a ``random_tables`` dataset to ``path`` as CSV; return the path."""
+    prices, bundles = random_tables(rng, n_obs, n_goods)
+    header = ["t"] + [f"p{i}" for i in range(1, n_goods + 1)] + [f"x{i}" for i in range(1, n_goods + 1)]
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join([str(t + 1), *p, *x]) + "\n" for t, (p, x) in enumerate(zip(prices, bundles))))
+    return str(path)
+
+
 def test_parse_csv_exact_lane(base_path):
     ds = parse_input(base_path)
     assert ds.exact and ds.n_observations == 2 and ds.n_goods == 2
@@ -212,6 +221,56 @@ def test_out_file_written_atomically(tmp_path, base_path):
     assert not (tmp_path / "report.json.tmp").exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("lane", [[], ["--float"]])
+def test_ccei_report_is_the_same_in_a_file_and_on_stdout(capsys, tmp_path, lane, fmt):
+    # Both go through one streamed writer; the O(T^2) breakpoints span
+    # several of its blocks.
+    table = random_csv(tmp_path / "random.csv", np.random.default_rng(8), 100, 3)
+    argv = ["ccei", table, *lane, "--format", fmt]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["random.csv", "report.out"]
+    if fmt == "json":
+        assert len(json.loads(printed)["results"]["breakpoints"]) > 2 * 2048
+
+
+def test_a_failed_report_write_leaves_no_file(tmp_path):
+    from garpkit.cli import _atomic_write
+
+    def pieces():
+        yield "{"
+        raise RuntimeError("encoding failed")
+
+    with pytest.raises(RuntimeError):
+        _atomic_write(str(tmp_path / "report.json"), pieces())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_float_ccei_report_holds_no_list_of_its_breakpoints(tmp_path):
+    # Traced peak of an in-process float `ccei --out` at T=300 (L=10, about
+    # 45 000 breakpoints): 5.4-5.5 MB when the breakpoints went through a
+    # list, a tuple, a mapped list and a joined report string; 2.9 MB with
+    # one array streamed into the file.  numpy reports its buffers to
+    # tracemalloc.
+    import tracemalloc
+
+    table = random_csv(tmp_path / "random.csv", np.random.default_rng(1), 300, 10)
+    argv = ["ccei", table, "--float", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == EXIT_OK  # imports and first-use set-up, untraced
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_text_format_matches_json_verdict(capsys, viol_path):
     code_t = main(["check-garp", viol_path, "--format", "text"])
     text = capsys.readouterr().out
@@ -332,11 +391,7 @@ def test_every_report_validates_against_schema(capsys, tmp_path, base_path,
 def test_reports_are_indent_2_json_byte_for_byte(capsys, tmp_path, viol_path):
     # Reports are written without json's pure-Python indent encoder; the
     # bytes must still be json.dumps(report, indent=2), on both lanes.
-    rng = np.random.default_rng(31)
-    prices, bundles = random_tables(rng, 12, 3)
-    table = tmp_path / "random.csv"
-    table.write_text("t,p1,p2,p3,x1,x2,x3\n" + "".join(
-        ",".join([str(t + 1), *p, *x]) + "\n" for t, (p, x) in enumerate(zip(prices, bundles))))
+    table = random_csv(tmp_path / "random.csv", np.random.default_rng(31), 12, 3)
     config = tmp_path / "gen.json"
     config.write_text(json.dumps({
         "family": "ces", "weights": [1.0, 2.0], "elasticity": 0.5,
@@ -344,7 +399,7 @@ def test_reports_are_indent_2_json_byte_for_byte(capsys, tmp_path, viol_path):
         "income_range": [1.0, 3.0], "seed": 3,
     }))
     commands = []
-    for path in (str(table), viol_path):
+    for path in (table, viol_path):
         for lane in ([], ["--float"]):
             commands += [
                 ["check-garp", path, *lane],
@@ -372,6 +427,15 @@ def test_report_writer_is_json_dumps_indent_2():
                   [1.0, 1e-300, 0.1 + 0.2], "s\n", 3, None,
                   {"long": [i / 7 for i in range(5000)], "tuple": tuple(range(4097))}):
         assert _to_json(value) == json.dumps(value, indent=2)
+    # A 1-D array is written as the list of its lane's numbers: float64
+    # through tolist(), Fraction as "num/den" strings.
+    floats = np.random.default_rng(5).uniform(size=5000)
+    fractions = np.array([Fraction(i, 7) for i in range(4097)], dtype=object)
+    for array, listed in ((floats, floats.tolist()), (floats[:1], floats[:1].tolist()),
+                          (fractions, list(map(str, fractions))),
+                          (fractions[:2048], list(map(str, fractions[:2048])))):
+        assert _to_json({"breakpoints": array, "n": 1}) == json.dumps(
+            {"breakpoints": listed, "n": 1}, indent=2)
 
 
 @pytest.mark.parametrize("doc", [
@@ -843,3 +907,18 @@ def test_no_subcommand_keeps_the_usage_exit(capsys, argv):
     out, err = capsys.readouterr()
     assert info.value.code == EXIT_INPUT_ERROR
     assert not out and "usage: garpkit" in err
+
+
+@pytest.mark.parametrize("config", [
+    '{"weights": [1.0], "n_observations": 1e400}',
+    '{"weights": [1.0], "n_observations": 3, "price_range": [1, 1e400]}',
+])
+def test_generate_config_that_overflows_is_an_input_error(capsys, tmp_path, report_validator,
+                                                           config):
+    path = tmp_path / "gen.json"
+    path.write_text(config)
+    code, report = run_json(capsys, "generate", "--config", str(path),
+                            "--data-out", str(tmp_path / "d.csv"))
+    assert code == EXIT_INPUT_ERROR
+    assert report["results"]["error"]["type"] == "ParseError"
+    assert not list(report_validator.iter_errors(report))
