@@ -90,8 +90,10 @@ def _candidates(dataset: Dataset) -> np.ndarray:
         ratios = keys = ratios[inside]
         ratios.sort()
     tied = np.flatnonzero(keys[1:] == keys[:-1])  # i and i + 1 share a key
-    for i in tied[ratios[tied] != ratios[tied + 1]]:  # keys[i] holds distinct ratios
-        ratios[keys.searchsorted(keys[i]) : keys.searchsorted(keys[i], "right")].sort()
+    mixed = keys[tied[ratios[tied] != ratios[tied + 1]]]  # keys holding distinct ratios
+    # Sorted, so a key's entries are adjacent: each run is sorted once (keys are >= 0).
+    for key in mixed[np.diff(mixed, prepend=-1) != 0]:
+        ratios[keys.searchsorted(key) : keys.searchsorted(key, "right")].sort()
     distinct = np.ones(ratios.size, dtype=bool)
     distinct[tied + 1] = ratios[tied] != ratios[tied + 1]
     ratios = ratios[distinct]

@@ -224,6 +224,18 @@ def _lane_encoder(dataset: Dataset):
     return str if dataset.exact else float
 
 
+def _block_encoder(array: np.ndarray):
+    """The encoder of blocks of one lane's 1-D array, by :func:`_lane_encoder`'s rule.
+
+    An object array holds the exact lane's ``Fraction``s, which become
+    "num/den" strings; a float64 array's ``tolist`` gives the Python floats
+    that ``float`` would, without a scalar object per item.
+    """
+    if array.dtype == object:
+        return lambda block: list(map(str, block))
+    return np.ndarray.tolist
+
+
 def _encode_witness(w: CycleWitness | None):
     if w is None:
         return None
@@ -299,7 +311,7 @@ def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
         "witness_above": _encode_witness(exact_result.witness_above),
         "witness_probe": None if exact_result.witness_probe is None
         else encode(exact_result.witness_probe),
-        "breakpoints": exact_result.breakpoints,
+        "breakpoints": exact_result.breakpoints,  # encoded by _block_encoder as it is written
     }
     return results, EXIT_OK
 
@@ -506,9 +518,8 @@ def _json_chunks(value, level: int = 0):
     list of scalars goes to json's C encoder, the indent written into the
     item separator, a block of 2048 items per call, so no piece is larger
     than one block's text.  A 1-D array, such as the ``ccei`` breakpoints,
-    is written the same way as the list of its lane's numbers: a float64
-    block through ``.tolist()``, an object block of ``Fraction`` as the
-    "num/den" strings of ``str``.
+    is written the same way as the list of its lane's numbers, each block
+    encoded by :func:`_block_encoder`.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(value, dict) and value:
@@ -521,10 +532,9 @@ def _json_chunks(value, level: int = 0):
     elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         sep = "[" + pad
         if isinstance(value, np.ndarray) or {dict, list, tuple}.isdisjoint(map(type, value)):
+            encode = _block_encoder(value) if isinstance(value, np.ndarray) else list
             for i in range(0, len(value), 2048):
-                block = value[i : i + 2048]
-                if isinstance(block, np.ndarray):
-                    block = list(map(str, block)) if block.dtype == object else block.tolist()
+                block = encode(value[i : i + 2048])
                 yield sep + json.dumps(block, separators=("," + pad, ": "))[1:-1]
                 sep = "," + pad
         else:

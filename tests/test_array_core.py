@@ -119,6 +119,9 @@ def test_array_core_matches_the_tuple_reference():
     # Float ties: 0.1 * 3 and 0.3 are distinct floats and keys; 1e-200 /
     # 1e200 underflows to 0, which is no ratio in (0, 1].
     ([0.1, 0.3, 0.30000000000000004, 1e-200, 1e200, 0.2], False),
+    # Every ratio has key 1: one run of T^2 entries and about T^2 / 2
+    # distinct ratios, sorted once (once per mixed pair would take minutes).
+    ([f"1.{i:020d}" for i in range(1, 61)], True),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_candidates_settle_runs_of_equal_keys(bundles, exact):
