@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -34,6 +33,16 @@ import numpy as np
 from . import __version__
 from .errors import AfriatInfeasibleError, GarpkitError, ParseError
 from .model import Dataset, coerce_efficiency, validate_dataset
+
+try:
+    # CPython's own SHA-256 spares every command the OpenSSL that hashlib
+    # loads (several MB of RSS); random.py takes _sha512 the same way.
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .afriat import AfriatSolution
@@ -256,7 +265,7 @@ def dataset_fingerprint(dataset: Dataset) -> str:
         separators=(",", ":"),
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _verification_json(report: VerificationReport):

@@ -40,9 +40,9 @@ class GeneratorSpec:
 
     Attributes:
         family: "cobb_douglas" or "ces".
-        weights: preference weights, one per good, all > 0.  Cobb-Douglas
-            weights must sum to 1 (they are expenditure shares); CES demands
-            are invariant to rescaling, so only positivity is required.
+        weights: preference weights, one per good, all > 0 and finite.
+            Cobb-Douglas weights must sum to 1 (they are expenditure shares);
+            CES demands are invariant to rescaling, so only that is required.
         elasticity: CES elasticity of substitution, > 0 and != 1 (the
             sigma -> 1 limit is Cobb-Douglas; request that family directly).
             Must be None for Cobb-Douglas.
@@ -68,8 +68,8 @@ class GeneratorSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be a nonempty tuple of positive numbers")
+        if not self.weights or not all(w > 0 and isfinite(w) for w in self.weights):
+            raise ValueError("weights must be a nonempty tuple of positive finite numbers")
         if self.family == "cobb_douglas":
             if self.elasticity is not None:
                 raise ValueError("elasticity only applies to the ces family")

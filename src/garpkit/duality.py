@@ -25,7 +25,10 @@ sampled point between two floats under a rigorous forward error bound, and a
 point whose bracket already settles its test is counted without rational
 arithmetic.  Every other point -- the observed bundles on their own level
 surface, for instance -- is decided exactly, so reports are the all-rational
-ones and every reported violation is an exact fact.  Without normal float64
+ones and every reported violation is an exact fact.  Deciding a point
+exactly evaluates only the pieces of U whose float bracket reaches the
+level (every other piece is certainly beyond it), and U is evaluated in
+full only to report a violation's value.  Without normal float64
 mirrors of the Afriat numbers the filter is vacuous: its brackets are
 ``(-inf, inf)``, so it settles no point and every point is decided exactly.
 Exact data whose float64 mirror overflows or underflows cannot be sampled
@@ -43,9 +46,26 @@ piece t alone bounds U from above, and on budget t that bound is at most
 every sample of an observation under the violation threshold, the
 observation is clean and the T-piece product is skipped.  The screen is all
 or nothing per observation: if any sample fails it, every sample of that
-observation is evaluated by the full product, because the product of a
-subset of rows need not round like the same rows of the full product.
-Reports are therefore identical with and without the screen.
+observation is evaluated on all T pieces, so reports are identical with
+and without the screen.
+
+Each per-observation T-wide product ``points @ gradients.T`` -- of the
+box draws and the rays of the cost verifier, and of the budget samples
+that fail the screen -- runs in row blocks, so no observation holds a
+``samples x T`` array.  A block has ``B = _BLOCK`` rows, or at T under
+``_BLOCK`` as many as make ``_BLOCK ** 2`` entries, so that the cost of a
+block stays large next to the Python work around it (:func:`_block_rows`).
+The cost verifier writes its blocks into one ``(2, B, T)`` workspace per
+call, and the rationalization check into one ``(B, T)`` workspace per
+observation that fails the screen; the once-per-call ``T x T`` values of
+the observed bundles are not blocked.  All of an observation's points are drawn before
+its first block, and every row is computed on its own, so blocks change no
+draw.  A BLAS product over a block of rows need not round exactly like the
+same rows of one product over all of them: with OpenBLAS 0.3.31, entries
+of the last few columns of a T = 300 product can differ by a few ulps
+between the two.  So a sample can change sides only when its value lies
+within a few ulps of the level or threshold it is tested against, exactly
+as it can between two BLAS builds.
 
 The float cost check is the cost half of the duality, and one inequality
 settles it: piece t of U is a supporting hyperplane through ``x[t]``, so a
@@ -88,6 +108,10 @@ _NUDGE = Fraction(1_000_000_001, 1_000_000_000)
 
 #: Absolute slack of the filter's error bound for underflowing products.
 _TINY = 2.0 ** -1000
+
+#: Rows per block of the float verifiers' ``points @ gradients.T`` products
+#: at T >= _BLOCK pieces (see :func:`_block_rows`).
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,32 @@ def _child_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 def _exact_bundle(row) -> list[Fraction]:
     return [Fraction(float(v)) for v in row]
+
+
+def _block_rows(n_rows: int, n_pieces: int) -> int:
+    """Rows per block of an ``n_rows x n_pieces`` product: ``_BLOCK``, or
+    ``_BLOCK ** 2 // n_pieces`` when that is more, but no more than
+    ``n_rows`` and at least 1.
+
+    At small T a block of ``_BLOCK`` rows is too small a product to hide
+    the numpy calls around it, and fixed 256-row blocks would make small
+    tables slower than one product over all rows.
+    """
+    return max(1, min(n_rows, max(_BLOCK, _BLOCK * _BLOCK // n_pieces)))
+
+
+def _row_blocks(n_rows: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` rows covering ``range(n_rows)``."""
+    return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+
+
+def _piece_values(points: np.ndarray, gradients: np.ndarray, offsets: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Every piece of U at every point, ``points @ gradients.T + offsets``,
+    written into the first ``len(points)`` rows of ``out``."""
+    values = np.matmul(points, gradients.T, out=out[:points.shape[0]])
+    np.add(values, offsets, out=values)
+    return values
 
 
 def _own_piece_clears(points: np.ndarray, gradient: np.ndarray, offset: float,
@@ -238,7 +288,8 @@ class _Filter:
     multiply-adds, carries a factor ``1 + theta_L``, ``|theta_k| <= gamma_k =
     k u / (1 - k u)``.  Following the operations gives ``fl(T_s) =
     phi (1 + theta_2) + lam (S (1 + theta_{L+5}) - own (1 + theta_4))``, and
-    a point scaled by the rounded nudge factor adds two more roundings, so
+    a point scaled by a rounded factor (the nudge, or the shrink of a budget
+    sample onto its budget) adds two more roundings, so
     ``|fl(T_s) - T_s| <= gamma_{L+7} A`` with ``A = |phi| + lam (S + own)``.
     The bound is ``err = c u A`` with ``c = 2 (L + 10)``: computing ``A`` in
     floats loses at most a factor ``1 - gamma_{L+11}``, and forming
@@ -368,15 +419,19 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     each proposal is scaled exactly back onto the budget set before testing,
     so recorded violations are exact facts, not rounding artifacts; a point
     the float filter places strictly under the level is not a violation
-    whether scaled or not (U is increasing), and skips the exact test.  On
-    the float lane an observation whose own piece clears every sample is
-    clean without evaluating the other pieces (:func:`_own_piece_clears`).
+    whether scaled or not (U is increasing), and skips the exact test.  The
+    exact test tries only the pieces whose float bracket reaches the level
+    (a scaled point gets a bracket of its own), and evaluates U in full only
+    for a violation.  On the float lane an observation whose own piece
+    clears every sample is clean without evaluating the other pieces
+    (:func:`_own_piece_clears`); otherwise its samples are evaluated on all
+    T pieces, a block of rows at a time.
 
     Raises:
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    ev, cm, gradients, offsets, _, flt, levels = _set_up(dataset, e, solution)
+    ev, cm, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
@@ -399,31 +454,45 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         bad_here = 0
         if dataset.exact:
             level = levels[t]
-            _, hi = flt.terms(points @ flt.prices.T)
-            settled = hi.min(axis=1) <= _neighbours(level)[0]
+            below, above = _neighbours(level)
+            spend_f = points @ flt.prices.T
+            lo, hi = flt.terms(spend_f)
+            settled = hi.min(axis=1) <= below
             exact_certified += count - int(settled.sum())
+            # Per point, the pieces of U that may be at or under the level.
+            open_pieces = lo < above
             price_row = dataset.prices[t]
-            for row in points[~settled]:
-                coords = _exact_bundle(row)
+            for i in np.flatnonzero(~settled):
+                coords = _exact_bundle(points[i])
+                pieces = open_pieces[i]
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend > budget:
                     shrink = budget / spend
                     coords = [c * shrink for c in coords]
-                value = evaluate_utility(solution, dataset, coords)
-                if value > level:
-                    bad_here += 1
-                    violations.append(SampleViolation(
-                        observation=t,
-                        bundle=tuple(float(c) for c in coords),
-                        lhs=float(value),
-                        rhs=float(level),
-                    ))
+                    # Scaled by a rounded factor, as the nudge is: the
+                    # shrunk point's own bracket.
+                    pieces = flt.terms(spend_f[i] * float(shrink))[0] < above
+                if _under_level(dataset, solution, own, level, coords, pieces, at=True):
+                    continue
+                # Every piece is above the level: a violation, and U is
+                # evaluated only to report its value.
+                bad_here += 1
+                violations.append(SampleViolation(
+                    observation=t,
+                    bundle=tuple(float(c) for c in coords),
+                    lhs=float(evaluate_utility(solution, dataset, coords)),
+                    rhs=float(level),
+                ))
         else:
             level = float((dataset.bundle_array[t] @ gradients.T + offsets).min())
             if _own_piece_clears(points, gradients[t], offsets[t], level):
                 summaries.append(ObservationSummary(t, count, 0))
                 continue
-            values = (points @ gradients.T + offsets).min(axis=1)
+            values = np.empty(count)
+            work = np.empty((_block_rows(count, n), n))
+            for rows in _row_blocks(count, work.shape[0]):
+                np.min(_piece_values(points[rows], gradients, offsets, work), axis=1,
+                       out=values[rows])
             margin = CHECK_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
             bad = np.flatnonzero(values > level + margin)
             bad_here = bad.size
@@ -447,8 +516,8 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     )
 
 
-def _ray_level_points(rng, gradients, offsets, level: float,
-                      n_rays: int, n_goods: int, work: np.ndarray) -> np.ndarray:
+def _ray_level_points(rng, gradients, offsets, level: float, n_rays: int,
+                      work: np.ndarray) -> np.ndarray:
     """Points on (or certifiably above) the U = level surface along rays.
 
     Along a ray from the origin through direction d the utility is
@@ -458,39 +527,48 @@ def _ray_level_points(rng, gradients, offsets, level: float,
     leaves the evaluated utility a hair under the level, alpha is nudged
     outward until the point certifies as weakly above.
 
-    ``work``, a float64 array of shape ``(2, m, T)`` with ``m >= n_rays``,
-    receives the T-wide products; the points do not depend on its contents.
+    All directions are drawn first, so the stream is read as in one piece.
+    ``work``, a float64 array of shape ``(2, m, T)``, then receives the
+    T-wide products of ``m`` rays at a time.  Every ray is independent of
+    the others, so the points depend neither on ``m`` nor on the contents
+    of ``work``, up to how the BLAS rounds a product over ``m`` rows (see
+    the module docstring).
     """
-    directions = rng.uniform(size=(n_rays, n_goods))
+    directions = rng.uniform(size=(n_rays, gradients.shape[1]))
     degenerate = ~directions.any(axis=1)
     if degenerate.any():
         directions[degenerate] = 1.0
-    # Strictly positive: prices > 0.
-    slopes = np.matmul(directions, gradients.T, out=work[0, :n_rays])
-    values = work[1, :n_rays]
-    np.divide(level - offsets, slopes, out=values)
-    alpha = values.max(axis=1)
-    # Strictly increasing utility puts the origin strictly under the level
-    # of any observed (nonzero) bundle, so the crossing is at alpha > 0.
-    np.maximum(alpha, 0.0, out=alpha)
-    np.multiply(alpha[:, None], slopes, out=values)
-    np.add(values, offsets, out=values)
-    short = np.flatnonzero(values.min(axis=1) < level)
-    bump = 1e-12
-    for _ in range(_MAX_NUDGES):
-        if not short.size:
-            break
-        alpha[short] = alpha[short] * (1.0 + bump) + 1e-300
-        bump *= 2.0
-        # A row that reached the level is never nudged again, so only the
-        # rows still short need checking.
-        short = short[(alpha[short, None] * slopes[short] + offsets).min(axis=1) < level]
+    reach = level - offsets
+    alpha = np.empty(n_rays)
+    for rows in _row_blocks(n_rays, work.shape[1]):
+        # Strictly positive: prices > 0.
+        slopes = np.matmul(directions[rows], gradients.T, out=work[0, :rows.stop - rows.start])
+        values = work[1, :slopes.shape[0]]
+        np.divide(reach, slopes, out=values)
+        block = alpha[rows]
+        np.max(values, axis=1, out=block)
+        # Strictly increasing utility puts the origin strictly under the level
+        # of any observed (nonzero) bundle, so the crossing is at alpha > 0.
+        np.maximum(block, 0.0, out=block)
+        np.multiply(block[:, None], slopes, out=values)
+        np.add(values, offsets, out=values)
+        short = np.flatnonzero(values.min(axis=1) < level)
+        bump = 1e-12
+        for _ in range(_MAX_NUDGES):
+            if not short.size:
+                break
+            block[short] = block[short] * (1.0 + bump) + 1e-300
+            bump *= 2.0
+            # A row that reached the level is never nudged again, so only the
+            # rows still short need checking.
+            short = short[(block[short, None] * slopes[short] + offsets).min(axis=1) < level]
     return alpha[:, None] * directions
 
 
 def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
-                 coords: list, open_pieces: np.ndarray) -> bool:
-    """Whether the exact ``U(coords) < level``, that is, whether some piece is.
+                 coords: list, open_pieces: np.ndarray, at: bool = False) -> bool:
+    """Whether the exact ``U(coords) < level`` (``<= level`` with ``at``),
+    that is, whether some piece is.
 
     Only the pieces set in ``open_pieces``, the point's row, are tried: those
     whose float lower bound reaches below the float just above the level.
@@ -498,7 +576,8 @@ def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
     """
     for s in np.flatnonzero(open_pieces).tolist():
         spent = sum(p * c for p, c in zip(dataset.prices[s], coords))
-        if solution.phi[s] + solution.lam[s] * (spent - own[s]) < level:
+        term = solution.phi[s] + solution.lam[s] * (spent - own[s])
+        if term < level or (at and term == level):
             return True
     return False
 
@@ -543,6 +622,10 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     observation whose own piece certifies every such point
     (:func:`_own_piece_certifies`) is clean without drawing its rays.
 
+    The box draws and the rays are evaluated a block of rows at a time in
+    one ``(2, B, T)`` workspace (:func:`_block_rows`): all draws are taken
+    from the stream first, and the accepted ones keep their order.
+
     Raises:
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
@@ -556,8 +639,9 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
-    # One workspace for the T-wide draw and ray products of every observation.
-    work = np.empty((2, max(n_reject, n_rays), n))
+    # One workspace for the T-wide draw and ray products of every
+    # observation, a block of rows at a time.
+    work = np.empty((2, _block_rows(max(n_reject, n_rays), n), n))
 
     summaries = []
     violations = []
@@ -571,9 +655,11 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         level_f = float(observed_values[t])
 
         draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
-        draw_values = np.matmul(draws, gradients.T, out=work[1, :n_reject])
-        np.add(draw_values, offsets, out=draw_values)
-        accepted = draws[draw_values.min(axis=1) >= level_f]
+        keep = np.empty(n_reject, dtype=bool)
+        for rows in _row_blocks(n_reject, work.shape[1]):
+            values = _piece_values(draws[rows], gradients, offsets, work[1])
+            np.greater_equal(values.min(axis=1), level_f, out=keep[rows])
+        accepted = draws[keep]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
@@ -586,7 +672,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             summaries.append(ObservationSummary(
                 t, accepted.shape[0] + n_rays + observed_in.shape[0], 0))
             continue
-        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, n_goods, work)
+        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, work)
         pts = np.vstack([accepted, ray_points, observed_in])
 
         bad_here = 0

@@ -6,8 +6,9 @@ point is evaluated in ``Fraction`` arithmetic, one full evaluation of the
 recovered utility per point.  They are slow on purpose, and the filtered
 verifiers must reproduce their reports field for field (the filter's own
 counters aside).  On the float lane they are the bodies before the
-own-piece screen and the reused workspace: every budget sample is
-evaluated on all T pieces, and every product goes into a fresh array.
+own-piece screen, the reused workspace and the row blocks: every budget
+sample is evaluated on all T pieces, and every product is one product
+over all of an observation's rows, into a fresh array.
 ``_ray_level_points`` and the float-lane ``worst_residual`` loop are the
 versions before those changes too.  Sampling draws the same points from
 the same per-observation streams.

@@ -344,6 +344,10 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
     pytest.param('{"weights": [1.0], "n_observations": 3, "price_range": [1, 1e400]}',
                  "price_range must satisfy 0 < low <= high, both finite",
                  id="price_range-1e400"),
+    pytest.param('{"family": "ces", "elasticity": 0.5, "weights": [1e400, 1], '
+                 '"n_observations": 3}',
+                 "weights must be a nonempty tuple of positive finite numbers",
+                 id="weights-1e400"),
 ])
 def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
                                                          report_validator, value, message):
@@ -585,6 +589,29 @@ def test_commands_load_only_the_modules_they_run(viol_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.stdout.split() == ["41", "True"], done.stderr
+
+
+def test_float_ccei_fingerprints_without_openssl(viol_path):
+    # The fingerprint's SHA-256 comes from CPython's own module, so a float
+    # ccei never maps OpenSSL (hashlib's _hashlib); the digest is hashlib's.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import io, json, sys, contextlib\n"
+        "from garpkit.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    main(sys.argv[1:])\n"
+        "print('_hashlib' in sys.modules, json.loads(out.getvalue())['dataset']['fingerprint'])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, "ccei", viol_path, "--float"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout.split()[0] == "False", done.stderr
+    ds = parse_input(viol_path, exact=False)
+    payload = json.dumps({"mode": "float", "prices": ds.price_array.tolist(),
+                          "bundles": ds.bundle_array.tolist()},
+                         separators=(",", ":"), sort_keys=True)
+    assert done.stdout.split()[1] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def test_module_runs_as_script(viol_path):

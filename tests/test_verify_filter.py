@@ -11,6 +11,7 @@ observation that has a point the full check would flag.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,8 +231,7 @@ def test_cost_certificate_covers_any_rounding(case, seed):
     assert _rational_cost_floor(price, gradient, offset, level) >= Fraction(threshold)
     rng = np.random.default_rng(seed)
     work = np.empty((2, 50, 1))
-    rays = duality._ray_level_points(rng, gradient[None], np.array([offset]), level,
-                                     50, len(price), work)
+    rays = duality._ray_level_points(rng, gradient[None], np.array([offset]), level, 50, work)
     draws = rng.uniform(0.5, 1.5, (50, len(price)))
     draws *= (level - offset) / (draws @ gradient)[:, None]
     draws = draws[draws @ gradient + offset >= level]
@@ -257,6 +257,53 @@ def _ces_float(observations, seed):
                          n_observations=observations, price_range=(0.5, 5.0),
                          income_range=(50.0, 150.0), waste=0.0, seed=seed)
     return generate(spec)
+
+
+def test_blocked_float_reports_match_the_reference():
+    # A float CES table at T = 300 and 1600 samples: 800 box draws and 800
+    # rays in four blocks each, and over 1600 budget points in seven,
+    # through one workspace.  The reference takes each product over all
+    # rows at once.  Scaling one lam of the honest solution breaks both
+    # inequalities, so violations are compared too.
+    samples = 1600
+    assert duality._block_rows(samples // 2, 300) == duality._BLOCK
+    assert samples // 2 >= 3 * duality._BLOCK
+    dataset = _ces_float(300, seed=300)
+    solution = solve_afriat(dataset)
+    violations = 0
+    for candidate in (solution, _tampered(solution, 0)[1]):
+        for fast, slow in VERIFIERS:
+            got = fast(dataset, 1, candidate, n_samples=samples, seed=3)
+            want = slow(dataset, 1, candidate, n_samples=samples, seed=3)
+            assert got == want
+            violations += len(want.violations)
+    assert violations > 0
+
+
+def test_small_blocks_give_the_reference_reports(monkeypatch):
+    # Blocks of 3 rows put block boundaries everywhere: inside the box
+    # draws, the rays and the budget points, with short last blocks.
+    monkeypatch.setattr(duality, "_BLOCK", 3)
+    _compare_with_reference("float", datasets=30)
+
+
+def test_cost_verifier_holds_one_block_of_products():
+    # Float CES, T = 300, L = 10, 2000 samples: one (2, 1000, T) workspace
+    # held 5.3 MiB at the peak; blocks of 256 rows bring that to 1.9 MiB.
+    spec = GeneratorSpec(family="ces", weights=tuple(np.linspace(0.5, 2.0, 10)),
+                         elasticity=0.6, n_observations=300, price_range=(0.5, 5.0),
+                         income_range=(50.0, 150.0), waste=0.0, seed=3)
+    dataset = generate(spec)
+    solution = solve_afriat(dataset)
+    verify_cost_rationalization(dataset, 1, solution, n_samples=20, seed=0)
+    tracemalloc.start()
+    try:
+        report = verify_cost_rationalization(dataset, 1, solution, n_samples=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.clean
+    assert peak < 3 * 2**20
 
 
 def test_cost_certificate_skips_the_ray_search_on_honest_solutions(monkeypatch):
@@ -373,6 +420,37 @@ def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
         assert report.exact_certified < report.total_samples
 
 
+def test_exact_rationalization_evaluates_utility_only_for_violations(monkeypatch):
+    # A point the filter cannot settle is decided on its open pieces, and a
+    # point shrunk onto its budget on those of its own bracket: U is
+    # evaluated in full only to report a violation's value.
+    calls = []
+    evaluate = duality.evaluate_utility
+
+    def spy(solution, dataset, coords):
+        value = evaluate(solution, dataset, coords)
+        calls.append((tuple(float(c) for c in coords), float(value)))
+        return value
+
+    monkeypatch.setattr(duality, "evaluate_utility", spy)
+    rng = np.random.default_rng(20261022)
+    decided = violations = 0
+    for i in range(16):
+        prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+        exact, _ = make_twins(prices, bundles)
+        e = _breakpoint_efficiency(exact)
+        solution = solve_afriat(exact, e)
+        k = int(rng.integers(exact.n_observations))
+        for candidate in [solution, *_tampered(solution, k)]:
+            calls.clear()
+            report = verify_rationalization(exact, e, candidate, n_samples=40, seed=i)
+            assert calls == [(v.bundle, v.lhs) for v in report.violations]
+            decided += report.exact_certified
+            violations += len(report.violations)
+    assert violations > 0
+    assert decided > 2 * violations
+
+
 def test_counts_are_zero_on_the_float_lane(base_float):
     solution = solve_afriat(base_float)
     for verify in (verify_rationalization, verify_cost_rationalization):
@@ -434,19 +512,22 @@ def _problems(draw):
     coordinate = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
     points = draw(st.lists(st.lists(coordinate, min_size=goods, max_size=goods),
                            min_size=1, max_size=6))
-    return dataset, solution, np.array(points, dtype=float)
+    # A shrink onto a budget: a factor in (0, 1], usually a hair under 1.
+    shrink = 1 - draw(_fractions(0, 10**6, 10**20).filter(lambda v: v < 1))
+    return dataset, solution, np.array(points, dtype=float), shrink
 
 
 @settings(max_examples=150, deadline=None)
 @given(_problems())
 def test_float_bracket_contains_the_exact_utility(problem):
-    dataset, solution, points = problem
+    dataset, solution, points, shrink = problem
     own, flt, levels = duality._set_up(dataset, solution.efficiency, solution)[4:]
     spend = points @ flt.prices.T
     lo, hi = flt.terms(spend)
     lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
+    lo_shrunk, hi_shrunk = flt.terms(spend * float(shrink))
     # The mirrors are normal, so every bracket is finite: the filter is on.
-    for bound in (lo, hi, lo_nudged, hi_nudged):
+    for bound in (lo, hi, lo_nudged, hi_nudged, lo_shrunk, hi_shrunk):
         assert np.isfinite(bound).all()
     floors = flt.spend_floor(spend)
     for i, row in enumerate(points.tolist()):
@@ -458,8 +539,10 @@ def test_float_bracket_contains_the_exact_utility(problem):
         assert lo_nudged[i].min() <= nudged <= hi_nudged[i].min()
         for t, p_row in enumerate(dataset.prices):
             assert floors[i, t] <= sum(p * c for p, c in zip(p_row, exact))
-        # Piece by piece too: the exact cost verifier skips pieces by them.
-        for coords, low, high in ((exact, lo, hi), (nudged_coords, lo_nudged, hi_nudged)):
+        # Piece by piece too: both exact verifiers skip pieces by them.
+        shrunk_coords = [c * shrink for c in exact]
+        for coords, low, high in ((exact, lo, hi), (nudged_coords, lo_nudged, hi_nudged),
+                                  (shrunk_coords, lo_shrunk, hi_shrunk)):
             for t, p_row in enumerate(dataset.prices):
                 spent = sum(p * c for p, c in zip(p_row, coords))
                 term = solution.phi[t] + solution.lam[t] * (spent - own[t])
