@@ -20,6 +20,9 @@ Attainment is genuinely two-sided and is reported, not assumed:
 Both cases agree with binary search on the verdict, which converges to the
 same flip point.  Both searches probe on nested cores (``_Probes``): each
 probe below a failing one builds its relations on that probe's cyclic core.
+Both open with the verdict at 1, read off the relations that
+:func:`.revpref.direct_relations` keeps, so the ``ccei`` command builds
+them once.
 """
 
 from __future__ import annotations
@@ -27,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Optional
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import InvalidToleranceError
 from .model import Dataset, Number, cross_expenditures
-from .revpref import CycleWitness, GarpVerdict, _relation, garp_verdict
+from .revpref import CycleWitness, GarpVerdict, _relation, direct_relations, garp_verdict
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,15 @@ def _candidates(dataset: Dataset) -> np.ndarray:
     """The distinct ratios in (0, 1], sorted, as one array of the lane's numbers.
 
     The ratios ``cost_array[t, s] / cost_array[t, t]`` are divided out in
-    one T x T buffer, freed once the ratios in (0, 1] are taken from it; the
-    cached ``CrossMatrix.ratio_array`` is not filled.  They are sorted by
-    float64 keys: ``float`` is monotone, so every ratio in (0, 1] has a key
-    in [0, 1], and ratios with different keys are in key order.  A float
-    ratio is its own key, so the float lane sorts in place, with no index
-    array of T^2 / 2 entries; the exact lane gathers its ``Fraction``s in
-    key order.  Only a run of equal keys holding different ratios is then
-    sorted in the lane's arithmetic, and only the exact lane has such runs.
-    The diagonal contributes 1.
+    one T x T buffer, freed once the ratios in (0, 1] are taken from it;
+    nothing else divides them out.  They are sorted by float64 keys:
+    ``float`` is monotone, so every ratio in (0, 1] has a key in [0, 1],
+    and ratios with different keys are in key order.  A float ratio is its
+    own key, so the float lane sorts in place, with no index array of
+    T^2 / 2 entries; the exact lane gathers its ``Fraction``s in key order.
+    Only a run of equal keys holding different ratios is then sorted in the
+    lane's arithmetic, and only the exact lane has such runs.  The diagonal
+    contributes 1.
     """
     costs = cross_expenditures(dataset).cost_array
     ratios = (costs / costs.diagonal()[:, None]).ravel()
@@ -101,12 +103,6 @@ def _candidates(dataset: Dataset) -> np.ndarray:
     return ratios[ratios.searchsorted(0, "right") : ratios.searchsorted(1, "right")]
 
 
-# Per cross matrix, so per dataset: (1, the cyclic core at 1) when e-GARP
-# fails at 1, else (None, None).  Both searches open with that probe, and the
-# ``ccei`` command runs both.
-_AT_ONE: WeakKeyDictionary = WeakKeyDictionary()
-
-
 class _Probes:
     """Uniform e-GARP verdicts of one dataset, each on the fewest nodes that decide it.
 
@@ -119,14 +115,12 @@ class _Probes:
     """
 
     def __init__(self, dataset: Dataset):
-        cm = cross_expenditures(dataset)
-        self.costs, self.rel_tol = cm.cost_array, dataset.rel_tol
-        self.failing: Optional[Number] = None  # the lowest failing efficiency so far
-        self.core: Optional[np.ndarray] = None  # and its cyclic core
-        if cm not in _AT_ONE:
-            self.verdict(dataset.number(1))
-            _AT_ONE[cm] = self.failing, self.core
-        self.failing, self.core = _AT_ONE[cm]
+        self.costs, self.rel_tol = cross_expenditures(dataset).cost_array, dataset.rel_tol
+        at_one = direct_relations(dataset)
+        fails = not garp_verdict(at_one, witness=False).holds
+        # The lowest failing efficiency so far, and its cyclic core.
+        self.failing: Optional[Number] = dataset.number(1) if fails else None
+        self.core: Optional[np.ndarray] = at_one.components[0] if fails else None
 
     def verdict(self, e: Number, *, witness: bool = False) -> GarpVerdict:
         nodes = self.core if self.failing is not None and e <= self.failing else None

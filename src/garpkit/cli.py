@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib import import_module
 from itertools import chain
@@ -400,11 +401,7 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         raise ParseError(args.config, f"cannot read generator config: {err}") from err
     if not isinstance(raw, dict):
         raise ParseError(args.config, "generator config must be a JSON object")
-    known = {
-        "family", "weights", "elasticity", "n_observations", "price_range",
-        "income_range", "waste", "seed",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(_cli.GeneratorSpec)}
     if unknown:
         raise ParseError(args.config, f"unknown config keys: {sorted(unknown)}")
     try:

@@ -36,7 +36,8 @@ and is refused with a :class:`GarpkitError`.
 
 The observed bundles in budget t are those t weakly reveals preference over,
 read off :func:`.revpref.direct_relations`, so the budget-membership rule is
-the relations' own on both lanes.
+the relations' own on both lanes, and the relations the solver built at
+that efficiency are read again rather than rebuilt.
 
 On the float lane, a sample is a violation only beyond the relative
 allowance ``model.CHECK_RTOL``, the Afriat post-check's allowance too.
@@ -635,7 +636,8 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
-    observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
+    observed_values = dataset.bundle_array @ gradients.T
+    observed_values = np.add(observed_values, offsets, out=observed_values).min(axis=1)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject

@@ -240,26 +240,19 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None) -> Dataset:
 
 
 class CrossMatrix:
-    """Cross expenditures and their ratios for one dataset.
+    """Cross expenditures for one dataset.
 
     ``cost_array[t, s]`` is the cost of bundle ``s`` at the prices of
-    observation ``t``; ``ratio_array[t, s] = cost_array[t, s] /
-    cost_array[t, t]`` is that cost as a share of the expenditure actually
-    incurred at ``t``.  The diagonal of ``ratio_array`` is identically 1.
-
-    Each lane holds one array: float64 on the float lane, and an object
-    array of exact ``Fraction`` entries on the exact lane, whose elementwise
-    operations are the exact ones.  ``ratio_array`` is derived on first
-    use.  Code that needs a float64 mirror of exact data converts with
-    ``.astype(float)`` where it needs it.
+    observation ``t``, so ``cost_array[t, t]`` is the expenditure actually
+    incurred at ``t``.  Each lane holds this one array: float64 on the float
+    lane, and an object array of exact ``Fraction`` entries on the exact
+    lane, whose elementwise operations are the exact ones.  Code that needs
+    a float64 mirror of exact data converts with ``.astype(float)`` where it
+    needs it.
     """
 
     def __init__(self, cost_array: np.ndarray):
         self.cost_array = cost_array
-
-    @cached_property
-    def ratio_array(self) -> np.ndarray:
-        return self.cost_array / self.cost_array.diagonal()[:, None]
 
 
 def cross_expenditures(dataset: Dataset) -> CrossMatrix:

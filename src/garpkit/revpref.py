@@ -1,9 +1,9 @@
-"""Direct and transitive revealed-preference relations, and the e-GARP test.
+"""Direct revealed-preference relations, and the e-GARP test.
 
 At efficiency ``e[t]`` observation ``t`` weakly reveals preference over the
 bundle of observation ``s`` when ``costs[t][s] <= e[t] * costs[t][t]``: the
 other bundle was affordable inside the deflated budget, yet ``x[t]`` was
-bought.  The strict relation uses ``<``.  The transitive closure chains weak
+bought.  The strict relation uses ``<``.  Transitive preference chains weak
 steps (paths of length >= 1; no free reflexive step, so at ``e[t] < 1`` an
 observation is not revealed preferred to itself by fiat).
 
@@ -12,11 +12,13 @@ is strictly revealed preferred back to it: no weak cycle has a strict step,
 so no strict link joins two observations of one strongly connected component
 (SCC) of the weak relation, and no closure is needed (Talla Nobibon,
 Smeulders & Spieksma, JOTA 2015).  Every graph question about the relations
-goes through this module.  A :class:`RevealedRelation` labels its SCCs once,
-by forward-backward search (Fleischer, Hendrickson & Pinar 2000), for the
-verdict and the Afriat class order (:mod:`.afriat`) both; the full closure
-is built only when read.  A failing verdict is certified by a minimal
-violating cycle (see ``_minimal_cycle``).
+goes through this module.  :func:`direct_relations` builds a dataset's
+relations at an efficiency vector and keeps the last ones it built, read
+only, so every verdict, the Afriat class order (:mod:`.afriat`) and budget
+membership (:mod:`.duality`) at that e share one build.  A
+:class:`RevealedRelation` labels its SCCs once, by forward-backward search
+(Fleischer, Hendrickson & Pinar 2000).  A failing verdict is certified by a
+minimal violating cycle (see ``_minimal_cycle``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -41,11 +44,6 @@ class RevealedRelation:
     def components(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted cyclic core, and each node's SCC label (``_components``)."""
         return _components(self.weak)
-
-    @cached_property
-    def closure(self) -> np.ndarray:
-        """Reachability over all T nodes by weak chains of length >= 1."""
-        return transitive_closure(self.weak)
 
 
 @dataclass(frozen=True)
@@ -71,18 +69,15 @@ class GarpVerdict:
 
 
 def _relation(costs: np.ndarray, budgets: np.ndarray, rel_tol: float) -> RevealedRelation:
-    """Weak and strict comparisons of each row of ``costs`` against its budget."""
+    """Weak and strict comparisons of each row of ``costs`` against its budget.
+
+    Both arrays are read-only, so a relation can be shared.
+    """
     budgets = budgets[:, None]
-    return RevealedRelation(weak=leq_array(costs, budgets, rel_tol),
-                            strict=lt_array(costs, budgets, rel_tol))
-
-
-def transitive_closure(weak: np.ndarray) -> np.ndarray:
-    """All-pairs reachability by chains of length >= 1 (Warshall)."""
-    closure = weak.copy()
-    for k in range(closure.shape[0]):
-        closure |= closure[:, k : k + 1] & closure[k : k + 1, :]
-    return closure
+    rel = RevealedRelation(weak=leq_array(costs, budgets, rel_tol),
+                           strict=lt_array(costs, budgets, rel_tol))
+    rel.weak.flags.writeable = rel.strict.flags.writeable = False
+    return rel
 
 
 def _trim(nodes: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,16 +148,29 @@ def _violating_sources(rel: RevealedRelation) -> np.ndarray:
     return np.flatnonzero((rel.strict & (label[:, None] == label)).any(axis=0))
 
 
+# Per cross matrix, so per dataset: (efficiency values, their relations),
+# the last ones built.
+_LAST: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
-    """Build the weak and strict relations at efficiency e.
+    """The weak and strict relations at efficiency e, read-only.
 
     ``e`` may be a scalar, a sequence with one entry per observation, or an
-    :class:`EfficiencyVector`.
+    :class:`EfficiencyVector`.  The last relations built for a dataset are
+    kept, so asking again at the same efficiency values returns the same
+    object, with its SCC labels.
     """
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).cost_array
+    cm = cross_expenditures(dataset)
+    last = _LAST.get(cm)
+    if last is not None and last[0] == ev.values:
+        return last[1]
+    costs = cm.cost_array
     budgets = np.array(ev.values, dtype=costs.dtype) * costs.diagonal()
-    return _relation(costs, budgets, dataset.rel_tol)
+    rel = _relation(costs, budgets, dataset.rel_tol)
+    _LAST[cm] = ev.values, rel
+    return rel
 
 
 def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
@@ -252,7 +260,7 @@ def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:
 
 
 def validate_witness(dataset: Dataset, e, w: CycleWitness) -> bool:
-    """Re-check a witness against freshly built direct relations."""
+    """Re-check a witness against the direct relations at ``e``."""
     rel = direct_relations(dataset, e)
     idx = w.indices
     if len(idx) < 2 or idx[0] != idx[-1]:

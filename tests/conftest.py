@@ -77,7 +77,8 @@ def random_efficiency(rng, exact_dataset, allow_vector=True):
 
     def one_scalar():
         if rng.random() < 0.35:
-            ratios = cross_expenditures(exact_dataset).ratio_array
+            costs = cross_expenditures(exact_dataset).cost_array
+            ratios = costs / costs.diagonal()[:, None]
             pool = sorted(
                 {r for r in ratios.flat if 0 < r <= 1}
             )

@@ -39,7 +39,7 @@ def solve_afriat(dataset, e=1) -> AfriatSolution:
     phi: list[Number | None] = [None] * n
     lam: list[Number | None] = [None] * n
     done: list[int] = []
-    for members in reference_graph.classes_in_order(rel.closure):
+    for members in reference_graph.classes_in_order(reference_graph.transitive_closure(rel.weak)):
         if done:
             level = min(phi[t] + lam[t] * slack[t][s] for t in done for s in members)
         else:

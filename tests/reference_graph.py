@@ -1,6 +1,6 @@
 """Test-only references for the graph core: the per-pass implementations
 that ``revpref.garp_verdict``, ``revpref._minimal_cycle`` and
-``afriat._classes_in_order`` replaced.
+``afriat._classes_in_order`` replaced, and the Warshall closure they read.
 
 They are deliberately slow and simple -- a verdict read off the full
 Warshall closure, one Python BFS per violating source, and an
@@ -17,9 +17,17 @@ import numpy as np
 from garpkit.revpref import CycleWitness, GarpVerdict, RevealedRelation
 
 
+def transitive_closure(weak: np.ndarray) -> np.ndarray:
+    """All-pairs reachability by chains of length >= 1 (Warshall)."""
+    closure = weak.copy()
+    for k in range(closure.shape[0]):
+        closure |= closure[:, k : k + 1] & closure[k : k + 1, :]
+    return closure
+
+
 def garp_verdict(rel: RevealedRelation, *, witness: bool = True) -> GarpVerdict:
     """The e-GARP verdict with its violating sources read off the full closure."""
-    if not (rel.closure & rel.strict.T).any():
+    if not (transitive_closure(rel.weak) & rel.strict.T).any():
         return GarpVerdict(holds=True, witness=None)
     return GarpVerdict(holds=False, witness=minimal_cycle(rel) if witness else None)
 
@@ -32,7 +40,7 @@ def minimal_cycle(rel: RevealedRelation) -> CycleWitness:
     edge.  Among minimal-length cycles the lexicographically smallest
     rotation starting at its lowest index is returned.
     """
-    pairs = np.argwhere(rel.closure & rel.strict.T)
+    pairs = np.argwhere(transitive_closure(rel.weak) & rel.strict.T)
     weak = rel.weak
     by_source: dict[int, list[int]] = {}
     for t, s in pairs:

@@ -3,9 +3,10 @@
 ``reference_exact`` keeps the tuple-based cross matrix, the relation double
 loop, the ``Fraction`` candidate set and the exact residual loop.  On random
 tables, on both lanes, the array code must give their values, of their
-types: the cross matrix and its float mirror, the relations at scalar,
-vector and breakpoint efficiencies, the breakpoint candidates, and the
-worst residual of honest and tampered Afriat solutions.
+types: the cross matrix, its ratios and their float mirrors, the relations
+and their closures at scalar, vector and breakpoint efficiencies, the
+breakpoint candidates, and the worst residual of honest and tampered Afriat
+solutions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import reference_exact
+import reference_graph
 import reference_verify
 from conftest import make_twins, random_efficiency, random_tables
 from garpkit import ccei_exact, direct_relations, solve_afriat, validate_dataset
@@ -35,15 +37,21 @@ def _passing_efficiency(exact):
     return max(b for b in result.breakpoints if b < result.value)
 
 
+def _ratios(costs: np.ndarray) -> np.ndarray:
+    """Each cost as a share of its row's own expenditure, in the lane's arithmetic."""
+    return costs / costs.diagonal()[:, None]
+
+
 def _check_cross(dataset, ref):
     cm = cross_expenditures(dataset)
-    got_costs, got_ratios = cm.cost_array.tolist(), cm.ratio_array.tolist()
+    ratios = _ratios(cm.cost_array)
+    got_costs, got_ratios = cm.cost_array.tolist(), ratios.tolist()
     assert got_costs == list(map(list, ref.costs)) and got_ratios == list(map(list, ref.ratios))
     for got, want in ((got_costs, ref.costs), (got_ratios, ref.ratios)):
         assert [_types(row) for row in got] == [_types(row) for row in want]
     # The float64 mirror that exact-lane consumers take with astype(float)
     # is the one the tuples used to build, entry for entry.
-    for got, want in ((cm.cost_array, ref.cost_array), (cm.ratio_array, ref.ratio_array)):
+    for got, want in ((cm.cost_array, ref.cost_array), (ratios, ref.ratio_array)):
         mirror = got.astype(float)
         assert mirror.dtype == want.dtype == np.float64
         assert np.array_equal(mirror, want)
@@ -52,8 +60,9 @@ def _check_cross(dataset, ref):
 def _check_relations(dataset, ref, e):
     got = direct_relations(dataset, e)
     want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset).values)
-    for name in ("weak", "strict", "closure"):
-        a, b = getattr(got, name), getattr(want, name)
+    closure = reference_graph.transitive_closure
+    for name, a, b in (("weak", got.weak, want.weak), ("strict", got.strict, want.strict),
+                       ("closure", closure(got.weak), closure(want.weak))):
         assert a.dtype == b.dtype == bool
         assert np.array_equal(a, b), name
 
@@ -137,14 +146,13 @@ def test_candidates_settle_runs_of_equal_keys(bundles, exact):
 
 def test_each_lane_holds_one_array(base_exact, base_float):
     exact = cross_expenditures(base_exact)
-    assert exact.cost_array.dtype == object and exact.ratio_array.dtype == object
-    for array in (exact.cost_array, exact.ratio_array):
+    assert exact.cost_array.dtype == object and _ratios(exact.cost_array).dtype == object
+    for array in (exact.cost_array, _ratios(exact.cost_array)):
         assert {type(v) for v in array.flat} == {Fraction}
     floats = cross_expenditures(base_float)
-    assert floats.cost_array.dtype == floats.ratio_array.dtype == np.float64
+    assert floats.cost_array.dtype == _ratios(floats.cost_array).dtype == np.float64
     assert floats.cost_array.tolist() == [[2.0, 4.0], [4.0, 8.0]]
-    assert floats.ratio_array.tolist() == [[1.0, 2.0], [0.5, 1.0]]
-    # The constructor takes the one array; the ratios are derived from it.
+    assert _ratios(floats.cost_array).tolist() == [[1.0, 2.0], [0.5, 1.0]]
+    # The constructor takes the one array and holds nothing else.
     built = CrossMatrix(exact.cost_array)
-    assert built.ratio_array.tolist() == exact.ratio_array.tolist()
-    assert built.ratio_array.dtype == object
+    assert built.cost_array is exact.cost_array and list(vars(built)) == ["cost_array"]

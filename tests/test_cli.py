@@ -500,6 +500,26 @@ def test_verify_solves_afriat_once(capsys, monkeypatch, base_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("lane", ["--exact", "--float"])
+def test_verify_builds_and_labels_the_relations_once(capsys, monkeypatch, viol_path, lane):
+    # The solver, budget membership and the duality check all read the
+    # relations at e, so one verify builds them and labels their SCCs once.
+    from garpkit import revpref
+
+    calls = {"_relation": 0, "_components": 0}
+    for name in calls:
+        real = getattr(revpref, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(revpref, name, counted)
+    code, report = run_json(capsys, "verify", viol_path, lane, "--efficiency", "4/5",
+                            "--samples", "20")
+    assert code == EXIT_OK and report["results"]["duality_consistent"] is True
+    assert calls == {"_relation": 1, "_components": 1}
+
+
 @pytest.mark.parametrize("command", ["afriat", "verify"])
 def test_afriat_inequalities_are_checked_once_per_command(capsys, monkeypatch,
                                                           base_path, command):

@@ -214,3 +214,20 @@ def test_float_cost_verifier_passes_the_solvers_own_solution_at_huge_lam():
     solution = solve_afriat(dataset, e)
     report = verify_cost_rationalization(dataset, e, solution, n_samples=200, seed=0)
     assert report.clean, len(report.violations)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: on this table the float cost verifier reports the "
+    "solver's own solution at e* as violated at observation 91 (index 90), "
+    "lhs 141.78056107520746 against rhs 141.78056368946872, and verify exits 1"))
+def test_float_cost_verifier_passes_the_solvers_own_solution_at_e_star():
+    # perfbench's random_table(default_rng(7), 300), at the breakpoint below
+    # its CCEI 14027/22051.
+    rng = np.random.default_rng(7)
+    prices = rng.integers(10, 1001, (300, 10)) / 100
+    bundles = rng.integers(10, 1001, (300, 10)) / 100
+    dataset = validate_dataset(prices.tolist(), bundles.tolist(), exact=False)
+    e = float(Fraction(938451, 1475291))
+    solution = solve_afriat(dataset, e)
+    report = verify_cost_rationalization(dataset, e, solution, n_samples=2000, seed=0)
+    assert report.clean, [(v.observation, v.lhs, v.rhs) for v in report.violations]

@@ -8,7 +8,7 @@ violating cycles.  Every verdict and the class order read one labelling of
 the weak relation's strongly connected components (SCCs), found by
 forward-backward search on the cyclic core; the labels must read the same
 violations and classes as the full closure, on random graphs and at every
-probe of both CCEI searches, and no verdict path may build a closure.  The
+probe of both CCEI searches; the package has no closure to build.  The
 CCEI probes below a failing one build their relations on its cyclic core
 alone, which must hold every cycle: the cores are nested in e.
 """
@@ -41,7 +41,6 @@ from garpkit.revpref import (
     _components,
     _violating_sources,
     garp_verdict,
-    transitive_closure,
 )
 
 EFFICIENCIES = ("1", "0.9", "0.7", "0.5")
@@ -75,7 +74,8 @@ def relation_graphs(draw):
 def assert_matches_reference(rel: RevealedRelation) -> None:
     assert garp_verdict(rel) == reference.garp_verdict(rel)
     assert garp_verdict(rel, witness=False) == reference.garp_verdict(rel, witness=False)
-    assert _classes_in_order(rel) == reference.classes_in_order(rel.closure)
+    closure = reference.transitive_closure(rel.weak)
+    assert _classes_in_order(rel) == reference.classes_in_order(closure)
 
 
 @given(case=lane_cases(max_observations=29))
@@ -132,7 +132,7 @@ def test_long_cycle_witness():
 
 def _scc_reference(weak: np.ndarray) -> np.ndarray:
     """Each node's SCC labelled by its smallest member, off the full closure."""
-    closure = transitive_closure(weak)
+    closure = reference.transitive_closure(weak)
     same = closure & closure.T
     np.fill_diagonal(same, True)
     return same.argmax(axis=1)
@@ -163,7 +163,7 @@ def test_scc_labels_read_the_full_closure(rel, strict_loops):
     # Every SCC of two or more nodes lies in the core.
     multi = np.bincount(label, minlength=weak.shape[0])[label] > 1
     assert np.isin(np.flatnonzero(multi), core).all()
-    violating = rel.closure & strict.T
+    violating = reference.transitive_closure(weak) & strict.T
     full = np.flatnonzero(violating.any(axis=1))
     assert np.array_equal(_violating_sources(split), full)
 
@@ -198,12 +198,19 @@ def _spy(monkeypatch, module, name, record):
 
 
 def _verdict_checker(monkeypatch, probes, current):
-    """Make every CCEI probe also check its verdict and witness against the
-    full-closure reference on the full relation of ``current[0]``, and
-    record the efficiency and the size of the relation it built."""
-    real = ccei._Probes.verdict
+    """Make every CCEI probe, and the e = 1 verdict both searches open with,
+    also check its verdict and witness against the full-closure reference
+    on the full relation of ``current[0]``, and record the efficiency and
+    the size of the relation each probe built."""
+    real_init, real = ccei._Probes.__init__, ccei._Probes.verdict
     built = []
     _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
+
+    def opened(self, dataset):
+        real_init(self, dataset)
+        want = reference.garp_verdict(direct_relations(dataset, 1), witness=False)
+        assert (self.failing is None) == want.holds
+    monkeypatch.setattr(ccei._Probes, "__init__", opened)
 
     def checked(self, e, *, witness=False):
         got = real(self, e, witness=True)
@@ -242,30 +249,40 @@ def test_ccei_probes_build_only_the_last_failing_core(monkeypatch, tmp_path):
     header = ["t"] + [f"p{i}" for i in range(1, 11)] + [f"x{i}" for i in range(1, 11)]
     path.write_text("\n".join([",".join(header)] + [
         ",".join([str(t + 1), *p, *x]) for t, (p, x) in enumerate(zip(prices, bundles))]) + "\n")
-    real = ccei._Probes.verdict
-    built, probes = [], []
+    real_init, real = ccei._Probes.__init__, ccei._Probes.verdict
+    full, opened, built, probes = [], [], [], []
+    # Relations built by direct_relations: their size, and whether at e = 1.
+    _spy(monkeypatch, revpref, "_relation", lambda costs, budgets, *_: full.append(
+        (costs.shape[0], bool((budgets == costs.diagonal()).all()))))
     _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
 
+    def opening(self, dataset):
+        real_init(self, dataset)
+        opened.append((self.failing, self.core.size))
+
     def recorded(self, e, *, witness=False):
-        before = (self.failing, None if self.core is None else self.core.size)
+        before = (self.failing, self.core.size)
         verdict = real(self, e, witness=witness)
         probes.append((e, *before, built[-1], self.core.size))
         return verdict
+    monkeypatch.setattr(ccei._Probes, "__init__", opening)
     monkeypatch.setattr(ccei._Probes, "verdict", recorded)
     code = cli.main(["ccei", str(path), "--float", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    # e = 1 is built once, for both searches, on the whole table; every
-    # later probe at or below the lowest failing efficiency builds on that
-    # probe's core, and only the witness probe above it builds the whole
-    # table again.
-    assert [e for e, *_ in probes].count(1.0) == 1 and probes[0][:2] == (1.0, None)
-    above = [p for p in probes[1:] if p[0] > p[1]]
+    # e = 1 is built once, on the whole table, and both searches open with
+    # its failing verdict and core; no probe builds it again.  Every probe
+    # at or below the lowest failing efficiency builds on that probe's
+    # core, and only the witness probe above it builds the whole table.
+    assert full == [(n, True)]
+    assert len(opened) == 2 and opened[0] == opened[1] and opened[0][0] == 1.0
+    assert all(e < 1 for e, *_ in probes)
+    above = [p for p in probes if p[0] > p[1]]
     assert len(above) <= 1 and all(size == n for *_, size, _ in above)
-    below = [p for p in probes[1:] if p[0] <= p[1]]
+    below = [p for p in probes if p[0] <= p[1]]
     assert len(below) > 40
     assert all(size == core for _, _, core, size, _ in below)
     # The cores shrink to a handful of nodes near the CCEI.
-    assert probes[-1][-1] <= 8 < probes[0][-1]
+    assert probes[-1][-1] <= 8 < opened[0][1]
 
 
 def test_verdict_and_class_order_close_only_the_core(monkeypatch):
@@ -282,8 +299,7 @@ def test_verdict_and_class_order_close_only_the_core(monkeypatch):
     rows = np.r_[np.arange(n - 1), 0]
     ces = validate_dataset(base.price_array[rows].tolist(),
                            base.bundle_array[rows].tolist(), exact=False)
-    closures, labelled, searched = [], [], []
-    _spy(monkeypatch, revpref, "transitive_closure", lambda weak: closures.append(weak.shape[0]))
+    labelled, searched = [], []
     _spy(monkeypatch, revpref, "_components", lambda weak: labelled.append(weak.shape[0]))
     _spy(monkeypatch, revpref, "_scc_of_first", lambda edges: searched.append(edges.shape[0]))
     for dataset, e in ((floats, e_star), (ces, 1.0)):
@@ -292,16 +308,12 @@ def test_verdict_and_class_order_close_only_the_core(monkeypatch):
         searched.clear()
         assert check_e_garp(dataset, e).holds
         solve_afriat(dataset, e)
-        # One labelling per relation: the solver's verdict and class order
-        # share it, and its searches run on the core alone.
-        assert labelled == [n, n] and max(searched, default=0) <= core.size < n
-        ccei.ccei_exact(dataset)
-        assert closures == []
-        rel = direct_relations(dataset, e)
-        closure = rel.closure
-        assert closures == [n] and rel.closure is closure
-        assert np.array_equal(closure, transitive_closure(rel.weak))
-        closures.clear()
+        # One labelling per relation: the verdict, the solver's verdict and
+        # its class order share it, and its searches run on the core alone.
+        assert labelled == [n] and max(searched, default=0) <= core.size < n
+    # No verdict path can build a closure: the package has none.
+    assert not hasattr(revpref, "transitive_closure")
+    assert not hasattr(RevealedRelation, "closure")
 
 
 @st.composite

