@@ -22,8 +22,7 @@ _EXPORTS = {
     "errors": "AfriatInfeasibleError AfriatVerificationError DimensionMismatchError GarpkitError"
               " InfeasibleWasteError InvalidToleranceError LengthMismatchError NegativeBundleError"
               " NonpositivePriceError ParseError ShapeMismatchError TooLargeError ZeroBundleError",
-    "model": "CrossMatrix Dataset EfficiencyVector coerce_efficiency cross_expenditures"
-             " validate_dataset",
+    "model": "Dataset coerce_efficiency cross_expenditures validate_dataset",
     "revpref": "CycleWitness GarpVerdict RevealedRelation check_e_garp direct_relations"
                " validate_witness",
 }

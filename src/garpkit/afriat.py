@@ -53,27 +53,22 @@ from .errors import (
     AfriatVerificationError,
     DimensionMismatchError,
 )
-from .model import (
-    CHECK_RTOL,
-    Dataset,
-    EfficiencyVector,
-    Number,
-    coerce_efficiency,
-    cross_expenditures,
-)
+from .model import CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures
 from .revpref import RevealedRelation, direct_relations, garp_verdict
 
 @dataclass(frozen=True)
 class AfriatSolution:
     """Utility levels and marginal utility weights, one pair per observation.
 
-    ``residual`` is the :func:`worst_residual` that :func:`solve_afriat`
-    checked these numbers against; None on a solution built by hand.
+    ``efficiency`` is the tuple of per-observation deflators the numbers
+    were built at (:func:`.model.coerce_efficiency`).  ``residual`` is the
+    :func:`worst_residual` that :func:`solve_afriat` checked these numbers
+    against; None on a solution built by hand.
     """
 
     phi: tuple[Number, ...]
     lam: tuple[Number, ...]
-    efficiency: EfficiencyVector
+    efficiency: tuple[Number, ...]
     residual: Number | None = field(default=None, compare=False)
 
 
@@ -127,10 +122,10 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
     if not verdict.holds:
         raise AfriatInfeasibleError(verdict.witness)
 
-    costs = cross_expenditures(dataset).cost_array
+    costs = cross_expenditures(dataset)
     n = dataset.n_observations
     zero, one = dataset.number(0), dataset.number(1)
-    slack = costs - (np.array(ev.values, dtype=costs.dtype) * costs.diagonal())[:, None]
+    slack = costs - (np.array(ev, dtype=costs.dtype) * costs.diagonal())[:, None]
 
     phi = np.empty(n, dtype=costs.dtype)
     lam = np.empty(n, dtype=costs.dtype)
@@ -170,10 +165,10 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     stays covered), computed with the IEEE operations, in the order, of the
     pairwise formula: the result is that formula's float.
     """
-    costs = cross_expenditures(dataset).cost_array
+    costs = cross_expenditures(dataset)
     phi = np.array(solution.phi, dtype=costs.dtype)
     lam = np.array(solution.lam, dtype=costs.dtype)
-    own = np.array(solution.efficiency.values, dtype=costs.dtype) * costs.diagonal()
+    own = np.array(solution.efficiency, dtype=costs.dtype) * costs.diagonal()
     floor = None if dataset.exact else np.maximum(1.0, np.abs(phi))
     worst = dataset.number(0)
     # One row t (the inequalities of t toward every s) at a time: T x T
@@ -200,7 +195,7 @@ def evaluate_utility(solution: AfriatSolution, dataset: Dataset, bundle) -> Numb
         raise DimensionMismatchError(
             f"bundle has {len(bundle)} coordinates, dataset has {dataset.n_goods} goods"
         )
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset)
     ev = solution.efficiency
     if dataset.exact:
         coords = [v if isinstance(v, Fraction) else Fraction(v) for v in bundle]
@@ -209,7 +204,7 @@ def evaluate_utility(solution: AfriatSolution, dataset: Dataset, bundle) -> Numb
     best: Number | None = None
     for t in range(dataset.n_observations):
         spend = sum(p * c for p, c in zip(dataset.prices[t], coords))
-        term = solution.phi[t] + solution.lam[t] * (spend - ev[t] * cm.cost_array.item(t, t))
+        term = solution.phi[t] + solution.lam[t] * (spend - ev[t] * costs.item(t, t))
         if best is None or term < best:
             best = term
     return best
@@ -224,7 +219,7 @@ def utility_profile(solution: AfriatSolution, dataset: Dataset) -> tuple[np.ndar
     lam = np.array([float(v) for v in solution.lam])
     phi = np.array([float(v) for v in solution.phi])
     evs = np.array([float(v) for v in solution.efficiency])
-    own = evs * cross_expenditures(dataset).cost_array.diagonal().astype(float)
+    own = evs * cross_expenditures(dataset).diagonal().astype(float)
     gradients = lam[:, None] * dataset.price_array
     offsets = phi - lam * own
     return gradients, offsets

@@ -67,18 +67,18 @@ class CceiResult:
 def _candidates(dataset: Dataset) -> np.ndarray:
     """The distinct ratios in (0, 1], sorted, as one array of the lane's numbers.
 
-    The ratios ``cost_array[t, s] / cost_array[t, t]`` are divided out in
-    one T x T buffer, freed once the ratios in (0, 1] are taken from it;
-    nothing else divides them out.  They are sorted by float64 keys:
-    ``float`` is monotone, so every ratio in (0, 1] has a key in [0, 1],
-    and ratios with different keys are in key order.  A float ratio is its
-    own key, so the float lane sorts in place, with no index array of
-    T^2 / 2 entries; the exact lane gathers its ``Fraction``s in key order.
-    Only a run of equal keys holding different ratios is then sorted in the
-    lane's arithmetic, and only the exact lane has such runs.  The diagonal
-    contributes 1.
+    The ratios ``costs[t, s] / costs[t, t]`` of the cross expenditures are
+    divided out in one T x T buffer, freed once the ratios in (0, 1] are
+    taken from it; nothing else divides them out.  They are sorted by
+    float64 keys: ``float`` is monotone, so every ratio in (0, 1] has a key
+    in [0, 1], and ratios with different keys are in key order.  A float
+    ratio is its own key, so the float lane sorts in place, with no index
+    array of T^2 / 2 entries; the exact lane gathers its ``Fraction``s in key
+    order.  Only a run of equal keys holding different ratios is then sorted
+    in the lane's arithmetic, and only the exact lane has such runs.  The
+    diagonal contributes 1.
     """
-    costs = cross_expenditures(dataset).cost_array
+    costs = cross_expenditures(dataset)
     ratios = (costs / costs.diagonal()[:, None]).ravel()
     try:
         keys = ratios.astype(float, copy=False)
@@ -115,7 +115,7 @@ class _Probes:
     """
 
     def __init__(self, dataset: Dataset):
-        self.costs, self.rel_tol = cross_expenditures(dataset).cost_array, dataset.rel_tol
+        self.costs, self.rel_tol = cross_expenditures(dataset), dataset.rel_tol
         at_one = direct_relations(dataset)
         fails = not garp_verdict(at_one, witness=False).holds
         # The lowest failing efficiency so far, and its cyclic core.

@@ -388,8 +388,7 @@ def _cmd_oracle(dataset: Dataset, args) -> tuple[dict, int]:
 
 
 def _echo_efficiency(dataset: Dataset, e) -> list:
-    ev = coerce_efficiency(e, dataset)
-    return list(map(_lane_encoder(dataset), ev.values))
+    return list(map(_lane_encoder(dataset), coerce_efficiency(e, dataset)))
 
 
 def _cmd_generate(args) -> tuple[dict, dict, int]:
@@ -409,12 +408,12 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
             family=raw.get("family", "cobb_douglas"),
             weights=tuple(raw.get("weights", ())),
             elasticity=raw.get("elasticity"),
-            n_observations=int(raw.get("n_observations", 0)),
+            n_observations=_whole(raw, "n_observations"),
             price_range=tuple(raw.get("price_range", (1.0, 1.0))),
             income_range=tuple(raw.get("income_range", (1.0, 1.0))),
             waste=raw.get("waste", 0.0) if isinstance(raw.get("waste", 0.0), (int, float))
             else tuple(raw.get("waste")),
-            seed=int(raw.get("seed", 0)),
+            seed=_whole(raw, "seed"),
         )
     except (ValueError, TypeError, OverflowError) as err:
         raise ParseError(args.config, str(err)) from err
@@ -430,6 +429,16 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         "ccei": _lane_encoder(dataset)(index.value),
     }
     return _dataset_block(dataset), results, EXIT_OK
+
+
+def _whole(raw: dict, key: str) -> int:
+    """``raw[key]`` (default 0) as an int; a float with a fractional part is
+    refused rather than truncated."""
+    value = raw.get(key, 0)
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return number
 
 
 def _write_dataset(dataset: Dataset, path: str) -> None:

@@ -345,19 +345,19 @@ def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filt
 
 
 def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
-    """What both verifiers sample with: ``(ev, cm, gradients, offsets, own,
-    flt, levels)``, the last three None on the float lane.
+    """What both verifiers sample with: ``(ev, budgets, gradients, offsets,
+    own, flt, levels)``, the last three None on the float lane.
 
-    ``ev`` is the efficiency, ``cm`` the cross expenditures, and
-    ``gradients`` and ``offsets`` the ``utility_profile``.  Points are drawn
-    in float64 from mirrors of the prices, bundles, cross expenditures and
-    utility; exact data with an entry that overflows, or a nonzero one that
-    underflows out of the normal range, is refused, as it would draw them
-    from other data.  On the exact lane ``own[s]`` is ``e[s] * costs[s][s]``
-    at the solution's efficiency, ``flt`` the filter, and ``levels[t]`` the
-    exact ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``, so it needs no dot
-    products, and only the pieces whose float bracket can reach the minimum
-    are evaluated exactly.
+    ``ev`` is the efficiency, ``budgets[t]`` the deflated budget ``e[t] *
+    costs[t][t]``, and ``gradients`` and ``offsets`` the
+    ``utility_profile``.  Points are drawn in float64 from mirrors of the
+    prices, bundles, cross expenditures and utility; exact data with an
+    entry that overflows, or a nonzero one that underflows out of the normal
+    range, is refused, as it would draw them from other data.  On the exact
+    lane ``own[s]`` is ``e[s] * costs[s][s]`` at the solution's efficiency,
+    ``flt`` the filter, and ``levels[t]`` the exact ``U(x[t])``: ``p[s] .
+    x[t]`` is ``costs[s][t]``, so it needs no dot products, and only the
+    pieces whose float bracket can reach the minimum are evaluated exactly.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -365,12 +365,13 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
             "the recovered utility is not increasing"
         )
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
+    costs = cross_expenditures(dataset)
+    budgets = [v * c for v, c in zip(ev, costs.diagonal().tolist())]
     if not dataset.exact:
-        return (ev, cm, *utility_profile(solution, dataset), None, None, None)
+        return (ev, budgets, *utility_profile(solution, dataset), None, None, None)
     try:
         prices, bundles = dataset.price_array, dataset.bundle_array
-        costs_f = cm.cost_array.astype(float)
+        costs_f = costs.astype(float)
         gradients, offsets = utility_profile(solution, dataset)
     except OverflowError:
         ok = False
@@ -385,7 +386,6 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
             "a float64 mirror of the prices, bundles and recovered utility, "
             "and that mirror overflows or underflows"
         )
-    costs = cm.cost_array
     own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
     flt = _make_filter(dataset, solution, own)
     lo, hi = flt.terms(costs_f.T)
@@ -394,7 +394,7 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
             for s in np.flatnonzero(row).tolist())
         for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
     ]
-    return ev, cm, gradients, offsets, own, flt, levels
+    return ev, budgets, gradients, offsets, own, flt, levels
 
 
 def _neighbours(value) -> tuple[float, float]:
@@ -432,7 +432,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    ev, cm, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
+    ev, budgets, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
@@ -443,7 +443,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exact_certified = 0
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.cost_array.item(t, t)
+        budget = budgets[t]
         budget_f = float(budget)
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
@@ -631,7 +631,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    ev, cm, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
+    ev, budgets, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
     n = dataset.n_observations
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
@@ -651,7 +651,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exact_certified = nudged = dropped = 0
     for t in range(n):
         rng = rngs[t]
-        budget = ev[t] * cm.cost_array.item(t, t)
+        budget = budgets[t]
         budget_f = float(budget)
         price_f = dataset.price_array[t]
         level_f = float(observed_values[t])

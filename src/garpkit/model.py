@@ -19,11 +19,15 @@ Two arithmetic lanes are supported:
   ties that differ only by rounding noise.
 
 The lane is chosen at validation time and travels with the ``Dataset``; all
-other modules read it from there.  Each lane holds its cross expenditures
-in one numpy array -- float64 on the float lane, an object array of
-``Fraction`` on the exact lane -- so the relations, breakpoints and Afriat
-residuals downstream run one array code path on both lanes, with
-:func:`leq_array`/:func:`lt_array` as the one comparison rule.
+other modules read it from there.  :func:`cross_expenditures` returns the
+cross expenditures as one numpy array -- float64 on the float lane, an
+object array of ``Fraction`` on the exact lane -- so the relations,
+breakpoints and Afriat residuals downstream run one array code path on both
+lanes, with :func:`leq_array`/:func:`lt_array` as the one comparison rule.
+An efficiency is a plain tuple of the lane's numbers
+(:func:`coerce_efficiency`).  The ``Dataset`` caches its cross expenditures,
+and the last relations :func:`.revpref.direct_relations` built for it, so
+both live exactly as long as the dataset.
 
 The float lane's tolerance policy is two numbers, both defined here.
 :data:`COMPARE_RTOL` (1e-12) is the tolerance of the e-GARP comparisons, so
@@ -179,9 +183,18 @@ class Dataset:
         return np.array([[float(v) for v in row] for row in self.bundles])
 
     @cached_property
-    def _cross(self) -> CrossMatrix:
-        # Cached on the instance, so a lookup never hashes the whole table.
-        return _compute_cross(self)
+    def _cross(self) -> np.ndarray:
+        # Cached on the instance, so a lookup never hashes the whole table;
+        # read-only, because every caller shares it.
+        costs = _compute_cross(self)
+        costs.flags.writeable = False
+        return costs
+
+    @cached_property
+    def _last_relations(self) -> list:
+        # One slot, ``[efficiency, relations]``: the last relations that
+        # ``revpref.direct_relations`` built for this dataset.
+        return [None, None]
 
 
 def validate_dataset(prices, bundles, *, exact: bool | None = None) -> Dataset:
@@ -239,28 +252,17 @@ def validate_dataset(prices, bundles, *, exact: bool | None = None) -> Dataset:
     return Dataset(prices=price_table, bundles=bundle_table, exact=exact)
 
 
-class CrossMatrix:
-    """Cross expenditures for one dataset.
+def cross_expenditures(dataset: Dataset) -> np.ndarray:
+    """The T x T cross expenditures of ``dataset``, computed once per dataset.
 
-    ``cost_array[t, s]`` is the cost of bundle ``s`` at the prices of
-    observation ``t``, so ``cost_array[t, t]`` is the expenditure actually
-    incurred at ``t``.  Each lane holds this one array: float64 on the float
-    lane, and an object array of exact ``Fraction`` entries on the exact
-    lane, whose elementwise operations are the exact ones.  Code that needs
-    a float64 mirror of exact data converts with ``.astype(float)`` where it
-    needs it.
-    """
-
-    def __init__(self, cost_array: np.ndarray):
-        self.cost_array = cost_array
-
-
-def cross_expenditures(dataset: Dataset) -> CrossMatrix:
-    """The cross-expenditure matrix of ``dataset``, computed once per dataset.
-
-    Strictly positive everywhere: prices are positive and bundles nonzero.
-    On the exact lane every entry is a ``Fraction``; on the float lane the
-    products are accumulated in float64.
+    Entry ``[t, s]`` is the cost of bundle ``s`` at the prices of
+    observation ``t``, so the diagonal holds the expenditures actually
+    incurred.  Strictly positive everywhere: prices are positive and bundles
+    nonzero.  Float64 on the float lane, where the products are accumulated
+    in float64; an object array of exact ``Fraction`` entries on the exact
+    lane, whose elementwise operations are the exact ones.  Shared, so
+    read-only; code that needs a float64 mirror of exact data converts with
+    ``.astype(float)`` where it needs it.
 
     Raises:
         GarpkitError: on the float lane, some entry overflows float64 or
@@ -276,7 +278,7 @@ def _integer_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nums, dtype=object), np.array(dens, dtype=object)
 
 
-def _compute_cross(dataset: Dataset) -> CrossMatrix:
+def _compute_cross(dataset: Dataset) -> np.ndarray:
     if not dataset.exact:
         with np.errstate(over="ignore"):
             costs = dataset.price_array @ dataset.bundle_array.T
@@ -285,27 +287,11 @@ def _compute_cross(dataset: Dataset) -> CrossMatrix:
                 "float data outside the float64 range: a cross expenditure "
                 "p[t] . x[s] overflows or underflows to zero"
             )
-        return CrossMatrix(costs)
+        return costs
     # One integer matmul, then one Fraction (one gcd) per entry.
     pn, pd = _integer_rows(dataset.prices)
     xn, xd = _integer_rows(dataset.bundles)
-    return CrossMatrix(np.frompyfunc(Fraction, 2, 1)(pn @ xn.T, np.outer(pd, xd)))
-
-
-@dataclass(frozen=True)
-class EfficiencyVector:
-    """Per-observation budget deflators, each in (0, 1]."""
-
-    values: tuple[Number, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, idx: int) -> Number:
-        return self.values[idx]
+    return np.frompyfunc(Fraction, 2, 1)(pn @ xn.T, np.outer(pd, xd))
 
 
 def _efficiency_entry(value, exact: bool) -> Number:
@@ -319,21 +305,19 @@ def _efficiency_entry(value, exact: bool) -> Number:
     return float(Fraction(value)) if isinstance(value, str) else float(value)
 
 
-def coerce_efficiency(e, dataset: Dataset) -> EfficiencyVector:
-    """Normalise ``e`` into an :class:`EfficiencyVector` for ``dataset``.
+def coerce_efficiency(e, dataset: Dataset) -> tuple[Number, ...]:
+    """Normalise ``e`` into a tuple of the lane's numbers, one per observation.
 
-    Accepts an existing vector, a scalar (broadcast to every observation),
-    or a sequence with one entry per observation.  Entries must satisfy
-    0 < e <= 1; the bounds are checked exactly in both lanes.
+    Accepts a scalar (broadcast to every observation) or a sequence with one
+    entry per observation.  Entries must satisfy 0 < e <= 1; the bounds are
+    checked exactly in both lanes.
 
     Raises:
         LengthMismatchError: a sequence of the wrong length was given.
         ValueError: an entry is outside (0, 1].
     """
     n = dataset.n_observations
-    if isinstance(e, EfficiencyVector):
-        raw = list(e.values)
-    elif isinstance(e, (int, float, str, Fraction, Decimal)):
+    if isinstance(e, (int, float, str, Fraction, Decimal)):
         raw = [e] * n
     else:
         raw = list(e)
@@ -345,4 +329,4 @@ def coerce_efficiency(e, dataset: Dataset) -> EfficiencyVector:
     for v in values:
         if not (0 < v <= 1):
             raise ValueError(f"efficiency coefficient {v!r} is outside (0, 1]")
-    return EfficiencyVector(values)
+    return values

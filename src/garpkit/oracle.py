@@ -10,8 +10,6 @@ MAX_OBSERVATIONS observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
 
 from .errors import TooLargeError
 from .model import Dataset, Number, coerce_efficiency
@@ -29,7 +27,6 @@ _CHECK_RTOL = 1e-9
 class OracleVerdict:
     garp_holds: bool
     violating_cycles: tuple[tuple[int, ...], ...]
-    ccei_value: Optional[Number] = None
 
 
 def _guard_size(dataset: Dataset) -> None:
@@ -97,7 +94,7 @@ def garp_oracle(dataset: Dataset, e=1) -> OracleVerdict:
     """
     _guard_size(dataset)
     ev = coerce_efficiency(e, dataset)
-    weak, strict = _direct(dataset, ev.values)
+    weak, strict = _direct(dataset, ev)
     bad = []
     for cycle in _simple_cycles(weak, dataset.n_observations):
         if any(strict[cycle[i], cycle[i + 1]] for i in range(len(cycle) - 1)):
@@ -165,7 +162,7 @@ def ordinal_oracle(dataset: Dataset, e=1) -> bool:
     """
     _guard_size(dataset)
     ev = coerce_efficiency(e, dataset)
-    weak, strict = _direct(dataset, ev.values)
+    weak, strict = _direct(dataset, ev)
     n = dataset.n_observations
     edges = []
     for t in range(n):

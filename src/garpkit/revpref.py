@@ -14,11 +14,11 @@ so no strict link joins two observations of one strongly connected component
 Smeulders & Spieksma, JOTA 2015).  Every graph question about the relations
 goes through this module.  :func:`direct_relations` builds a dataset's
 relations at an efficiency vector and keeps the last ones it built, read
-only, so every verdict, the Afriat class order (:mod:`.afriat`) and budget
-membership (:mod:`.duality`) at that e share one build.  A
-:class:`RevealedRelation` labels its SCCs once, by forward-backward search
-(Fleischer, Hendrickson & Pinar 2000).  A failing verdict is certified by a
-minimal violating cycle (see ``_minimal_cycle``).
+only, on the dataset, so every verdict, the Afriat class order
+(:mod:`.afriat`) and budget membership (:mod:`.duality`) at that e share
+one build.  A :class:`RevealedRelation` labels its SCCs once, by
+forward-backward search (Fleischer, Hendrickson & Pinar 2000).  A failing
+verdict is certified by a minimal violating cycle (see ``_minimal_cycle``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -148,29 +147,22 @@ def _violating_sources(rel: RevealedRelation) -> np.ndarray:
     return np.flatnonzero((rel.strict & (label[:, None] == label)).any(axis=0))
 
 
-# Per cross matrix, so per dataset: (efficiency values, their relations),
-# the last ones built.
-_LAST: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
     """The weak and strict relations at efficiency e, read-only.
 
-    ``e`` may be a scalar, a sequence with one entry per observation, or an
-    :class:`EfficiencyVector`.  The last relations built for a dataset are
-    kept, so asking again at the same efficiency values returns the same
-    object, with its SCC labels.
+    ``e`` may be a scalar or a sequence with one entry per observation.
+    The dataset keeps the last relations built for it, in one slot, so
+    asking again at the same efficiency values returns the same object, with
+    its SCC labels.  The slot compares the values with ``!=`` rather than
+    hashing them, which would cost T ``Fraction`` hashes per lookup.
     """
     ev = coerce_efficiency(e, dataset)
-    cm = cross_expenditures(dataset)
-    last = _LAST.get(cm)
-    if last is not None and last[0] == ev.values:
-        return last[1]
-    costs = cm.cost_array
-    budgets = np.array(ev.values, dtype=costs.dtype) * costs.diagonal()
-    rel = _relation(costs, budgets, dataset.rel_tol)
-    _LAST[cm] = ev.values, rel
-    return rel
+    slot = dataset._last_relations
+    if slot[0] != ev:
+        costs = cross_expenditures(dataset)
+        budgets = np.array(ev, dtype=costs.dtype) * costs.diagonal()
+        slot[:] = ev, _relation(costs, budgets, dataset.rel_tol)
+    return slot[1]
 
 
 def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,

@@ -77,7 +77,7 @@ def random_efficiency(rng, exact_dataset, allow_vector=True):
 
     def one_scalar():
         if rng.random() < 0.35:
-            costs = cross_expenditures(exact_dataset).cost_array
+            costs = cross_expenditures(exact_dataset)
             ratios = costs / costs.diagonal()[:, None]
             pool = sorted(
                 {r for r in ratios.flat if 0 < r <= 1}

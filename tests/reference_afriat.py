@@ -27,7 +27,7 @@ def solve_afriat(dataset, e=1) -> AfriatSolution:
     if not verdict.holds:
         raise AfriatInfeasibleError(verdict.witness)
 
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     zero: Number = Fraction(0) if dataset.exact else 0.0
     one: Number = Fraction(1) if dataset.exact else 1.0

@@ -56,7 +56,7 @@ def _ray_level_points(rng, gradients, offsets, level: float,
 
 
 def worst_residual(solution: AfriatSolution, dataset: Dataset):
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     ev = solution.efficiency
     n = dataset.n_observations
     worst = Fraction(0) if dataset.exact else 0.0
@@ -82,7 +82,7 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset):
 def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                   n_samples: int, seed: int) -> VerificationReport:
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -132,7 +132,7 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                        n_samples: int, seed: int) -> VerificationReport:
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -195,7 +195,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     if not dataset.exact:
         return _float_verify_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
@@ -251,7 +251,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     if not dataset.exact:
         return _float_verify_cost_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).cost_array.tolist()
+    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)

@@ -23,7 +23,7 @@ from conftest import make_twins, random_efficiency, random_tables
 from garpkit import ccei_exact, direct_relations, solve_afriat, validate_dataset
 from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.ccei import _candidates
-from garpkit.model import CrossMatrix, coerce_efficiency, cross_expenditures
+from garpkit.model import coerce_efficiency, cross_expenditures
 
 
 def _types(values) -> list[type]:
@@ -43,15 +43,15 @@ def _ratios(costs: np.ndarray) -> np.ndarray:
 
 
 def _check_cross(dataset, ref):
-    cm = cross_expenditures(dataset)
-    ratios = _ratios(cm.cost_array)
-    got_costs, got_ratios = cm.cost_array.tolist(), ratios.tolist()
+    costs = cross_expenditures(dataset)
+    ratios = _ratios(costs)
+    got_costs, got_ratios = costs.tolist(), ratios.tolist()
     assert got_costs == list(map(list, ref.costs)) and got_ratios == list(map(list, ref.ratios))
     for got, want in ((got_costs, ref.costs), (got_ratios, ref.ratios)):
         assert [_types(row) for row in got] == [_types(row) for row in want]
     # The float64 mirror that exact-lane consumers take with astype(float)
     # is the one the tuples used to build, entry for entry.
-    for got, want in ((cm.cost_array, ref.cost_array), (ratios, ref.ratio_array)):
+    for got, want in ((costs, ref.cost_array), (ratios, ref.ratio_array)):
         mirror = got.astype(float)
         assert mirror.dtype == want.dtype == np.float64
         assert np.array_equal(mirror, want)
@@ -59,7 +59,7 @@ def _check_cross(dataset, ref):
 
 def _check_relations(dataset, ref, e):
     got = direct_relations(dataset, e)
-    want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset).values)
+    want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset))
     closure = reference_graph.transitive_closure
     for name, a, b in (("weak", got.weak, want.weak), ("strict", got.strict, want.strict),
                        ("closure", closure(got.weak), closure(want.weak))):
@@ -146,13 +146,10 @@ def test_candidates_settle_runs_of_equal_keys(bundles, exact):
 
 def test_each_lane_holds_one_array(base_exact, base_float):
     exact = cross_expenditures(base_exact)
-    assert exact.cost_array.dtype == object and _ratios(exact.cost_array).dtype == object
-    for array in (exact.cost_array, _ratios(exact.cost_array)):
+    assert exact.dtype == object and _ratios(exact).dtype == object
+    for array in (exact, _ratios(exact)):
         assert {type(v) for v in array.flat} == {Fraction}
     floats = cross_expenditures(base_float)
-    assert floats.cost_array.dtype == _ratios(floats.cost_array).dtype == np.float64
-    assert floats.cost_array.tolist() == [[2.0, 4.0], [4.0, 8.0]]
-    assert _ratios(floats.cost_array).tolist() == [[1.0, 2.0], [0.5, 1.0]]
-    # The constructor takes the one array and holds nothing else.
-    built = CrossMatrix(exact.cost_array)
-    assert built.cost_array is exact.cost_array and list(vars(built)) == ["cost_array"]
+    assert floats.dtype == _ratios(floats).dtype == np.float64
+    assert floats.tolist() == [[2.0, 4.0], [4.0, 8.0]]
+    assert _ratios(floats).tolist() == [[1.0, 2.0], [0.5, 1.0]]

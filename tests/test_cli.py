@@ -323,6 +323,15 @@ def test_generate_pipeline(capsys, tmp_path):
     assert report["results"]["ccei_exact"] == 1.0
 
 
+def test_generate_takes_whole_floats_as_counts_and_seeds(capsys, tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text('{"weights": [0.25, 0.75], "n_observations": 3.0, "seed": 2.0}')
+    code, report = run_json(capsys, "generate", "--config", str(config),
+                            "--data-out", str(tmp_path / "d.csv"))
+    assert code == EXIT_OK
+    assert report["results"]["observations"] == 3 and report["results"]["seed"] == 2
+
+
 def test_generate_rejects_unknown_keys(capsys, tmp_path):
     config = tmp_path / "gen.json"
     config.write_text('{"family": "cobb_douglas", "weights": [1.0], '
@@ -348,6 +357,14 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
                  '"n_observations": 3}',
                  "weights must be a nonempty tuple of positive finite numbers",
                  id="weights-1e400"),
+    # A count or seed with a fractional part is refused, not truncated.
+    pytest.param('{"weights": [1.0], "n_observations": 3.9}',
+                 "n_observations must be a whole number, got 3.9",
+                 id="n_observations-fractional"),
+    pytest.param('{"weights": [1.0], "n_observations": 3, "seed": 2.7}',
+                 "seed must be a whole number, got 2.7", id="seed-fractional"),
+    pytest.param('{"weights": [1.0], "n_observations": 3, "seed": 1e400}',
+                 "cannot convert float infinity to integer", id="seed-1e400"),
 ])
 def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
                                                          report_validator, value, message):
@@ -608,7 +625,7 @@ def test_commands_load_only_the_modules_they_run(viol_path):
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
-    assert done.stdout.split() == ["41", "True"], done.stderr
+    assert done.stdout.split() == ["39", "True"], done.stderr
 
 
 def test_float_ccei_fingerprints_without_openssl(viol_path):

@@ -35,9 +35,9 @@ def test_cheaper_swap_coexists_with_cost_rationalization(base_exact):
     # Swapping the two bundles would cost 4 + 4 = 8 instead of 2 + 8 = 10,
     # yet per-observation cost-rationalization still verifies clean: the
     # saving says nothing about points weakly better than the chosen ones.
-    cm = cross_expenditures(base_exact)
-    swapped = cm.cost_array[0, 1] + cm.cost_array[1, 0]
-    observed = cm.cost_array[0, 0] + cm.cost_array[1, 1]
+    costs = cross_expenditures(base_exact)
+    swapped = costs[0, 1] + costs[1, 0]
+    observed = costs[0, 0] + costs[1, 1]
     assert swapped == 8 and observed == 10 and swapped < observed
     sol = solve_afriat(base_exact)
     cost = verify_cost_rationalization(base_exact, 1, sol, n_samples=400, seed=5)
@@ -83,18 +83,6 @@ def test_float_lane_clean_on_random_feasible_data():
     assert rat.clean and cost.clean
     assert rat.total_samples >= 6 * 2000
     assert check_duality_garp(ds, 0.4, [rat, cost])
-
-
-def test_float_verifiers_read_the_array_not_the_tuple_view():
-    # Budgets come from the diagonal of cost_array; the T x T tuple view
-    # of the cross expenditures is never built on the float lane.
-    rng = np.random.default_rng(101)
-    ds = validate_dataset(rng.uniform(0.1, 10.0, (8, 3)).tolist(),
-                          rng.uniform(0.1, 10.0, (8, 3)).tolist(), exact=False)
-    sol = solve_afriat(ds, 0.4)
-    verify_rationalization(ds, 0.4, sol, n_samples=50, seed=0)
-    verify_cost_rationalization(ds, 0.4, sol, n_samples=50, seed=0)
-    assert "costs" not in vars(cross_expenditures(ds))
 
 
 def test_exact_verifiers_convert_the_cross_expenditures_once(monkeypatch):

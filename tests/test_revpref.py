@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_exact
 from conftest import make_twins, random_tables
-from garpkit import check_e_garp, validate_dataset
+from garpkit import check_e_garp, solve_afriat, validate_dataset, verify_rationalization
 from garpkit.model import coerce_efficiency
 from garpkit.revpref import direct_relations, validate_witness
 from reference_graph import transitive_closure
@@ -105,10 +107,35 @@ def test_relations_at_alternating_efficiencies_match_fresh_builds():
         e2 = [dataset.number(v) / 100 for v in rng.integers(50, 101, 12).tolist()]
         for e in (1, e2, 1):
             got = direct_relations(dataset, e)
-            want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset).values)
+            want = reference_exact.relations(dataset, ref, coerce_efficiency(e, dataset))
             assert np.array_equal(got.weak, want.weak)
             assert np.array_equal(got.strict, want.strict)
             assert direct_relations(dataset, e) is got
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kept_relations_live_as_long_as_their_dataset(exact):
+    # The relations are kept on the dataset itself: they die with it, and a
+    # fresh dataset with the same values builds its own.
+    def dataset():
+        return validate_dataset([(1, 1), (2, 2)], [(1, 1), (2, 2)], exact=exact)
+
+    first = dataset()
+    rel = direct_relations(first)
+    solution = solve_afriat(first)
+    assert verify_rationalization(first, 1, solution, n_samples=20, seed=0).clean
+    assert direct_relations(first) is rel
+    second = dataset()
+    assert second == first
+    fresh = direct_relations(second)
+    assert fresh is not rel
+    assert np.array_equal(fresh.weak, rel.weak) and np.array_equal(fresh.strict, rel.strict)
+    assert direct_relations(first) is rel
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None
+    assert direct_relations(second) is fresh
 
 
 def test_tampered_witness_rejected(viol_exact):

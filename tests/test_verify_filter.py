@@ -468,7 +468,7 @@ def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
     shifted = AfriatSolution(tiny, solution.lam, solution.efficiency)
     flt = duality._set_up(base_exact, 1, shifted)[5]
     points = np.vstack([np.zeros((1, base_exact.n_goods)), base_exact.bundle_array])
-    for spend in (points @ flt.prices.T, cross_expenditures(base_exact).cost_array.astype(float)):
+    for spend in (points @ flt.prices.T, cross_expenditures(base_exact).astype(float)):
         lo, hi = flt.terms(spend)
         assert np.isneginf(lo).all() and np.isposinf(hi).all()
     for fast, slow in VERIFIERS:
