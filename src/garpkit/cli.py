@@ -404,6 +404,9 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
     if unknown:
         raise ParseError(args.config, f"unknown config keys: {sorted(unknown)}")
     try:
+        for key in ("weights", "elasticity", "n_observations", "price_range",
+                    "income_range", "waste", "seed"):
+            _refuse_non_numbers(raw, key)
         spec = _cli.GeneratorSpec(
             family=raw.get("family", "cobb_douglas"),
             weights=tuple(raw.get("weights", ())),
@@ -429,6 +432,16 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         "ccei": _lane_encoder(dataset)(index.value),
     }
     return _dataset_block(dataset), results, EXIT_OK
+
+
+def _refuse_non_numbers(raw: dict, key: str) -> None:
+    """Refuse a JSON boolean or string in ``raw[key]``, or in the list it
+    holds, where the config wants numbers: ``int`` and ``float`` would take
+    ``true`` as 1 and ``"4"`` as 4."""
+    value = raw.get(key)
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, (bool, str)):
+            raise ValueError(f"{key} must hold JSON numbers, got {item!r}")
 
 
 def _whole(raw: dict, key: str) -> int:

@@ -50,6 +50,14 @@ or nothing per observation: if any sample fails it, every sample of that
 observation is evaluated on all T pieces, so reports are identical with
 and without the screen.
 
+U at the observed bundles is one decision per call: :func:`_set_up` takes
+it for all T bundles in one ``T x T`` product, and on the float lane both
+verifiers read an observed bundle's value there, as the level ``U(x[t])``
+and as a sample, so the two halves of the duality test against the same
+level and no observed bundle is evaluated twice.  That product is one
+block of T rows, and is not split: a BLAS product over fewer rows may
+round differently.
+
 Each per-observation T-wide product ``points @ gradients.T`` -- of the
 box draws and the rays of the cost verifier, and of the budget samples
 that fail the screen -- runs in row blocks, so no observation holds a
@@ -58,15 +66,17 @@ that fail the screen -- runs in row blocks, so no observation holds a
 block stays large next to the Python work around it (:func:`_block_rows`).
 The cost verifier writes its blocks into one ``(2, B, T)`` workspace per
 call, and the rationalization check into one ``(B, T)`` workspace per
-observation that fails the screen; the once-per-call ``T x T`` values of
-the observed bundles are not blocked.  All of an observation's points are drawn before
-its first block, and every row is computed on its own, so blocks change no
-draw.  A BLAS product over a block of rows need not round exactly like the
-same rows of one product over all of them: with OpenBLAS 0.3.31, entries
-of the last few columns of a T = 300 product can differ by a few ulps
-between the two.  So a sample can change sides only when its value lies
-within a few ulps of the level or threshold it is tested against, exactly
-as it can between two BLAS builds.
+observation that fails the screen.  One kernel, :func:`_utility_values`,
+evaluates U a block at a time; only the ray search in
+:func:`_ray_level_points` walks its blocks itself.  All of an
+observation's points are drawn before its first block, and every row is
+computed on its own, so blocks change no draw.  A BLAS product over a
+block of rows need not round exactly like the same rows of one product
+over all of them: with OpenBLAS 0.3.31, entries of the last few columns
+of a T = 300 product can differ by a few ulps between the two.  So a
+sample can change sides only when its value lies within a few ulps of the
+level or threshold it is tested against, exactly as it can between two
+BLAS builds.
 
 The float cost check is the cost half of the duality, and one inequality
 settles it: piece t of U is a supporting hyperplane through ``x[t]``, so a
@@ -187,12 +197,16 @@ def _row_blocks(n_rows: int, size: int) -> list[slice]:
     return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
 
 
-def _piece_values(points: np.ndarray, gradients: np.ndarray, offsets: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Every piece of U at every point, ``points @ gradients.T + offsets``,
-    written into the first ``len(points)`` rows of ``out``."""
-    values = np.matmul(points, gradients.T, out=out[:points.shape[0]])
-    np.add(values, offsets, out=values)
+def _utility_values(points: np.ndarray, gradients: np.ndarray, offsets: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """U at every point, the minimum over pieces of ``points @ gradients.T +
+    offsets``, taken ``len(work)`` rows at a time in the ``(B, T)`` float64
+    workspace ``work``."""
+    values = np.empty(points.shape[0])
+    for rows in _row_blocks(points.shape[0], work.shape[0]):
+        block = np.matmul(points[rows], gradients.T, out=work[:rows.stop - rows.start])
+        np.add(block, offsets, out=block)
+        np.min(block, axis=1, out=values[rows])
     return values
 
 
@@ -346,18 +360,21 @@ def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filt
 
 def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     """What both verifiers sample with: ``(ev, budgets, gradients, offsets,
-    own, flt, levels)``, the last three None on the float lane.
+    observed, own, flt, levels)``, the last three None on the float lane.
 
     ``ev`` is the efficiency, ``budgets[t]`` the deflated budget ``e[t] *
     costs[t][t]``, and ``gradients`` and ``offsets`` the
-    ``utility_profile``.  Points are drawn in float64 from mirrors of the
-    prices, bundles, cross expenditures and utility; exact data with an
-    entry that overflows, or a nonzero one that underflows out of the normal
-    range, is refused, as it would draw them from other data.  On the exact
-    lane ``own[s]`` is ``e[s] * costs[s][s]`` at the solution's efficiency,
-    ``flt`` the filter, and ``levels[t]`` the exact ``U(x[t])``: ``p[s] .
-    x[t]`` is ``costs[s][t]``, so it needs no dot products, and only the
-    pieces whose float bracket can reach the minimum are evaluated exactly.
+    ``utility_profile``.  ``observed[t]`` is the float ``U(x[t])``, taken for
+    all T bundles in one product: every float comparison that involves an
+    observed bundle, as a level or as a sample, reads it there.  Points are
+    drawn in float64 from mirrors of the prices, bundles, cross expenditures
+    and utility; exact data with an entry that overflows, or a nonzero one
+    that underflows out of the normal range, is refused, as it would draw
+    them from other data.  On the exact lane ``own[s]`` is ``e[s] *
+    costs[s][s]`` at the solution's efficiency, ``flt`` the filter, and
+    ``levels[t]`` the exact ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``,
+    so it needs no dot products, and only the pieces whose float bracket can
+    reach the minimum are evaluated exactly.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -367,34 +384,38 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     ev = coerce_efficiency(e, dataset)
     costs = cross_expenditures(dataset)
     budgets = [v * c for v, c in zip(ev, costs.diagonal().tolist())]
+    own = flt = levels = None
     if not dataset.exact:
-        return (ev, budgets, *utility_profile(solution, dataset), None, None, None)
-    try:
-        prices, bundles = dataset.price_array, dataset.bundle_array
-        costs_f = costs.astype(float)
         gradients, offsets = utility_profile(solution, dataset)
-    except OverflowError:
-        ok = False
     else:
-        zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
-        ok = (_normal(prices).all() and _normal(costs_f).all()
-              and (_normal(bundles) | zero).all()
-              and np.isfinite(gradients).all() and np.isfinite(offsets).all())
-    if not ok:
-        raise GarpkitError(
-            "exact data outside the float64 range: sampling draws points from "
-            "a float64 mirror of the prices, bundles and recovered utility, "
-            "and that mirror overflows or underflows"
-        )
-    own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
-    flt = _make_filter(dataset, solution, own)
-    lo, hi = flt.terms(costs_f.T)
-    levels = [
-        min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s])
-            for s in np.flatnonzero(row).tolist())
-        for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
-    ]
-    return ev, budgets, gradients, offsets, own, flt, levels
+        try:
+            prices, bundles = dataset.price_array, dataset.bundle_array
+            costs_f = costs.astype(float)
+            gradients, offsets = utility_profile(solution, dataset)
+        except OverflowError:
+            ok = False
+        else:
+            zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
+            ok = (_normal(prices).all() and _normal(costs_f).all()
+                  and (_normal(bundles) | zero).all()
+                  and np.isfinite(gradients).all() and np.isfinite(offsets).all())
+        if not ok:
+            raise GarpkitError(
+                "exact data outside the float64 range: sampling draws points from "
+                "a float64 mirror of the prices, bundles and recovered utility, "
+                "and that mirror overflows or underflows"
+            )
+        own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
+        flt = _make_filter(dataset, solution, own)
+        lo, hi = flt.terms(costs_f.T)
+        levels = [
+            min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s])
+                for s in np.flatnonzero(row).tolist())
+            for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
+        ]
+    n = dataset.n_observations
+    observed = _utility_values(dataset.bundle_array, gradients, offsets, np.empty((n, n)))
+    return ev, budgets, gradients, offsets, observed, own, flt, levels
 
 
 def _neighbours(value) -> tuple[float, float]:
@@ -425,14 +446,17 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     (a scaled point gets a bracket of its own), and evaluates U in full only
     for a violation.  On the float lane an observation whose own piece
     clears every sample is clean without evaluating the other pieces
-    (:func:`_own_piece_clears`); otherwise its samples are evaluated on all
-    T pieces, a block of rows at a time.
+    (:func:`_own_piece_clears`); otherwise its drawn samples are evaluated
+    on all T pieces, a block of rows at a time, and its observed bundles
+    take their values, as its level does, from the one product of
+    :func:`_set_up`.
 
     Raises:
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    ev, budgets, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
+    ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
+        dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
@@ -485,15 +509,16 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     rhs=float(level),
                 ))
         else:
-            level = float((dataset.bundle_array[t] @ gradients.T + offsets).min())
+            level = float(observed[t])
             if _own_piece_clears(points, gradients[t], offsets[t], level):
                 summaries.append(ObservationSummary(t, count, 0))
                 continue
-            values = np.empty(count)
-            work = np.empty((_block_rows(count, n), n))
-            for rows in _row_blocks(count, work.shape[0]):
-                np.min(_piece_values(points[rows], gradients, offsets, work), axis=1,
-                       out=values[rows])
+            # The proposals and the zero bundle; the observed bundles after
+            # them already have their values.
+            drawn = points[:n_samples + 1]
+            work = np.empty((_block_rows(drawn.shape[0], n), n))
+            values = np.concatenate([_utility_values(drawn, gradients, offsets, work),
+                                     observed[inside[t]]])
             margin = CHECK_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
             bad = np.flatnonzero(values > level + margin)
             bad_here = bad.size
@@ -631,13 +656,12 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: some ``lam`` is not positive and finite, or exact data
             lies outside the float64 range.
     """
-    ev, budgets, gradients, offsets, own, flt, levels = _set_up(dataset, e, solution)
+    ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
+        dataset, e, solution)
     n = dataset.n_observations
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
-    observed_values = dataset.bundle_array @ gradients.T
-    observed_values = np.add(observed_values, offsets, out=observed_values).min(axis=1)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
@@ -654,18 +678,14 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         budget = budgets[t]
         budget_f = float(budget)
         price_f = dataset.price_array[t]
-        level_f = float(observed_values[t])
+        level_f = float(observed[t])
 
         draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
-        keep = np.empty(n_reject, dtype=bool)
-        for rows in _row_blocks(n_reject, work.shape[1]):
-            values = _piece_values(draws[rows], gradients, offsets, work[1])
-            np.greater_equal(values.min(axis=1), level_f, out=keep[rows])
-        accepted = draws[keep]
+        accepted = draws[_utility_values(draws, gradients, offsets, work[1]) >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        observed_in = dataset.bundle_array[observed_values >= level_f]
+        observed_in = dataset.bundle_array[observed >= level_f]
         threshold = budget_f * (1.0 - CHECK_RTOL)
         if not dataset.exact and _own_piece_certifies(
                 gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):

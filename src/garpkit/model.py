@@ -295,6 +295,11 @@ def _compute_cross(dataset: Dataset) -> np.ndarray:
 
 
 def _efficiency_entry(value, exact: bool) -> Number:
+    if isinstance(value, (np.generic, np.ndarray)):
+        # A numpy scalar, or a 0-d array, holds one Python number.
+        value = value.item()
+    if isinstance(value, bool):
+        raise ValueError(f"efficiency coefficient {value!r} is not a number")
     if exact:
         if isinstance(value, float):
             # A float efficiency against exact data is read through its
@@ -309,15 +314,16 @@ def coerce_efficiency(e, dataset: Dataset) -> tuple[Number, ...]:
     """Normalise ``e`` into a tuple of the lane's numbers, one per observation.
 
     Accepts a scalar (broadcast to every observation) or a sequence with one
-    entry per observation.  Entries must satisfy 0 < e <= 1; the bounds are
+    entry per observation.  A numpy scalar or 0-d array counts as the Python
+    number it holds.  Entries must satisfy 0 < e <= 1; the bounds are
     checked exactly in both lanes.
 
     Raises:
         LengthMismatchError: a sequence of the wrong length was given.
-        ValueError: an entry is outside (0, 1].
+        ValueError: an entry is a boolean or outside (0, 1].
     """
     n = dataset.n_observations
-    if isinstance(e, (int, float, str, Fraction, Decimal)):
+    if isinstance(e, (int, float, str, Fraction, Decimal)) or getattr(e, "ndim", None) == 0:
         raw = [e] * n
     else:
         raw = list(e)

@@ -8,7 +8,8 @@ verifiers must reproduce their reports field for field (the filter's own
 counters aside).  On the float lane they are the bodies before the
 own-piece screen, the reused workspace and the row blocks: every budget
 sample is evaluated on all T pieces, and every product is one product
-over all of an observation's rows, into a fresh array.
+over all of an observation's rows, into a fresh array.  Both take U at the
+observed bundles from one product over all of them, as the verifiers do.
 ``_ray_level_points`` and the float-lane ``worst_residual`` loop are the
 versions before those changes too.  Sampling draws the same points from
 the same per-observation streams.
@@ -87,6 +88,7 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
     rngs = _child_rngs(seed, n)
+    observed = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
 
     summaries = []
     violations = []
@@ -97,16 +99,16 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
         radial = rng.uniform(size=(n_samples, 1))
         proposals = radial * weights * (budget_f / dataset.price_array[t])
-        extras = [np.zeros(n_goods)]
-        for s in range(n):
-            if leq(costs[t][s], budget, dataset.rel_tol):
-                extras.append(dataset.bundle_array[s])
-        points = np.vstack([proposals, np.array(extras)])
+        drawn = np.vstack([proposals, np.zeros((1, n_goods))])
+        inside = [s for s in range(n) if leq(costs[t][s], budget, dataset.rel_tol)]
+        points = np.vstack([drawn, dataset.bundle_array[inside]])
 
         count = points.shape[0]
         bad_here = 0
-        level = float((dataset.bundle_array[t] @ gradients.T + offsets).min())
-        values = (points @ gradients.T + offsets).min(axis=1)
+        # U at an observed bundle, its own level included, is its value in
+        # one product over all the bundles.
+        level = float(observed[t])
+        values = np.concatenate([(drawn @ gradients.T + offsets).min(axis=1), observed[inside]])
         margin = FLOAT_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
         bad = np.flatnonzero(values > level + margin)
         bad_here = bad.size

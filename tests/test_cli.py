@@ -365,6 +365,31 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
                  "seed must be a whole number, got 2.7", id="seed-fractional"),
     pytest.param('{"weights": [1.0], "n_observations": 3, "seed": 1e400}',
                  "cannot convert float infinity to integer", id="seed-1e400"),
+    # A JSON boolean or string is not a number, even where int() or float()
+    # would read it as one.
+    pytest.param('{"weights": [1.0], "n_observations": true}',
+                 "n_observations must hold JSON numbers, got True", id="n_observations-true"),
+    pytest.param('{"weights": [1.0], "n_observations": "4", "seed": 7}',
+                 "n_observations must hold JSON numbers, got '4'", id="n_observations-string"),
+    pytest.param('{"weights": [1.0], "n_observations": 4, "seed": "7"}',
+                 "seed must hold JSON numbers, got '7'", id="seed-string"),
+    pytest.param('{"weights": [1.0], "n_observations": 4, "seed": false}',
+                 "seed must hold JSON numbers, got False", id="seed-false"),
+    pytest.param('{"weights": [true], "n_observations": 4}',
+                 "weights must hold JSON numbers, got True", id="weights-true"),
+    pytest.param('{"weights": ["1"], "n_observations": 4}',
+                 "weights must hold JSON numbers, got '1'", id="weights-string"),
+    pytest.param('{"weights": [1.0], "n_observations": 4, "price_range": [true, true]}',
+                 "price_range must hold JSON numbers, got True", id="price_range-true"),
+    pytest.param('{"weights": [1.0], "n_observations": 4, "income_range": [1, "2"]}',
+                 "income_range must hold JSON numbers, got '2'", id="income_range-string"),
+    pytest.param('{"weights": [1.0], "n_observations": 4, "waste": false}',
+                 "waste must hold JSON numbers, got False", id="waste-false"),
+    pytest.param('{"weights": [1.0], "n_observations": 2, "waste": [0, true]}',
+                 "waste must hold JSON numbers, got True", id="waste-list-true"),
+    pytest.param('{"family": "ces", "weights": [1.0, 2.0], "elasticity": "0.5", '
+                 '"n_observations": 4}',
+                 "elasticity must hold JSON numbers, got '0.5'", id="elasticity-string"),
 ])
 def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
                                                          report_validator, value, message):

@@ -16,6 +16,8 @@ from garpkit import (
     verify_cost_rationalization,
     verify_rationalization,
 )
+from garpkit import duality
+from garpkit.afriat import AfriatSolution, evaluate_utility_batch
 from garpkit.duality import SampleViolation, VerificationReport
 from garpkit.model import cross_expenditures
 
@@ -130,7 +132,6 @@ def test_wrong_utility_is_caught_by_sampling(viol_float):
     # numbers must flunk the sampling; with phi = (0, 0) the region between
     # the two budget lines beats both observed bundles and has positive
     # measure, so a few hundred draws find it.
-    from garpkit.afriat import AfriatSolution
     from garpkit.model import coerce_efficiency
 
     bogus = AfriatSolution(
@@ -158,7 +159,6 @@ def test_exact_lane_certifies_membership(base_exact):
     ("float", 0.0), ("float", -1.0), ("float", float("nan")), ("float", float("inf")),
 ])
 def test_verifiers_refuse_lam_not_positive_and_finite(base_exact, base_float, lane, bad):
-    from garpkit.afriat import AfriatSolution
     from garpkit.errors import GarpkitError
 
     dataset = base_exact if lane == "exact" else base_float
@@ -169,24 +169,51 @@ def test_verifiers_refuse_lam_not_positive_and_finite(base_exact, base_float, la
             verify(dataset, 1, broken, n_samples=20, seed=0)
 
 
-@pytest.mark.parametrize("scale", [
-    1.0,
-    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: the float rationalization margin is relative to the "
-        "level, so rounding noise of large utility terms near a level of 0 "
-        "is reported as a violation"))),
+@pytest.mark.parametrize("family, scale, seed", [
+    pytest.param("cobb_douglas", 1.0, 0, id="1.0"),
+    pytest.param("cobb_douglas", 1e6, 0, id="1000000.0"),
+    pytest.param("cobb_douglas", 1e8, 15, id="100000000.0"),
+    pytest.param("ces", 1e6, 9, id="ces-1000000.0"),
 ])
-def test_scaled_cobb_douglas_verifies_clean(scale):
+def test_scaled_cobb_douglas_verifies_clean(family, scale, seed):
     # Scaling prices and bundles by a common factor changes no revealed
     # preference, so the float verifier's report should not change either.
-    w = np.random.default_rng(0).dirichlet(np.ones(4))
-    base = generate(GeneratorSpec("cobb_douglas", tuple(w / w.sum()), 6,
-                                  (0.5, 5.0), (50.0, 150.0), seed=0))
+    # On each scaled table, two roundings of U at an observed bundle differ
+    # by more than the allowance, so the bundle's value as a sample and as
+    # its own level must be the same float.
+    if family == "cobb_douglas":
+        w = np.random.default_rng(seed).dirichlet(np.ones(4))
+        spec = GeneratorSpec("cobb_douglas", tuple(w / w.sum()), 6,
+                             (0.5, 5.0), (50.0, 150.0), seed=seed)
+    else:
+        spec = GeneratorSpec("ces", (1.0, 1.5, 0.7, 1.2), 10, (0.5, 5.0), (50.0, 150.0),
+                             elasticity=0.5, seed=seed)
+    base = generate(spec)
     ds = validate_dataset((np.array(base.prices) * scale).tolist(),
                           (np.array(base.bundles) * scale).tolist(), exact=False)
     solution = solve_afriat(ds, e=1)
     report = verify_rationalization(ds, 1, solution, n_samples=200, seed=0)
     assert report.clean, report.violations
+
+
+def test_u_at_the_observed_bundles_is_one_product_read_by_every_check():
+    # With one lam tripled the solution is wrong, and the rationalization
+    # check finds violations at several observations.  _set_up takes U at
+    # every observed bundle in one product, the value evaluate_utility_batch
+    # gives, and each violation is measured against that value.
+    dataset = generate(GeneratorSpec("ces", (1.0, 1.5, 0.7, 1.2), 10, (0.5, 5.0),
+                                     (50.0, 150.0), elasticity=0.5, seed=9))
+    solution = solve_afriat(dataset)
+    lam = list(solution.lam)
+    lam[3] *= 3.0
+    tampered = AfriatSolution(solution.phi, tuple(lam), solution.efficiency)
+    observed = duality._set_up(dataset, 1, tampered)[4]
+    want = evaluate_utility_batch(tampered, dataset, dataset.bundle_array)
+    assert observed.tobytes() == want.tobytes()
+    report = verify_rationalization(dataset, 1, tampered, n_samples=200, seed=0)
+    assert len({v.observation for v in report.violations}) > 1
+    for violation in report.violations:
+        assert violation.rhs == observed[violation.observation]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -209,6 +209,32 @@ def test_efficiency_out_of_range(base_exact, bad):
         coerce_efficiency(bad, base_exact)
 
 
+@pytest.mark.parametrize("lane", ["exact", "float"])
+@pytest.mark.parametrize("e, want", [
+    (np.int64(1), (1, 1)),
+    (np.float64(0.5), (0.5, 0.5)),
+    (np.float32(0.75), (0.75, 0.75)),
+    (np.array(0.5), (0.5, 0.5)),
+    ([np.float32(0.5), np.int8(1)], (0.5, 1)),
+    (np.array([0.25, 1.0]), (0.25, 1)),
+])
+def test_efficiency_reads_numpy_numbers_as_the_number_they_hold(
+        base_exact, base_float, lane, e, want):
+    dataset = base_exact if lane == "exact" else base_float
+    ev = coerce_efficiency(e, dataset)
+    assert ev == want
+    assert all(isinstance(v, Fraction if lane == "exact" else float) for v in ev)
+    assert revpref.check_e_garp(dataset, e).holds
+
+
+@pytest.mark.parametrize("lane", ["exact", "float"])
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), [1, True], [np.bool_(False), 1]])
+def test_efficiency_refuses_booleans(base_exact, base_float, lane, bad):
+    dataset = base_exact if lane == "exact" else base_float
+    with pytest.raises(ValueError, match="not a number"):
+        coerce_efficiency(bad, dataset)
+
+
 def test_float_lane_efficiency_is_float(base_float):
     ev = coerce_efficiency("0.8", base_float)
     assert isinstance(ev[0], float) and ev[0] == 0.8

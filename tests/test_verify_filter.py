@@ -466,7 +466,7 @@ def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
     assert 0 in solution.phi
     tiny = tuple(v + Fraction(1, 2**1060) for v in solution.phi)
     shifted = AfriatSolution(tiny, solution.lam, solution.efficiency)
-    flt = duality._set_up(base_exact, 1, shifted)[5]
+    flt = duality._set_up(base_exact, 1, shifted)[6]
     points = np.vstack([np.zeros((1, base_exact.n_goods)), base_exact.bundle_array])
     for spend in (points @ flt.prices.T, cross_expenditures(base_exact).astype(float)):
         lo, hi = flt.terms(spend)
@@ -521,7 +521,7 @@ def _problems(draw):
 @given(_problems())
 def test_float_bracket_contains_the_exact_utility(problem):
     dataset, solution, points, shrink = problem
-    own, flt, levels = duality._set_up(dataset, solution.efficiency, solution)[4:]
+    own, flt, levels = duality._set_up(dataset, solution.efficiency, solution)[5:]
     spend = points @ flt.prices.T
     lo, hi = flt.terms(spend)
     lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
