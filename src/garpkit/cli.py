@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AfriatInfeasibleError, GarpkitError, ParseError
-from .model import Dataset, coerce_efficiency, validate_dataset
+from .model import Dataset, coerce_efficiency, cross_expenditures, validate_dataset
 
 try:
     # CPython's own SHA-256 spares every command the OpenSSL that hashlib
@@ -376,6 +376,9 @@ def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
 
 
 def _cmd_oracle(dataset: Dataset, args) -> tuple[dict, int]:
+    # The oracle computes its own products: refuse float data whose cross
+    # expenditures leave the float64 range, as the other commands do.
+    cross_expenditures(dataset)
     verdict = _cli.garp_oracle(dataset, args.efficiency_value)
     value = _cli.ccei_oracle(dataset)
     results = {
@@ -404,20 +407,9 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
     if unknown:
         raise ParseError(args.config, f"unknown config keys: {sorted(unknown)}")
     try:
-        for key in ("weights", "elasticity", "n_observations", "price_range",
-                    "income_range", "waste", "seed"):
-            _refuse_non_numbers(raw, key)
-        spec = _cli.GeneratorSpec(
-            family=raw.get("family", "cobb_douglas"),
-            weights=tuple(raw.get("weights", ())),
-            elasticity=raw.get("elasticity"),
-            n_observations=_whole(raw, "n_observations"),
-            price_range=tuple(raw.get("price_range", (1.0, 1.0))),
-            income_range=tuple(raw.get("income_range", (1.0, 1.0))),
-            waste=raw.get("waste", 0.0) if isinstance(raw.get("waste", 0.0), (int, float))
-            else tuple(raw.get("waste")),
-            seed=_whole(raw, "seed"),
-        )
+        spec = _cli.GeneratorSpec(**{"family": "cobb_douglas", "weights": (), "n_observations": 0,
+                                     "price_range": (1.0, 1.0), "income_range": (1.0, 1.0),
+                                     **raw})
     except (ValueError, TypeError, OverflowError) as err:
         raise ParseError(args.config, str(err)) from err
     dataset = _cli.generate(spec)
@@ -432,26 +424,6 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
         "ccei": _lane_encoder(dataset)(index.value),
     }
     return _dataset_block(dataset), results, EXIT_OK
-
-
-def _refuse_non_numbers(raw: dict, key: str) -> None:
-    """Refuse a JSON boolean or string in ``raw[key]``, or in the list it
-    holds, where the config wants numbers: ``int`` and ``float`` would take
-    ``true`` as 1 and ``"4"`` as 4."""
-    value = raw.get(key)
-    for item in value if isinstance(value, list) else [value]:
-        if isinstance(item, (bool, str)):
-            raise ValueError(f"{key} must hold JSON numbers, got {item!r}")
-
-
-def _whole(raw: dict, key: str) -> int:
-    """``raw[key]`` (default 0) as an int; a float with a fractional part is
-    refused rather than truncated."""
-    value = raw.get(key, 0)
-    number = int(value)
-    if isinstance(value, float) and number != value:
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return number
 
 
 def _write_dataset(dataset: Dataset, path: str) -> None:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Sequence, Union
+from numbers import Integral, Real
+from typing import Optional, Union
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(float(_real("weights", w)) for w in self.weights))
         if not self.weights or not all(w > 0 and isfinite(w) for w in self.weights):
             raise ValueError("weights must be a nonempty tuple of positive finite numbers")
         if self.family == "cobb_douglas":
@@ -78,20 +79,23 @@ class GeneratorSpec:
         else:
             if self.elasticity is None:
                 raise ValueError("ces requires an elasticity of substitution")
+            object.__setattr__(self, "elasticity", float(_real("elasticity", self.elasticity)))
             if self.elasticity <= 0 or self.elasticity == 1:
                 raise ValueError("elasticity must be positive and different from 1")
+        object.__setattr__(self, "n_observations", _whole("n_observations", self.n_observations))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.n_observations < 1:
             raise ValueError("need at least one observation")
         for name in ("price_range", "income_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = (float(_real(name, v)) for v in getattr(self, name))
             if not (0 < lo <= hi and isfinite(hi)):
                 raise ValueError(f"{name} must satisfy 0 < low <= high, both finite")
-            object.__setattr__(self, name, (float(lo), float(hi)))
+            object.__setattr__(self, name, (lo, hi))
         waste = self.waste
-        if isinstance(waste, (int, float)):
-            waste = (float(waste),) * self.n_observations
+        if isinstance(waste, (Real, str, np.generic)):
+            waste = (float(_real("waste", waste)),) * self.n_observations
         else:
-            waste = tuple(float(w) for w in waste)
+            waste = tuple(float(_real("waste", w)) for w in waste)
         if len(waste) != self.n_observations:
             raise ValueError("waste must be scalar or one entry per observation")
         if any(not (0 <= w < 1) for w in waste):
@@ -101,6 +105,25 @@ class GeneratorSpec:
     @property
     def n_goods(self) -> int:
         return len(self.weights)
+
+
+def _real(name: str, value):
+    """``value``, refused unless it is a real number (numpy's included): a
+    boolean or a string is not, though ``float`` would read it as one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name}: {value!r} is not a number")
+    return value
+
+
+def _whole(name: str, value) -> int:
+    """A count or seed as an int; a float with a fractional part is refused
+    rather than truncated."""
+    if isinstance(_real(name, value), Integral):
+        return int(value)
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
 
 
 def cobb_douglas_demand(prices: np.ndarray, income: float,

@@ -31,8 +31,8 @@ level (every other piece is certainly beyond it), and U is evaluated in
 full only to report a violation's value.  Without normal float64
 mirrors of the Afriat numbers the filter is vacuous: its brackets are
 ``(-inf, inf)``, so it settles no point and every point is decided exactly.
-Exact data whose float64 mirror overflows or underflows cannot be sampled
-and is refused with a :class:`GarpkitError`.
+Exact data or Afriat numbers whose float64 mirror leaves the range, and on
+both lanes a sampling box that overflows, are refused (:class:`GarpkitError`).
 
 The observed bundles in budget t are those t weakly reveals preference over,
 read off :func:`.revpref.direct_relations`, so the budget-membership rule is
@@ -345,11 +345,9 @@ class _Filter:
 
 def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filter:
     n = dataset.n_observations
-    try:
-        phi, lam, own_f = (np.array([float(v) for v in values])
-                           for values in (solution.phi, solution.lam, own))
-    except OverflowError:
-        phi = lam = own_f = np.full(n, np.nan)
+    # _set_up has converted phi and lam already, and own[t] <= costs[t][t].
+    phi, lam, own_f = (np.array([float(v) for v in values])
+                       for values in (solution.phi, solution.lam, own))
     # phi == 0 only certifies a zero mirror when the exact value is zero.
     if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all() and _normal(own_f).all()
             and not any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi))):
@@ -370,11 +368,12 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     drawn in float64 from mirrors of the prices, bundles, cross expenditures
     and utility; exact data with an entry that overflows, or a nonzero one
     that underflows out of the normal range, is refused, as it would draw
-    them from other data.  On the exact lane ``own[s]`` is ``e[s] *
-    costs[s][s]`` at the solution's efficiency, ``flt`` the filter, and
-    ``levels[t]`` the exact ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``,
-    so it needs no dot products, and only the pieces whose float bracket can
-    reach the minimum are evaluated exactly.
+    them from other data, and so are Afriat numbers whose mirror overflows.
+    On the exact lane ``own[s]`` is ``e[s] * costs[s][s]`` at the
+    solution's efficiency, ``flt`` the filter, and ``levels[t]`` the exact
+    ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``, so it needs no dot
+    products, and only the pieces whose float bracket can reach the minimum
+    are evaluated exactly.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -391,20 +390,28 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
         try:
             prices, bundles = dataset.price_array, dataset.bundle_array
             costs_f = costs.astype(float)
-            gradients, offsets = utility_profile(solution, dataset)
         except OverflowError:
             ok = False
         else:
             zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
             ok = (_normal(prices).all() and _normal(costs_f).all()
-                  and (_normal(bundles) | zero).all()
-                  and np.isfinite(gradients).all() and np.isfinite(offsets).all())
+                  and (_normal(bundles) | zero).all())
         if not ok:
             raise GarpkitError(
                 "exact data outside the float64 range: sampling draws points from "
-                "a float64 mirror of the prices, bundles and recovered utility, "
-                "and that mirror overflows or underflows"
+                "a float64 mirror of the prices and bundles, and that mirror "
+                "overflows or underflows"
             )
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gradients, offsets = utility_profile(solution, dataset)
+        except OverflowError:
+            ok = False
+        else:
+            ok = np.isfinite(gradients).all() and np.isfinite(offsets).all()
+        if not ok:
+            raise GarpkitError("Afriat numbers outside the float64 range: the float64 "
+                               "mirror of the recovered utility overflows")
         own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
         flt = _make_filter(dataset, solution, own)
         lo, hi = flt.terms(costs_f.T)
@@ -453,7 +460,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
     Raises:
         GarpkitError: some ``lam`` is not positive and finite, or exact data
-            lies outside the float64 range.
+            or Afriat numbers lie outside the float64 range.
     """
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
         dataset, e, solution)
@@ -608,25 +615,6 @@ def _under_level(dataset: Dataset, solution: AfriatSolution, own: list, level,
     return False
 
 
-def _lift_to_level(dataset: Dataset, solution: AfriatSolution, own: list, level, row,
-                   before: np.ndarray, after: np.ndarray) -> Optional[tuple[list, bool]]:
-    """The exact coordinates of the sample ``row`` at or above the level,
-    and whether they were nudged.
-
-    Float rounding may leave a ray point a sliver under the exact level; it
-    is nudged outward once, and None is returned if it is still under.
-    ``before`` and ``after`` are the open pieces of :func:`_under_level`
-    for the point and for the nudged point.
-    """
-    coords = _exact_bundle(row)
-    if not _under_level(dataset, solution, own, level, coords, before):
-        return coords, False
-    coords = [c * _NUDGE for c in coords]
-    if _under_level(dataset, solution, own, level, coords, after):
-        return None
-    return coords, True
-
-
 def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                                 n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
     """Sample each upper set and test ``p[t] . x >= e[t] * costs[t][t]``.
@@ -638,22 +626,21 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     which sit on the boundary of the upper set where the cost inequality is
     tight.  Observed bundles at or above the level are checked as well.
 
-    On the exact lane a point under the exact level is nudged outward by a
-    factor 1.000000001 and dropped if still under it.  The float filter
-    counts a point without rational arithmetic when the nudged point is
-    certainly above the level and the point itself certainly costs more
-    than the budget: then it is counted and clean, nudged or not.  Every
-    other point is decided exactly, evaluating only the pieces of U whose
-    float bracket reaches below the level.  On the float lane an
-    observation whose own piece certifies every such point
-    (:func:`_own_piece_certifies`) is clean without drawing its rays.
+    On the exact lane one pass tests each point exactly against the level,
+    on the pieces whose float bracket reaches below it: a point under it is
+    nudged outward by a factor 1.000000001, dropped if still under it, and
+    else costed exactly.  A point the float filter settles (nudged, it is
+    certainly above the level; it certainly costs more than the budget) is
+    counted and clean, and is tested only for the ``nudged`` count.  On
+    the float lane an observation whose own piece certifies every such
+    point (:func:`_own_piece_certifies`) is clean without drawing its rays.
 
     The box draws and the rays are evaluated a block of rows at a time in
     one ``(2, B, T)`` workspace (:func:`_block_rows`): all draws are taken
     from the stream first, and the accepted ones keep their order.
 
     Raises:
-        GarpkitError: some ``lam`` is not positive and finite, or exact data
+        GarpkitError: as :func:`verify_rationalization`, or the sampling box
             lies outside the float64 range.
     """
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
@@ -661,7 +648,11 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     n = dataset.n_observations
     n_goods = dataset.n_goods
     rngs = _child_rngs(seed, n)
-    box_hi = 2.0 * dataset.bundle_array.max(axis=0)
+    with np.errstate(over="ignore"):
+        box_hi = 2.0 * dataset.bundle_array.max(axis=0)
+    if not np.isfinite(box_hi).all():
+        raise GarpkitError(f"{'exact' if dataset.exact else 'float'} data outside the float64 "
+                           "range: the sampling box, twice the largest bundles, overflows")
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
@@ -709,21 +700,24 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             settled = (~after.any(axis=1)
                        & (flt.spend_floor(spend_f[:, t]) >= _neighbours(budget)[1]))
             checked = int(settled.sum())
-            # A settled point is counted and clean, nudged or not; the
-            # nudged count still needs to know which.
-            for i in np.flatnonzero(settled & before.any(axis=1)):
-                nudged += _under_level(dataset, solution, own, level,
-                                       _exact_bundle(pts[i]), before[i])
             exact_certified += pts.shape[0] - checked
             price_row = dataset.prices[t]
-            for i in np.flatnonzero(~settled):
-                lifted = _lift_to_level(dataset, solution, own, level, pts[i],
-                                        before[i], after[i])
-                if lifted is None:
-                    dropped += 1
+            # A point with no open piece is above the level.  A settled point
+            # is counted and clean, nudged or not, and is converted only for
+            # the nudged count; any other point under the level is nudged
+            # outward once and dropped if still under it.
+            for i in np.flatnonzero(~settled | before.any(axis=1)):
+                coords = _exact_bundle(pts[i])
+                bumped = _under_level(dataset, solution, own, level, coords, before[i])
+                if settled[i]:
+                    nudged += bumped
                     continue
-                coords, bumped = lifted
-                nudged += bumped
+                if bumped:
+                    coords = [c * _NUDGE for c in coords]
+                    if _under_level(dataset, solution, own, level, coords, after[i]):
+                        dropped += 1
+                        continue
+                    nudged += 1
                 checked += 1
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend < budget:

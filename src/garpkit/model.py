@@ -23,7 +23,8 @@ other modules read it from there.  :func:`cross_expenditures` returns the
 cross expenditures as one numpy array -- float64 on the float lane, an
 object array of ``Fraction`` on the exact lane -- so the relations,
 breakpoints and Afriat residuals downstream run one array code path on both
-lanes, with :func:`leq_array`/:func:`lt_array` as the one comparison rule.
+lanes.  The relations are the one place that compares costs with budgets,
+and :func:`leq_array`/:func:`lt_array` their one comparison rule.
 An efficiency is a plain tuple of the lane's numbers
 (:func:`coerce_efficiency`).  The ``Dataset`` caches its cross expenditures,
 and the last relations :func:`.revpref.direct_relations` built for it, so

@@ -280,6 +280,42 @@ def test_text_format_matches_json_verdict(capsys, viol_path):
     assert "[1, 2, 1]" in text
 
 
+def test_text_format_renders_verifications_missing_witnesses_and_errors(capsys, base_path,
+                                                                         tmp_path):
+    code = main(["verify", base_path, "--samples", "20", "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert "witness: none" not in lines
+    for key in ("rationalization", "cost_rationalization"):
+        assert any(line.startswith(f"{key}: clean=True samples=") and line.endswith(" violations=0")
+                   for line in lines), lines
+    code = main(["check-garp", base_path, "--format", "text"])
+    assert code == EXIT_OK
+    assert "witness: none" in capsys.readouterr().out.splitlines()
+    code = main(["check-garp", str(tmp_path / "missing.csv"), "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_INPUT_ERROR
+    assert lines[0].startswith("garpkit ") and lines[-1].startswith("error [ParseError]: ")
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    # Twice the largest bundle, the cost verifier's sampling box, is +inf.
+    (["verify", "--samples", "5"], "f.json", '{"prices": [[1, 1]], "bundles": [[0, 1e308]]}'),
+    # p[1] . x[1] underflows to zero.
+    (["oracle", "--float"], "j.csv", "t,p1,x1\n1,1e-300,1e-300\n2,1,1\n"),
+], ids=["verify-box-overflows", "oracle-float-underflows"])
+def test_data_outside_the_float64_range_is_an_input_error(capsys, tmp_path, report_validator,
+                                                          argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, report = run_json(capsys, *argv, str(path))
+    assert code == EXIT_INPUT_ERROR
+    error = report["results"]["error"]
+    assert error["type"] == "GarpkitError"
+    assert "data outside the float64 range" in error["message"]
+    assert not list(report_validator.iter_errors(report))
+
+
 def test_fingerprint_tracks_content_and_lane(base_path, viol_path):
     a = parse_input(base_path)
     b = parse_input(viol_path)
@@ -321,6 +357,26 @@ def test_generate_pipeline(capsys, tmp_path):
     code, report = run_json(capsys, "ccei", str(data_out), "--float")
     assert code == EXIT_OK
     assert report["results"]["ccei_exact"] == 1.0
+
+
+def test_generate_writes_json_that_scores_as_the_csv_does(capsys, tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({
+        "family": "cobb_douglas", "weights": [0.3, 0.7], "n_observations": 8,
+        "price_range": [0.5, 2.0], "income_range": [1.0, 5.0], "waste": 0.3, "seed": 5,
+    }))
+    indices = []
+    for name in ("d.json", "d.csv"):
+        code, report = run_json(capsys, "generate", "--config", str(config),
+                                "--data-out", str(tmp_path / name))
+        assert code == EXIT_OK
+        indices.append(report["results"]["ccei"])
+        code, report = run_json(capsys, "ccei", "--float", str(tmp_path / name))
+        assert code == EXIT_OK
+        indices.append(report["results"]["ccei_exact"])
+    assert json.loads((tmp_path / "d.json").read_text()).keys() == {"prices", "bundles"}
+    assert indices[0] < 1
+    assert indices == [indices[0]] * 4
 
 
 def test_generate_takes_whole_floats_as_counts_and_seeds(capsys, tmp_path):
@@ -368,28 +424,28 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
     # A JSON boolean or string is not a number, even where int() or float()
     # would read it as one.
     pytest.param('{"weights": [1.0], "n_observations": true}',
-                 "n_observations must hold JSON numbers, got True", id="n_observations-true"),
+                 "n_observations: True is not a number", id="n_observations-true"),
     pytest.param('{"weights": [1.0], "n_observations": "4", "seed": 7}',
-                 "n_observations must hold JSON numbers, got '4'", id="n_observations-string"),
+                 "n_observations: '4' is not a number", id="n_observations-string"),
     pytest.param('{"weights": [1.0], "n_observations": 4, "seed": "7"}',
-                 "seed must hold JSON numbers, got '7'", id="seed-string"),
+                 "seed: '7' is not a number", id="seed-string"),
     pytest.param('{"weights": [1.0], "n_observations": 4, "seed": false}',
-                 "seed must hold JSON numbers, got False", id="seed-false"),
+                 "seed: False is not a number", id="seed-false"),
     pytest.param('{"weights": [true], "n_observations": 4}',
-                 "weights must hold JSON numbers, got True", id="weights-true"),
+                 "weights: True is not a number", id="weights-true"),
     pytest.param('{"weights": ["1"], "n_observations": 4}',
-                 "weights must hold JSON numbers, got '1'", id="weights-string"),
+                 "weights: '1' is not a number", id="weights-string"),
     pytest.param('{"weights": [1.0], "n_observations": 4, "price_range": [true, true]}',
-                 "price_range must hold JSON numbers, got True", id="price_range-true"),
+                 "price_range: True is not a number", id="price_range-true"),
     pytest.param('{"weights": [1.0], "n_observations": 4, "income_range": [1, "2"]}',
-                 "income_range must hold JSON numbers, got '2'", id="income_range-string"),
+                 "income_range: '2' is not a number", id="income_range-string"),
     pytest.param('{"weights": [1.0], "n_observations": 4, "waste": false}',
-                 "waste must hold JSON numbers, got False", id="waste-false"),
+                 "waste: False is not a number", id="waste-false"),
     pytest.param('{"weights": [1.0], "n_observations": 2, "waste": [0, true]}',
-                 "waste must hold JSON numbers, got True", id="waste-list-true"),
+                 "waste: True is not a number", id="waste-list-true"),
     pytest.param('{"family": "ces", "weights": [1.0, 2.0], "elasticity": "0.5", '
                  '"n_observations": 4}',
-                 "elasticity must hold JSON numbers, got '0.5'", id="elasticity-string"),
+                 "elasticity: '0.5' is not a number", id="elasticity-string"),
 ])
 def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
                                                          report_validator, value, message):

@@ -123,6 +123,19 @@ def test_exact_lane_generation():
     (dict(family="ces", weights=(1.0, 1.0), elasticity=-2.0), "different from 1"),
     (dict(family="cobb_douglas", weights=(0.5, 0.5), waste=1.0), "waste"),
     (dict(family="cobb_douglas", weights=(0.5, 0.5), waste=(0.1,)), "waste"),
+    # Booleans and strings are not numbers, though int() and float() read them.
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=True), "seed: True is not a number"),
+    (dict(family="cobb_douglas", weights=("0.5", "0.5")), "weights: '0.5' is not a number"),
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), n_observations=True),
+     "n_observations: True is not a number"),
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), waste=np.bool_(False)),
+     "waste: .*False.* is not a number"),
+    (dict(family="ces", weights=(1.0, 1.0), elasticity="2"), "elasticity: '2' is not a number"),
+    # A count or seed with a fractional part is refused, not truncated.
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), n_observations=2.5),
+     "n_observations must be a whole number, got 2.5"),
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=1.5),
+     "seed must be a whole number, got 1.5"),
 ])
 def test_spec_validation(kwargs, message):
     kwargs.setdefault("n_observations", 3)
@@ -130,6 +143,20 @@ def test_spec_validation(kwargs, message):
     kwargs.setdefault("income_range", (1.0, 2.0))
     with pytest.raises(ValueError, match=message):
         GeneratorSpec(**kwargs)
+
+
+def test_spec_takes_numpy_numbers_and_whole_floats():
+    spec = GeneratorSpec("ces", (np.float32(1.0), np.int64(2)), np.int64(3),
+                         (np.float64(0.5), 2), (1, np.float32(5.0)),
+                         elasticity=np.float64(0.5), waste=np.float32(0.25), seed=np.int64(4))
+    assert spec == GeneratorSpec("ces", (1.0, 2.0), 3, (0.5, 2.0), (1.0, 5.0),
+                                 elasticity=0.5, waste=0.25, seed=4)
+    assert GeneratorSpec("cobb_douglas", (0.5, 0.5), 3.0, (1.0, 2.0), (1.0, 2.0),
+                         seed=2.0) == GeneratorSpec("cobb_douglas", (0.5, 0.5), 3, (1.0, 2.0),
+                                                    (1.0, 2.0), seed=2)
+    spec = GeneratorSpec("cobb_douglas", (0.5, 0.5), 3, (1.0, 2.0), (1.0, 2.0), seed=2.0)
+    assert type(spec.n_observations) is int and type(spec.seed) is int
+    generate(spec)
 
 
 def test_bad_ranges_rejected():

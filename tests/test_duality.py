@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from garpkit import (
     GeneratorSpec,
+    ccei_exact,
     check_duality_garp,
     generate,
     solve_afriat,
@@ -246,3 +248,54 @@ def test_float_cost_verifier_passes_the_solvers_own_solution_at_e_star():
     solution = solve_afriat(dataset, e)
     report = verify_cost_rationalization(dataset, e, solution, n_samples=2000, seed=0)
     assert report.clean, [(v.observation, v.lhs, v.rhs) for v in report.violations]
+
+
+def test_points_still_under_the_level_after_the_nudge_are_dropped(monkeypatch):
+    # perfbench's random_table(default_rng(11), 30) at its e*, the breakpoint
+    # below its CCEI.  With a nudge factor of 1 the nudge moves no point, so
+    # every point the real nudge lifts is dropped instead, and the points
+    # left are the same ones.
+    rng = np.random.default_rng(11)
+    prices = rng.integers(10, 1001, (30, 10))
+    bundles = rng.integers(10, 1001, (30, 10))
+    dataset = validate_dataset([[Fraction(int(v), 100) for v in row] for row in prices],
+                               [[Fraction(int(v), 100) for v in row] for row in bundles],
+                               exact=True)
+    index = ccei_exact(dataset)
+    e = max(b for b in index.breakpoints if b < index.value)
+    solution = solve_afriat(dataset, e)
+    nudged = verify_cost_rationalization(dataset, e, solution, n_samples=40, seed=0)
+    monkeypatch.setattr(duality, "_NUDGE", Fraction(1))
+    kept = verify_cost_rationalization(dataset, e, solution, n_samples=40, seed=0)
+    assert nudged.nudged > 0
+    assert kept.nudged == 0
+    assert kept.dropped == nudged.nudged + nudged.dropped
+    assert kept.total_samples + kept.dropped == nudged.total_samples + nudged.dropped
+    assert nudged.clean and kept.clean
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_cost_verifier_refuses_a_sampling_box_outside_the_float64_range(exact):
+    # Twice the largest bundle is +inf in float64, so every box draw would be.
+    from garpkit.errors import GarpkitError
+
+    dataset = validate_dataset([[1, 1]], [[0, 1e308]], exact=exact)
+    one = dataset.number(1)
+    solution = AfriatSolution((0 * one,), (one,), (one,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GarpkitError, match="float64 range: the sampling box"):
+            verify_cost_rationalization(dataset, 1, solution, n_samples=5, seed=0)
+
+
+def test_verifiers_blame_afriat_numbers_outside_the_float64_range():
+    # Valid data; only the solution, scaled by 10**400, leaves the range.
+    from garpkit.errors import GarpkitError
+
+    dataset = validate_dataset([["1", "2"], ["2", "1"]], [["1", "0"], ["0", "1"]], exact=True)
+    solution = solve_afriat(dataset)
+    scaled = AfriatSolution(tuple(v * 10 ** 400 for v in solution.phi),
+                            tuple(v * 10 ** 400 for v in solution.lam), solution.efficiency)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        with pytest.raises(GarpkitError, match="Afriat numbers outside the float64 range"):
+            verify(dataset, 1, scaled, n_samples=5, seed=0)

@@ -15,7 +15,7 @@ import reference_exact
 from conftest import make_twins, random_tables
 from garpkit import check_e_garp, solve_afriat, validate_dataset, verify_rationalization
 from garpkit.model import coerce_efficiency
-from garpkit.revpref import direct_relations, validate_witness
+from garpkit.revpref import CycleWitness, direct_relations, validate_witness
 from reference_graph import transitive_closure
 
 
@@ -38,6 +38,17 @@ def test_viol_fails_with_minimal_cycle(viol_exact):
     assert verdict.witness.indices == (0, 1, 0)
     assert verdict.witness.strict_edge == 0
     assert validate_witness(viol_exact, 1, verdict.witness)
+
+
+@pytest.mark.parametrize("indices, strict_edge", [
+    ((0, 1), 0),     # not closed
+    ((0,), 0),       # too short to be a cycle
+    ((0, 1, 0), 1),  # 0 -> 1 is not weak: p[0] . x[1] = 4 > p[0] . x[0] = 2
+    ((1, 1), 0),     # weak, but the marked step 1 -> 1 is not strict
+])
+def test_validate_witness_refuses_what_is_not_a_violating_cycle(base_exact, indices,
+                                                                 strict_edge):
+    assert not validate_witness(base_exact, 1, CycleWitness(indices, strict_edge))
 
 
 def test_viol_holds_at_breakpoint_tie(viol_exact):

@@ -391,27 +391,23 @@ def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
     # At e = 1 the chosen bundle x[t] lies on its own budget line and on its
     # own level surface: U(x[t]) equals the level and p[t] . x[t] equals the
     # budget, so no float bracket can settle it.  Record the points each
-    # verifier decides exactly: verify_rationalization converts only those
-    # to rationals, and verify_cost_rationalization lifts only those to the
-    # level (it also converts settled points, to count their nudges).
+    # verifier converts to rationals: verify_rationalization converts only
+    # those it decides exactly, and verify_cost_rationalization those too
+    # (it also converts settled points with an open piece, to count their
+    # nudges).
     seen = []
-    convert, lift = duality._exact_bundle, duality._lift_to_level
+    convert = duality._exact_bundle
 
-    def spy_convert(row):
+    def spy(row):
         coords = convert(row)
         seen.append(tuple(coords))
         return coords
 
-    def spy_lift(dataset, solution, own, level, row, *rest):
-        seen.append(tuple(convert(row)))
-        return lift(dataset, solution, own, level, row, *rest)
-
     solution = solve_afriat(base_exact)
-    for verify, name, spy in ((verify_rationalization, "_exact_bundle", spy_convert),
-                              (verify_cost_rationalization, "_lift_to_level", spy_lift)):
+    for verify in (verify_rationalization, verify_cost_rationalization):
         seen.clear()
         with monkeypatch.context() as m:
-            m.setattr(duality, name, spy)
+            m.setattr(duality, "_exact_bundle", spy)
             report = verify(base_exact, 1, solution, n_samples=50, seed=4)
         assert report.clean
         for bundle in base_exact.bundles:
