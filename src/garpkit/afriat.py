@@ -52,6 +52,7 @@ from .errors import (
     AfriatInfeasibleError,
     AfriatVerificationError,
     DimensionMismatchError,
+    GarpkitError,
 )
 from .model import CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures
 from .revpref import RevealedRelation, direct_relations, garp_verdict
@@ -115,6 +116,8 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
         AfriatInfeasibleError: e-GARP fails; carries the violating cycle.
         AfriatVerificationError: internal guard, never expected on valid
             input -- the constructed numbers failed the T^2 recheck.
+        GarpkitError: float data whose recheck allowance overflows
+            (:func:`worst_residual`).
     """
     ev = coerce_efficiency(e, dataset)
     rel = direct_relations(dataset, ev)
@@ -164,6 +167,10 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     (including the lam-weighted expenditures, so amplified rounding noise
     stays covered), computed with the IEEE operations, in the order, of the
     pairwise formula: the result is that formula's float.
+
+    Raises:
+        GarpkitError: on the float lane, an allowance overflows, which
+            would make its inequality's check vacuous.
     """
     costs = cross_expenditures(dataset)
     phi = np.array(solution.phi, dtype=costs.dtype)
@@ -176,8 +183,14 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     for t in range(len(phi)):
         margin = phi - phi[t] - lam[t] * (costs[t] - own[t])
         if floor is not None:
-            scale = np.maximum(np.maximum(floor, abs(phi[t])), lam[t] * (costs[t] + own[t]))
-            margin -= CHECK_RTOL * scale
+            with np.errstate(over="ignore"):
+                spent = lam[t] * (costs[t] + own[t])
+            if np.isinf(spent).any():
+                raise GarpkitError(
+                    "float data outside the float64 range: the Afriat check's allowance, "
+                    "lam times the cross expenditures, overflows"
+                )
+            margin -= CHECK_RTOL * np.maximum(np.maximum(floor, abs(phi[t])), spent)
         # Only margins above the running worst count; NaN margins never do.
         above = margin[margin > worst]
         if above.size:

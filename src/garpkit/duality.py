@@ -13,9 +13,16 @@ hyperplane scaled by a uniform radial factor, plus the zero bundle and every
 observed bundle that fits the budget.  Upper sets are sampled two ways:
 rejection inside a box around the observed bundles, and utility level
 crossings along random nonnegative rays from the origin (the boundary of the
-upper set, where the cost test binds).  Per-observation RNG streams are
-spawned from the master seed, so reports are reproducible and independent of
-evaluation order.
+upper set, where the cost test binds).
+
+Every draw comes from one counter-based generator, SplitMix64 (Steele, Lea &
+Flood, OOPSLA 2014), written in numpy uint64 arithmetic (:func:`_uniforms`).
+A stream is keyed by the seed, its purpose and an observation t: each
+observation has a budget stream and a ray stream of its own, and the cost
+verifier's box has one stream shared by every observation.  Value i of a
+stream depends on its key and i alone, so reports are reproducible,
+independent of evaluation order, and stream t does not depend on T.  The
+verifiers refuse a negative seed (:class:`GarpkitError`).
 
 On the exact lane, float proposals are converted to exact rationals and
 membership is certified exactly before the violation test, which then
@@ -58,25 +65,29 @@ level and no observed bundle is evaluated twice.  That product is one
 block of T rows, and is not split: a BLAS product over fewer rows may
 round differently.
 
-Each per-observation T-wide product ``points @ gradients.T`` -- of the
-box draws and the rays of the cost verifier, and of the budget samples
-that fail the screen -- runs in row blocks, so no observation holds a
-``samples x T`` array.  A block has ``B = _BLOCK`` rows, or at T under
-``_BLOCK`` as many as make ``_BLOCK ** 2`` entries, so that the cost of a
-block stays large next to the Python work around it (:func:`_block_rows`).
+Each T-wide product ``points @ gradients.T`` -- of the cost verifier's
+box draws and rays, and of the budget samples that fail the screen --
+runs in row blocks, so no call holds a ``samples x T`` array.  The box is
+drawn once per call, U is taken on it in one such product, and each
+observation accepts the draws whose U reaches its level: every
+observation gets ``samples // 2`` box draws, as many as a box of its own
+would give, for one product instead of T.  A block has ``B = _BLOCK``
+rows, or at T under ``_BLOCK`` as many as make ``_BLOCK ** 2`` entries, so
+that the cost of a block stays large next to the Python work around it
+(:func:`_block_rows`).
 The cost verifier writes its blocks into one ``(2, B, T)`` workspace per
 call, and the rationalization check into one ``(B, T)`` workspace per
 observation that fails the screen.  One kernel, :func:`_utility_values`,
 evaluates U a block at a time; only the ray search in
-:func:`_ray_level_points` walks its blocks itself.  All of an
-observation's points are drawn before its first block, and every row is
-computed on its own, so blocks change no draw.  A BLAS product over a
-block of rows need not round exactly like the same rows of one product
-over all of them: with OpenBLAS 0.3.31, entries of the last few columns
-of a T = 300 product can differ by a few ulps between the two.  So a
-sample can change sides only when its value lies within a few ulps of the
-level or threshold it is tested against, exactly as it can between two
-BLAS builds.
+:func:`_ray_level_points` walks its blocks itself.  All points of a
+product are drawn before its first block, and every row is computed on
+its own, so blocks change no draw.  A BLAS product over a block of rows
+need not round exactly like the same rows of one product over all of
+them: with OpenBLAS 0.3.31, entries of the last few columns of a T = 300
+product can differ by a few ulps between the two.  So a sample can change
+sides only when its value lies within a few ulps of the level or
+threshold it is tested against, exactly as it can between two BLAS
+builds.
 
 The float cost check is the cost half of the duality, and one inequality
 settles it: piece t of U is a supporting hyperplane through ``x[t]``, so a
@@ -88,10 +99,10 @@ the level surface, an observed bundle at or above the level -- obeys it up
 to rounding.  When that bound, less a rigorous error term, clears the
 violation threshold, the observation is clean without the T-wide ray
 search or the cost product (:func:`_own_piece_certifies`).  Otherwise the
-observation is checked point by point as before.  Each observation has its
-own RNG stream and nothing reads it after the rays, so reports are
-identical with and without the certificate.  The exact lane does not use
-it: its ``checked``, ``nudged`` and ``dropped`` counts need every point.
+observation is checked point by point as before.  The rays of each
+observation have a stream of their own, so reports are identical with and
+without the certificate.  The exact lane does not use it: its
+``checked``, ``nudged`` and ``dropped`` counts need every point.
 
 Both verifiers refuse a solution whose ``lam`` is not positive and finite:
 U would not be increasing, and sampling along rays would divide by zero.
@@ -123,6 +134,20 @@ _TINY = 2.0 ** -1000
 #: Rows per block of the float verifiers' ``points @ gradients.T`` products
 #: at T >= _BLOCK pieces (see :func:`_block_rows`).
 _BLOCK = 256
+
+#: SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+#: generators", OOPSLA 2014): the golden-gamma increment and the two
+#: multipliers of its output function, on 64-bit words.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = 2 ** 64 - 1
+
+#: Counters mixed per block of a stream (see :func:`_uniforms`).
+_COUNTERS = 8192
+
+#: Stream purposes: budget samples, the shared box, rays.
+_BUDGET, _BOX, _RAYS = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -172,8 +197,63 @@ class VerificationReport:
         return sum(o.samples for o in self.per_observation)
 
 
-def _child_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GarpkitError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's output function on a 64-bit Python int."""
+    z = (z ^ z >> 30) * _MIX1 & _MASK
+    z = (z ^ z >> 27) * _MIX2 & _MASK
+    return z ^ z >> 31
+
+
+def _uniforms(seed: int, purpose: int, t: int, rows: int, cols: int) -> np.ndarray:
+    """A ``rows x cols`` array of uniforms in (0, 1), filled row by row from
+    stream ``(seed, purpose, t)``.
+
+    The stream's key absorbs ``purpose``, ``t`` and the 64-bit words of the
+    seed, lowest first, one SplitMix64 step each, so stream t does not depend
+    on how many streams a call uses, and a seed of 2**64 or more is not its
+    value modulo 2**64.  Value i (from 1) is ``((z >> 12) + 0.5) * 2**-52``
+    with ``z`` the output function of ``key + i * gamma`` modulo 2**64: an
+    odd multiple of ``2**-53``, exact in float64, so strictly between 0
+    and 1; a 53-bit ``((z >> 11) + 0.5) * 2**-53`` would need 54 bits, and
+    its largest value would round to 1.  Counters are mixed ``_COUNTERS``
+    at a time in uint64 arrays, whose arithmetic wraps modulo 2**64.
+    """
+    key, seed = 0, int(seed)
+    words = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+    for word in (purpose, t, *words):
+        key = _mix(((key ^ word) + _GAMMA) & _MASK)
+    size = rows * cols
+    out = np.empty(size)
+    steps = np.arange(1, min(size, _COUNTERS) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    z = np.empty_like(steps)
+    spare = np.empty_like(steps)
+    mix1, mix2 = np.uint64(_MIX1), np.uint64(_MIX2)
+    for lo in range(0, size, _COUNTERS):
+        m = min(_COUNTERS, size - lo)
+        block, other = z[:m], spare[:m]
+        np.add(steps[:m], np.uint64((key + lo * _GAMMA) & _MASK), out=block)
+        np.right_shift(block, 30, out=other)
+        block ^= other
+        block *= mix1
+        np.right_shift(block, 27, out=other)
+        block ^= other
+        block *= mix2
+        np.right_shift(block, 31, out=other)
+        block ^= other
+        # (z >> 11) | 1 is 2 * (z >> 12) + 1, below 2**53: exact in float64
+        # (and an int64, which converts faster).
+        block >>= 11
+        block |= 1
+        values = out[lo:lo + m]
+        values[:] = block.view(np.int64)
+        values *= 2.0 ** -53
+    return out.reshape(rows, cols)
 
 
 def _exact_bundle(row) -> list[Fraction]:
@@ -259,9 +339,9 @@ def _own_piece_certifies(gradient: np.ndarray, offset: float, lam: float,
     Numerical Algorithms*, ch. 3), the first two kinds have exact ``x . g
     >= level - o - (gamma_L + u) m``, and ray points ``x . g >= level - o -
     (gamma_L + 3u) m``.  The ray bound needs ``fl(d . g)`` free of
-    underflow: numpy's uniform draws in [0, 1) are multiples of ``2**-53``
-    (a zero direction is replaced by ones), so every ``g`` at least
-    ``2**-960`` keeps each nonzero product normal; that also makes ``g <=
+    underflow: the directions are draws of :func:`_uniforms`, odd
+    multiples of ``2**-53`` in (0, 1), so every ``g`` at least
+    ``2**-960`` keeps each product normal; that also makes ``g <=
     lam p[t] (1 + u)``.  So ``p[t] . x >= (x . g) / (lam (1 + u))``, and
     the float cost ``fl(x . p[t])`` loses at most ``gamma_L`` more.
 
@@ -459,26 +539,29 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     :func:`_set_up`.
 
     Raises:
-        GarpkitError: some ``lam`` is not positive and finite, or exact data
-            or Afriat numbers lie outside the float64 range.
+        GarpkitError: ``seed`` is not a non-negative integer, some ``lam`` is
+            not positive and finite, or exact data or Afriat numbers lie
+            outside the float64 range.
     """
+    _check_seed(seed)
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
         dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    rngs = _child_rngs(seed, n)
 
     summaries = []
     violations = []
     exact_certified = 0
     for t in range(n):
-        rng = rngs[t]
         budget = budgets[t]
         budget_f = float(budget)
-        weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
-        radial = rng.uniform(size=(n_samples, 1))
-        proposals = radial * weights * (budget_f / dataset.price_array[t])
+        draw = _uniforms(seed, _BUDGET, t, n_samples, n_goods + 1)
+        # Dirichlet(1, ..., 1) allocations, normalised exponentials -log u,
+        # scaled by the radial factor, the last column.
+        logs = np.log(draw[:, :n_goods])
+        proposals = logs * (draw[:, n_goods] / (logs @ np.ones(n_goods)))[:, None]
+        proposals *= budget_f / dataset.price_array[t]
         points = np.vstack([proposals, np.zeros((1, n_goods)),
                             dataset.bundle_array[inside[t]]])
 
@@ -549,7 +632,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     )
 
 
-def _ray_level_points(rng, gradients, offsets, level: float, n_rays: int,
+def _ray_level_points(directions: np.ndarray, gradients, offsets, level: float,
                       work: np.ndarray) -> np.ndarray:
     """Points on (or certifiably above) the U = level surface along rays.
 
@@ -560,17 +643,13 @@ def _ray_level_points(rng, gradients, offsets, level: float, n_rays: int,
     leaves the evaluated utility a hair under the level, alpha is nudged
     outward until the point certifies as weakly above.
 
-    All directions are drawn first, so the stream is read as in one piece.
-    ``work``, a float64 array of shape ``(2, m, T)``, then receives the
-    T-wide products of ``m`` rays at a time.  Every ray is independent of
-    the others, so the points depend neither on ``m`` nor on the contents
-    of ``work``, up to how the BLAS rounds a product over ``m`` rows (see
-    the module docstring).
+    ``directions`` are positive, one row per ray.  ``work``, a float64
+    array of shape ``(2, m, T)``, receives the T-wide products of ``m`` rays
+    at a time.  Every ray is independent of the others, so the points
+    depend neither on ``m`` nor on the contents of ``work``, up to how the
+    BLAS rounds a product over ``m`` rows (see the module docstring).
     """
-    directions = rng.uniform(size=(n_rays, gradients.shape[1]))
-    degenerate = ~directions.any(axis=1)
-    if degenerate.any():
-        directions[degenerate] = 1.0
+    n_rays = directions.shape[0]
     reach = level - offsets
     alpha = np.empty(n_rays)
     for rows in _row_blocks(n_rays, work.shape[1]):
@@ -620,11 +699,14 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     """Sample each upper set and test ``p[t] . x >= e[t] * costs[t][t]``.
 
     Half the quota is rejection sampling in the box ``[0, 2 * column max]``
-    around the observed bundles (an observation whose level exceeds the
-    whole box yields zero acceptances and is reported as exhausted, not
-    failed); the other half are utility-level crossings along random rays,
-    which sit on the boundary of the upper set where the cost inequality is
-    tight.  Observed bundles at or above the level are checked as well.
+    around the observed bundles: ``n_samples // 2`` draws, taken once per
+    call from one stream and shared by every observation, each of which
+    accepts the draws whose utility reaches its level (an observation whose
+    level exceeds the whole box yields zero acceptances and is reported as
+    exhausted, not failed).  The other half are utility-level crossings
+    along random rays, from the observation's own stream, which sit on the
+    boundary of the upper set where the cost inequality is tight.  Observed
+    bundles at or above the level are checked as well.
 
     On the exact lane one pass tests each point exactly against the level,
     on the pieces whose float bracket reaches below it: a point under it is
@@ -635,19 +717,20 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     the float lane an observation whose own piece certifies every such
     point (:func:`_own_piece_certifies`) is clean without drawing its rays.
 
-    The box draws and the rays are evaluated a block of rows at a time in
-    one ``(2, B, T)`` workspace (:func:`_block_rows`): all draws are taken
-    from the stream first, and the accepted ones keep their order.
+    U on the box, one ``n_samples // 2 x T`` product per call, and on the
+    rays is evaluated a block of rows at a time in one ``(2, B, T)``
+    workspace (:func:`_block_rows`): all draws of a product are taken from
+    their stream first, and the accepted ones keep their order.
 
     Raises:
         GarpkitError: as :func:`verify_rationalization`, or the sampling box
             lies outside the float64 range.
     """
+    _check_seed(seed)
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
         dataset, e, solution)
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    rngs = _child_rngs(seed, n)
     with np.errstate(over="ignore"):
         box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     if not np.isfinite(box_hi).all():
@@ -656,23 +739,24 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
-    # One workspace for the T-wide draw and ray products of every
-    # observation, a block of rows at a time.
+    # One workspace for the T-wide box and ray products, a block of rows at
+    # a time.
     work = np.empty((2, _block_rows(max(n_reject, n_rays), n), n))
+    # One box sample for every observation, and U on it in one product.
+    draws = _uniforms(seed, _BOX, 0, n_reject, n_goods) * box_hi
+    draw_values = _utility_values(draws, gradients, offsets, work[1])
 
     summaries = []
     violations = []
     exhausted = []
     exact_certified = nudged = dropped = 0
     for t in range(n):
-        rng = rngs[t]
         budget = budgets[t]
         budget_f = float(budget)
         price_f = dataset.price_array[t]
         level_f = float(observed[t])
 
-        draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
-        accepted = draws[_utility_values(draws, gradients, offsets, work[1]) >= level_f]
+        accepted = draws[draw_values >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
@@ -680,12 +764,13 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         threshold = budget_f * (1.0 - CHECK_RTOL)
         if not dataset.exact and _own_piece_certifies(
                 gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):
-            # Nothing reads stream t after the rays, so skipping them
+            # The rays of t have a stream of their own, so skipping them
             # changes no other observation's points.
             summaries.append(ObservationSummary(
                 t, accepted.shape[0] + n_rays + observed_in.shape[0], 0))
             continue
-        ray_points = _ray_level_points(rng, gradients, offsets, level_f, n_rays, work)
+        ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
+                                       gradients, offsets, level_f, work)
         pts = np.vstack([accepted, ray_points, observed_in])
 
         bad_here = 0

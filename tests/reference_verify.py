@@ -12,7 +12,10 @@ over all of an observation's rows, into a fresh array.  Both take U at the
 observed bundles from one product over all of them, as the verifiers do.
 ``_ray_level_points`` and the float-lane ``worst_residual`` loop are the
 versions before those changes too.  Sampling draws the same points from
-the same per-observation streams.
+the same streams (``duality._uniforms``): budget samples and rays from
+each observation's own, box draws from the one box stream.  The cost
+references take U on the box draws for each observation afresh, in one
+product over all of them, rather than reading one shared product.
 """
 
 from __future__ import annotations
@@ -23,24 +26,22 @@ import numpy as np
 
 from garpkit.afriat import AfriatSolution, evaluate_utility, utility_profile
 from garpkit.duality import (
+    _BOX,
+    _BUDGET,
     _MAX_NUDGES,
+    _RAYS,
     ObservationSummary,
     SampleViolation,
     VerificationReport,
-    _child_rngs,
     _exact_bundle,
+    _uniforms,
 )
 from garpkit.model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
 from garpkit.model import CHECK_RTOL as FLOAT_RTOL  # the verifiers' allowance
 from reference_compare import leq
 
 
-def _ray_level_points(rng, gradients, offsets, level: float,
-                      n_rays: int, n_goods: int) -> np.ndarray:
-    directions = rng.uniform(size=(n_rays, n_goods))
-    degenerate = ~directions.any(axis=1)
-    if degenerate.any():
-        directions[degenerate] = 1.0
+def _ray_level_points(directions, gradients, offsets, level: float) -> np.ndarray:
     slopes = directions @ gradients.T  # strictly positive: prices > 0
     alpha = ((level - offsets) / slopes).max(axis=1)
     # Strictly increasing utility puts the origin strictly under the level
@@ -54,6 +55,14 @@ def _ray_level_points(rng, gradients, offsets, level: float,
         alpha[short] = alpha[short] * (1.0 + bump) + 1e-300
         bump *= 2.0
     return alpha[:, None] * directions
+
+
+def _budget_proposals(seed, t, n_samples, n_goods, scale) -> np.ndarray:
+    # Dirichlet(1, ..., 1) allocations (normalised -log u) times a radial
+    # factor, the draw's last column.
+    draw = _uniforms(seed, _BUDGET, t, n_samples, n_goods + 1)
+    logs = np.log(draw[:, :n_goods])
+    return logs * (draw[:, n_goods] / (logs @ np.ones(n_goods)))[:, None] * scale
 
 
 def worst_residual(solution: AfriatSolution, dataset: Dataset):
@@ -87,18 +96,15 @@ def _float_verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
-    rngs = _child_rngs(seed, n)
     observed = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
 
     summaries = []
     violations = []
     for t in range(n):
-        rng = rngs[t]
         budget = ev[t] * costs[t][t]
         budget_f = float(budget)
-        weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
-        radial = rng.uniform(size=(n_samples, 1))
-        proposals = radial * weights * (budget_f / dataset.price_array[t])
+        proposals = _budget_proposals(seed, t, n_samples, n_goods,
+                                      budget_f / dataset.price_array[t])
         drawn = np.vstack([proposals, np.zeros((1, n_goods))])
         inside = [s for s in range(n) if leq(costs[t][s], budget, dataset.rel_tol)]
         points = np.vstack([drawn, dataset.bundle_array[inside]])
@@ -138,32 +144,29 @@ def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolu
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
-    rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
+    draws = _uniforms(seed, _BOX, 0, n_reject, n_goods) * box_hi
 
     summaries = []
     violations = []
     exhausted = []
     for t in range(n):
-        rng = rngs[t]
         budget = ev[t] * costs[t][t]
         budget_f = float(budget)
         price_f = dataset.price_array[t]
         level_f = float(observed_values[t])
 
-        draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
         draw_values = (draws @ gradients.T + offsets).min(axis=1)
         accepted = draws[draw_values >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        ray_points = _ray_level_points(
-            rng, gradients, offsets, level_f, n_rays, n_goods
-        )
+        ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
+                                       gradients, offsets, level_f)
         observed_in = dataset.bundle_array[observed_values >= level_f]
         pts = np.vstack([accepted, ray_points, observed_in])
 
@@ -200,17 +203,14 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
-    rngs = _child_rngs(seed, n)
 
     summaries = []
     violations = []
     for t in range(n):
-        rng = rngs[t]
         budget = ev[t] * costs[t][t]
         budget_f = float(budget)
-        weights = rng.dirichlet(np.ones(n_goods), size=n_samples)
-        radial = rng.uniform(size=(n_samples, 1))
-        proposals = radial * weights * (budget_f / dataset.price_array[t])
+        proposals = _budget_proposals(seed, t, n_samples, n_goods,
+                                      budget_f / dataset.price_array[t])
         extras = [np.zeros(n_goods)]
         for s in range(n):
             if leq(costs[t][s], budget, dataset.rel_tol):
@@ -257,30 +257,27 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
-    rngs = _child_rngs(seed, n)
     box_hi = 2.0 * dataset.bundle_array.max(axis=0)
     observed_values = (dataset.bundle_array @ gradients.T + offsets).min(axis=1)
 
     n_reject = n_samples // 2
     n_rays = n_samples - n_reject
+    draws = _uniforms(seed, _BOX, 0, n_reject, n_goods) * box_hi
 
     summaries = []
     violations = []
     exhausted = []
     for t in range(n):
-        rng = rngs[t]
         budget = ev[t] * costs[t][t]
         level_f = float(observed_values[t])
 
-        draws = rng.uniform(size=(n_reject, n_goods)) * box_hi
         draw_values = (draws @ gradients.T + offsets).min(axis=1)
         accepted = draws[draw_values >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        ray_points = _ray_level_points(
-            rng, gradients, offsets, level_f, n_rays, n_goods
-        )
+        ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
+                                       gradients, offsets, level_f)
         observed_in = dataset.bundle_array[observed_values >= level_f]
         pts = np.vstack([accepted, ray_points, observed_in])
 

@@ -105,6 +105,23 @@ def test_float_lane_solution(base_float):
     assert worst_residual(sol, base_float) <= 0
 
 
+def test_float_allowance_that_overflows_is_refused():
+    # lam * (p . x + e p . x) is 2e308: the recheck's allowance would be
+    # +inf and its inequality unchecked.  The suite turns the overflow
+    # warning into an error, so none may be raised on the way.
+    from garpkit.errors import GarpkitError
+
+    dataset = validate_dataset([[1, 1]], [[0, 1e308]], exact=False)
+    with pytest.raises(GarpkitError, match="float64 range: the Afriat check's allowance"):
+        solve_afriat(dataset)
+    one = AfriatSolution((0.0,), (1.0,), (1.0,))
+    with pytest.raises(GarpkitError, match="float64 range"):
+        worst_residual(one, dataset)
+    # Half the bundle keeps the allowance finite, and the exact lane has none.
+    assert solve_afriat(validate_dataset([[1, 1]], [[0, 5e307]], exact=False)).residual <= 0
+    assert solve_afriat(validate_dataset([[1, 1]], [[0, 1e308]], exact=True)).residual == 0
+
+
 def _same_solution(dataset, e):
     """Whether the array construction and the loop reference agree, value
     for value and type for type; also whether some class has two members."""

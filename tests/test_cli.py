@@ -303,13 +303,17 @@ def test_text_format_renders_verifications_missing_witnesses_and_errors(capsys, 
     (["verify", "--samples", "5"], "f.json", '{"prices": [[1, 1]], "bundles": [[0, 1e308]]}'),
     # p[1] . x[1] underflows to zero.
     (["oracle", "--float"], "j.csv", "t,p1,x1\n1,1e-300,1e-300\n2,1,1\n"),
-], ids=["verify-box-overflows", "oracle-float-underflows"])
+    # The Afriat check's allowance, lam * (p . x + e p . x), is +inf.
+    (["afriat", "--float"], "f.json", '{"prices": [[1, 1]], "bundles": [[0, 1e308]]}'),
+], ids=["verify-box-overflows", "oracle-float-underflows", "afriat-float-allowance-overflows"])
 def test_data_outside_the_float64_range_is_an_input_error(capsys, tmp_path, report_validator,
                                                           argv, name, text):
     path = tmp_path / name
     path.write_text(text)
-    code, report = run_json(capsys, *argv, str(path))
-    assert code == EXIT_INPUT_ERROR
+    code = main(argv + [str(path)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == EXIT_INPUT_ERROR and not err
     error = report["results"]["error"]
     assert error["type"] == "GarpkitError"
     assert "data outside the float64 range" in error["message"]
@@ -730,6 +734,39 @@ def test_float_ccei_fingerprints_without_openssl(viol_path):
                           "bundles": ds.bundle_array.tolist()},
                          separators=(",", ":"), sort_keys=True)
     assert done.stdout.split()[1] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("lane", ["--exact", "--float"])
+def test_verify_loads_neither_numpy_random_nor_openssl(base_path, lane):
+    # The verifiers draw from their own numpy stream, so verify never
+    # imports numpy.random, nor the secrets, hmac and OpenSSL it brings.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import io, json, sys, contextlib\n"
+        "from garpkit.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "report = json.loads(out.getvalue())['results']\n"
+        "print(code, report['rationalization']['clean'], report['cost_rationalization']['clean'])\n"
+        "print(*sorted({'numpy.random', 'secrets', 'hmac', '_hashlib'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, "verify", base_path, lane,
+                           "--samples", "50"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout.splitlines() == ["0 True True", ""], done.stderr
+
+
+@pytest.mark.parametrize("value", ["-1", "-18446744073709551616"])
+def test_verify_refuses_a_negative_seed(capsys, report_validator, base_path, value):
+    for argv in (["--seed", value], [f"--seed={value}"]):
+        report = _assert_input_error(capsys, report_validator,
+                                     ["verify", base_path, "--samples", "5"] + argv)
+        assert report["parameters"]["seed"] == int(value)
+        assert report["results"]["error"] == {
+            "type": "GarpkitError",
+            "message": f"seed must be a non-negative integer, got {value}"}
 
 
 def test_module_runs_as_script(viol_path):

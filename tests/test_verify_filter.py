@@ -229,10 +229,10 @@ def test_cost_certificate_covers_any_rounding(case, seed):
     if not duality._own_piece_certifies(gradient, offset, lam, level, threshold):
         return
     assert _rational_cost_floor(price, gradient, offset, level) >= Fraction(threshold)
-    rng = np.random.default_rng(seed)
     work = np.empty((2, 50, 1))
-    rays = duality._ray_level_points(rng, gradient[None], np.array([offset]), level, 50, work)
-    draws = rng.uniform(0.5, 1.5, (50, len(price)))
+    directions = duality._uniforms(seed, duality._RAYS, 0, 50, len(price))
+    rays = duality._ray_level_points(directions, gradient[None], np.array([offset]), level, work)
+    draws = np.random.default_rng(seed).uniform(0.5, 1.5, (50, len(price)))
     draws *= (level - offset) / (draws @ gradient)[:, None]
     draws = draws[draws @ gradient + offset >= level]
     u = Fraction(1, 2**53)
@@ -314,9 +314,9 @@ def test_cost_certificate_skips_the_ray_search_on_honest_solutions(monkeypatch):
     levels = []
     search = duality._ray_level_points
 
-    def spy(rng, gradients, offsets, level, *rest):
+    def spy(directions, gradients, offsets, level, *rest):
         levels.append(level)
-        return search(rng, gradients, offsets, level, *rest)
+        return search(directions, gradients, offsets, level, *rest)
 
     monkeypatch.setattr(duality, "_ray_level_points", spy)
     dataset = _ces_float(40, seed=5)
