@@ -640,12 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(command: str, mode: str) -> dict:
+def _envelope(command: str, float_flag: bool) -> dict:
+    """The report skeleton; ``generate`` is on the float lane, flag or not."""
     return {
         "tool": "garpkit",
         "version": __version__,
         "command": command,
-        "mode": mode,
+        "mode": "float" if float_flag or command == "generate" else "exact",
         "parameters": {},
         "dataset": None,
         "results": {},
@@ -675,8 +676,7 @@ def _refused(err: UsageError, argv) -> int:
     report is JSON on standard output whatever they say.
     """
     words = sys.argv[1:] if argv is None else list(argv)
-    float_lane = err.command == "generate" or "--float" in words
-    report = _envelope(err.command, "float" if float_lane else "exact")
+    report = _envelope(err.command, "--float" in words)
     report["results"] = _error_results(err)
     sys.stdout.write(_to_json(report) + "\n")
     return EXIT_INPUT_ERROR
@@ -699,14 +699,12 @@ def main(argv=None) -> int:
 
     for module in _RUNS[args.command].split():
         import_module(f".{module}", __package__)
-    mode = "float" if getattr(args, "exact", True) is False else "exact"
-    report = _envelope(args.command, mode)
+    report = _envelope(args.command, not getattr(args, "exact", True))
 
     try:
         if args.command == "generate":
             report["parameters"] = {"config": args.config, "data_out": args.data_out}
             report["dataset"], report["results"], code = _cmd_generate(args)
-            report["mode"] = "float"
         else:
             dataset = parse_input(args.input, args.input_format, exact=args.exact)
             report["dataset"] = _dataset_block(dataset)

@@ -28,6 +28,7 @@ import numpy as np
 from .ccei import ccei_exact
 from .errors import InfeasibleWasteError
 from .model import Dataset, Number, validate_dataset
+from .stream import _CORNERS, _MARKETS, _check_seed, _uniforms
 
 _FAMILIES = ("cobb_douglas", "ces")
 
@@ -52,8 +53,8 @@ class GeneratorSpec:
             both finite.
         income_range: (low, high) for uniform income draws, likewise.
         waste: scalar or per-observation sequence in [0, 1).
-        seed: RNG seed; identical spec and seed reproduce the dataset
-            bit for bit.
+        seed: non-negative integer keying the draws; identical spec and
+            seed reproduce the dataset bit for bit.
     """
 
     family: str
@@ -84,6 +85,7 @@ class GeneratorSpec:
                 raise ValueError("elasticity must be positive and different from 1")
         object.__setattr__(self, "n_observations", _whole("n_observations", self.n_observations))
         object.__setattr__(self, "seed", _whole("seed", self.seed))
+        _check_seed(self.seed, ValueError)
         if self.n_observations < 1:
             raise ValueError("need at least one observation")
         for name in ("price_range", "income_range"):
@@ -173,16 +175,16 @@ def _demand_fn(spec: GeneratorSpec):
 
 
 def _wasteful_bundle(spec: GeneratorSpec, t: int, prices: np.ndarray,
-                     income: float, optimum: np.ndarray, waste: float,
-                     rng: np.random.Generator) -> np.ndarray:
+                     income: float, optimum: np.ndarray, waste: float) -> np.ndarray:
     """On-budget bundle whose utility equals that of (1 - waste) income.
 
     Homogeneity of degree one makes the target (1 - waste) * U(optimum).
     The bundle is found on the segment from the optimum toward a budget-line
-    corner, where utility falls monotonically.  The corner is drawn at random
-    among those whose utility is at or below the target, so that waste skews
-    different observations in different directions; a single fixed direction
-    would just look like a coherent taste for one good.
+    corner, where utility falls monotonically.  The first value of "corners"
+    stream t picks the corner among those whose utility is at or below the
+    target, so that waste skews different observations in different
+    directions; a single fixed direction would just look like a coherent
+    taste for one good.
     """
     utility = _utility_fn(spec)
     u_opt = utility(optimum)
@@ -194,7 +196,8 @@ def _wasteful_bundle(spec: GeneratorSpec, t: int, prices: np.ndarray,
     if target < floor:
         raise InfeasibleWasteError(t, target, floor)
     options = [i for i, v in enumerate(corner_values) if v <= target]
-    corner = corners[options[int(rng.integers(len(options)))]]
+    u = _uniforms(spec.seed, _CORNERS, t, 1, 1)[0, 0]
+    corner = corners[options[int(u * len(options))]]
 
     lo, hi = 0.0, 1.0  # mixing weight toward the corner
     for _ in range(200):
@@ -216,26 +219,23 @@ def drawn_markets(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Exposed so callers can audit the budget identity of a generated dataset
     (``p[t] . x[t] == income[t]``) without re-deriving incomes from bundles.
-    Draw order matches :func:`generate`: prices then income, one observation
-    at a time.
+    Row t of one ``T x (L + 1)`` draw of the "markets" stream holds its L
+    prices, then its income, each ``low + (high - low) * u`` on its range.
     """
-    rng = np.random.default_rng(spec.seed)
+    draw = _uniforms(spec.seed, _MARKETS, 0, spec.n_observations, spec.n_goods + 1)
     lo_p, hi_p = spec.price_range
     lo_m, hi_m = spec.income_range
-    prices = np.empty((spec.n_observations, spec.n_goods))
-    incomes = np.empty(spec.n_observations)
-    for t in range(spec.n_observations):
-        prices[t] = rng.uniform(lo_p, hi_p, size=spec.n_goods)
-        incomes[t] = rng.uniform(lo_m, hi_m)
-    return prices, incomes
+    return lo_p + (hi_p - lo_p) * draw[:, :-1], lo_m + (hi_m - lo_m) * draw[:, -1]
 
 
 def generate(spec: GeneratorSpec, *, exact: bool = False) -> Dataset:
     """Draw a dataset according to ``spec``.
 
-    Bundles exhaust the drawn income exactly up to float rounding: demands
-    satisfy the budget identity in closed form and waste moves stay on the
-    budget hyperplane (affine mixes of on-budget points).
+    Markets come from :func:`drawn_markets` and waste corners from streams
+    of their own, so clean and wasted specs share their markets.  Bundles
+    exhaust the drawn income exactly up to float rounding: demands satisfy
+    the budget identity in closed form and waste moves stay on the budget
+    hyperplane (affine mixes of on-budget points).
 
     Args:
         spec: generation recipe.
@@ -244,9 +244,6 @@ def generate(spec: GeneratorSpec, *, exact: bool = False) -> Dataset:
     """
     demand = _demand_fn(spec)
     price_table, incomes = drawn_markets(spec)
-    # Waste directions come from a spawned child stream so that clean and
-    # wasted variants of a spec share identical market draws.
-    waste_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
 
     price_rows = []
     bundle_rows = []
@@ -256,7 +253,7 @@ def generate(spec: GeneratorSpec, *, exact: bool = False) -> Dataset:
         bundle = demand(prices, income)
         w = spec.waste[t]
         if w > 0:
-            bundle = _wasteful_bundle(spec, t, prices, income, bundle, w, waste_rng)
+            bundle = _wasteful_bundle(spec, t, prices, income, bundle, w)
         price_rows.append(tuple(prices.tolist()))
         bundle_rows.append(tuple(bundle.tolist()))
 

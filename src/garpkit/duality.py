@@ -15,14 +15,9 @@ rejection inside a box around the observed bundles, and utility level
 crossings along random nonnegative rays from the origin (the boundary of the
 upper set, where the cost test binds).
 
-Every draw comes from one counter-based generator, SplitMix64 (Steele, Lea &
-Flood, OOPSLA 2014), written in numpy uint64 arithmetic (:func:`_uniforms`).
-A stream is keyed by the seed, its purpose and an observation t: each
-observation has a budget stream and a ray stream of its own, and the cost
-verifier's box has one stream shared by every observation.  Value i of a
-stream depends on its key and i alone, so reports are reproducible,
-independent of evaluation order, and stream t does not depend on T.  The
-verifiers refuse a negative seed (:class:`GarpkitError`).
+Every draw comes from :mod:`.stream`: each observation t has a budget
+stream and a ray stream of its own, and the cost verifier's box has one
+stream shared by every observation.
 
 On the exact lane, float proposals are converted to exact rationals and
 membership is certified exactly before the violation test, which then
@@ -120,6 +115,7 @@ from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
 from .model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
 from .revpref import check_e_garp, direct_relations
+from .stream import _BOX, _BUDGET, _RAYS, _check_seed, _uniforms
 
 #: Cap on the outward-nudge loop that certifies ray points sit weakly above
 #: the target level after float rounding; usually 0 or 1 passes are needed.
@@ -134,20 +130,6 @@ _TINY = 2.0 ** -1000
 #: Rows per block of the float verifiers' ``points @ gradients.T`` products
 #: at T >= _BLOCK pieces (see :func:`_block_rows`).
 _BLOCK = 256
-
-#: SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
-#: generators", OOPSLA 2014): the golden-gamma increment and the two
-#: multipliers of its output function, on 64-bit words.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK = 2 ** 64 - 1
-
-#: Counters mixed per block of a stream (see :func:`_uniforms`).
-_COUNTERS = 8192
-
-#: Stream purposes: budget samples, the shared box, rays.
-_BUDGET, _BOX, _RAYS = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -195,65 +177,6 @@ class VerificationReport:
     @property
     def total_samples(self) -> int:
         return sum(o.samples for o in self.per_observation)
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise GarpkitError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def _mix(z: int) -> int:
-    """SplitMix64's output function on a 64-bit Python int."""
-    z = (z ^ z >> 30) * _MIX1 & _MASK
-    z = (z ^ z >> 27) * _MIX2 & _MASK
-    return z ^ z >> 31
-
-
-def _uniforms(seed: int, purpose: int, t: int, rows: int, cols: int) -> np.ndarray:
-    """A ``rows x cols`` array of uniforms in (0, 1), filled row by row from
-    stream ``(seed, purpose, t)``.
-
-    The stream's key absorbs ``purpose``, ``t`` and the 64-bit words of the
-    seed, lowest first, one SplitMix64 step each, so stream t does not depend
-    on how many streams a call uses, and a seed of 2**64 or more is not its
-    value modulo 2**64.  Value i (from 1) is ``((z >> 12) + 0.5) * 2**-52``
-    with ``z`` the output function of ``key + i * gamma`` modulo 2**64: an
-    odd multiple of ``2**-53``, exact in float64, so strictly between 0
-    and 1; a 53-bit ``((z >> 11) + 0.5) * 2**-53`` would need 54 bits, and
-    its largest value would round to 1.  Counters are mixed ``_COUNTERS``
-    at a time in uint64 arrays, whose arithmetic wraps modulo 2**64.
-    """
-    key, seed = 0, int(seed)
-    words = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
-    for word in (purpose, t, *words):
-        key = _mix(((key ^ word) + _GAMMA) & _MASK)
-    size = rows * cols
-    out = np.empty(size)
-    steps = np.arange(1, min(size, _COUNTERS) + 1, dtype=np.uint64)
-    steps *= np.uint64(_GAMMA)
-    z = np.empty_like(steps)
-    spare = np.empty_like(steps)
-    mix1, mix2 = np.uint64(_MIX1), np.uint64(_MIX2)
-    for lo in range(0, size, _COUNTERS):
-        m = min(_COUNTERS, size - lo)
-        block, other = z[:m], spare[:m]
-        np.add(steps[:m], np.uint64((key + lo * _GAMMA) & _MASK), out=block)
-        np.right_shift(block, 30, out=other)
-        block ^= other
-        block *= mix1
-        np.right_shift(block, 27, out=other)
-        block ^= other
-        block *= mix2
-        np.right_shift(block, 31, out=other)
-        block ^= other
-        # (z >> 11) | 1 is 2 * (z >> 12) + 1, below 2**53: exact in float64
-        # (and an int64, which converts faster).
-        block >>= 11
-        block |= 1
-        values = out[lo:lo + m]
-        values[:] = block.view(np.int64)
-        values *= 2.0 ** -53
-    return out.reshape(rows, cols)
 
 
 def _exact_bundle(row) -> list[Fraction]:
@@ -543,7 +466,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             not positive and finite, or exact data or Afriat numbers lie
             outside the float64 range.
     """
-    _check_seed(seed)
+    _check_seed(seed, GarpkitError)
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
         dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
@@ -726,7 +649,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: as :func:`verify_rationalization`, or the sampling box
             lies outside the float64 range.
     """
-    _check_seed(seed)
+    _check_seed(seed, GarpkitError)
     ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
         dataset, e, solution)
     n = dataset.n_observations

@@ -252,10 +252,11 @@ def check_e_garp(dataset: Dataset, e=1, *, witness: bool = True) -> GarpVerdict:
 
 
 def validate_witness(dataset: Dataset, e, w: CycleWitness) -> bool:
-    """Re-check a witness against the direct relations at ``e``."""
+    """Re-check a witness against the direct relations at ``e``; no index wraps."""
     rel = direct_relations(dataset, e)
     idx = w.indices
-    if len(idx) < 2 or idx[0] != idx[-1]:
+    if (len(idx) < 2 or idx[0] != idx[-1] or not 0 <= w.strict_edge < len(idx) - 1
+            or not all(0 <= i < dataset.n_observations for i in idx)):
         return False
     steps = list(zip(idx[:-1], idx[1:]))
     if not all(rel.weak[a, b] for a, b in steps):

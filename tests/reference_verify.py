@@ -12,7 +12,7 @@ over all of an observation's rows, into a fresh array.  Both take U at the
 observed bundles from one product over all of them, as the verifiers do.
 ``_ray_level_points`` and the float-lane ``worst_residual`` loop are the
 versions before those changes too.  Sampling draws the same points from
-the same streams (``duality._uniforms``): budget samples and rays from
+the same streams (``stream._uniforms``): budget samples and rays from
 each observation's own, box draws from the one box stream.  The cost
 references take U on the box draws for each observation afresh, in one
 product over all of them, rather than reading one shared product.
@@ -26,18 +26,15 @@ import numpy as np
 
 from garpkit.afriat import AfriatSolution, evaluate_utility, utility_profile
 from garpkit.duality import (
-    _BOX,
-    _BUDGET,
     _MAX_NUDGES,
-    _RAYS,
     ObservationSummary,
     SampleViolation,
     VerificationReport,
     _exact_bundle,
-    _uniforms,
 )
 from garpkit.model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
 from garpkit.model import CHECK_RTOL as FLOAT_RTOL  # the verifiers' allowance
+from garpkit.stream import _BOX, _BUDGET, _RAYS, _uniforms
 from reference_compare import leq
 
 

@@ -401,6 +401,7 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
                             "--data-out", str(tmp_path / "d.csv"))
     assert code == EXIT_INPUT_ERROR
     assert "zebra" in report["results"]["error"]["message"]
+    assert report["mode"] == "float"
 
 
 @pytest.mark.parametrize("value,message", [
@@ -425,6 +426,11 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
                  "seed must be a whole number, got 2.7", id="seed-fractional"),
     pytest.param('{"weights": [1.0], "n_observations": 3, "seed": 1e400}',
                  "cannot convert float infinity to integer", id="seed-1e400"),
+    # A seed is a non-negative integer, as verify's --seed is.
+    pytest.param('{"weights": [1.0], "n_observations": 3, "seed": -1}',
+                 "seed must be a non-negative integer, got -1", id="seed-negative"),
+    pytest.param('{"weights": [1.0], "n_observations": 3, "seed": -2.0}',
+                 "seed must be a non-negative integer, got -2", id="seed-negative-float"),
     # A JSON boolean or string is not a number, even where int() or float()
     # would read it as one.
     pytest.param('{"weights": [1.0], "n_observations": true}',
@@ -461,6 +467,7 @@ def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
     error = report["results"]["error"]
     assert error["type"] == "ParseError"
     assert message in error["message"]
+    assert report["mode"] == "float"
     assert not list(report_validator.iter_errors(report))
 
 
@@ -736,26 +743,36 @@ def test_float_ccei_fingerprints_without_openssl(viol_path):
     assert done.stdout.split()[1] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("lane", ["--exact", "--float"])
-def test_verify_loads_neither_numpy_random_nor_openssl(base_path, lane):
-    # The verifiers draw from their own numpy stream, so verify never
-    # imports numpy.random, nor the secrets, hmac and OpenSSL it brings.
+@pytest.mark.parametrize("command, lane", [
+    *(pytest.param(command, lane, id=f"{command}-{lane[2:]}")
+      for command in ("check-garp", "ccei", "afriat", "verify", "oracle")
+      for lane in ("--exact", "--float")),
+    pytest.param("generate", None, id="generate"),
+])
+def test_no_command_loads_numpy_random_nor_openssl(base_path, tmp_path, command, lane):
+    # Every draw comes from garpkit.stream, so no command imports
+    # numpy.random, nor the secrets, hmac and OpenSSL it brings; generate
+    # loads neither the verifiers nor the Afriat solver either.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    unwanted = {"numpy.random", "secrets", "hmac", "_hashlib"}
+    if command == "generate":
+        config = tmp_path / "gen.json"
+        config.write_text('{"weights": [0.5, 0.5], "n_observations": 4, "waste": 0.2}')
+        argv = [command, "--config", str(config), "--data-out", str(tmp_path / "g.csv")]
+        unwanted |= {"garpkit.duality", "garpkit.afriat"}
+    else:
+        argv = [command, base_path, lane] + (["--samples", "50"] if command == "verify" else [])
     script = (
-        "import io, json, sys, contextlib\n"
+        "import io, sys, contextlib\n"
         "from garpkit.cli import main\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        "    code = main(sys.argv[1:])\n"
-        "report = json.loads(out.getvalue())['results']\n"
-        "print(code, report['rationalization']['clean'], report['cost_rationalization']['clean'])\n"
-        "print(*sorted({'numpy.random', 'secrets', 'hmac', '_hashlib'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[2:])\n"
+        "print(code, *sorted(set(sys.argv[1].split()) & set(sys.modules)))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script, "verify", base_path, lane,
-                           "--samples", "50"],
+    done = subprocess.run([sys.executable, "-c", script, " ".join(unwanted), *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert done.stdout.splitlines() == ["0 True True", ""], done.stderr
+    assert done.stdout.split() == ["0"], done.stderr
 
 
 @pytest.mark.parametrize("value", ["-1", "-18446744073709551616"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from garpkit import GeneratorSpec, ccei_exact, drawn_markets, generate
+from garpkit import GeneratorSpec, ccei_exact, drawn_markets, generate, stream
 from garpkit.datagen import (
     ces_demand,
     ces_utility,
@@ -58,6 +58,22 @@ def test_generated_dataset_budget_identity():
     assert np.allclose(prices, ds.price_array)
     spend = (ds.price_array * ds.bundle_array).sum(axis=1)
     assert np.all(np.abs(spend - incomes) <= 1e-12 * incomes)
+
+
+def test_markets_are_one_draw_of_the_markets_stream():
+    # Row t of one T x (L + 1) draw holds observation t's prices, then its
+    # income, each read as low + (high - low) * u.
+    spec = GeneratorSpec("ces", (1.0, 2.0, 3.0), 5, (0.5, 3.0), (10.0, 20.0),
+                         elasticity=0.7, seed=2**70 + 3)
+    u = stream._uniforms(spec.seed, stream._MARKETS, 0, 5, 4)
+    prices, incomes = drawn_markets(spec)
+    assert prices.tolist() == (0.5 + 2.5 * u[:, :3]).tolist()
+    assert incomes.tolist() == (10.0 + 10.0 * u[:, 3]).tolist()
+    assert generate(spec).price_array.tolist() == prices.tolist()
+    # A degenerate range gives its one value.
+    flat = GeneratorSpec("cobb_douglas", (0.5, 0.5), 3, (2.0, 2.0), (7.0, 7.0))
+    assert drawn_markets(flat)[0].tolist() == [[2.0, 2.0]] * 3
+    assert drawn_markets(flat)[1].tolist() == [7.0] * 3
 
 
 def test_zero_waste_is_fully_consistent():
@@ -136,6 +152,13 @@ def test_exact_lane_generation():
      "n_observations must be a whole number, got 2.5"),
     (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=1.5),
      "seed must be a whole number, got 1.5"),
+    # A seed is a non-negative integer, as the verifiers' seed is.
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=-1),
+     "seed must be a non-negative integer, got -1"),
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=np.int64(-3)),
+     "seed must be a non-negative integer, got -3"),
+    (dict(family="cobb_douglas", weights=(0.5, 0.5), seed=-2.0**64),
+     "seed must be a non-negative integer, got -18446744073709551616"),
 ])
 def test_spec_validation(kwargs, message):
     kwargs.setdefault("n_observations", 3)

@@ -51,6 +51,22 @@ def test_validate_witness_refuses_what_is_not_a_violating_cycle(base_exact, indi
     assert not validate_witness(base_exact, 1, CycleWitness(indices, strict_edge))
 
 
+@pytest.mark.parametrize("indices, strict_edge", [
+    ((0, 1, 0), -1),    # a step counted from the end
+    ((-2, -1, -2), 0),  # observations counted from the end
+    ((0, 1, 0), 2),     # one past the last step
+    ((0, 1, 0), 7),
+    ((0, 5, 0), 0),     # no observation 5
+    ((0, 2, 0), 1),
+])
+def test_validate_witness_refuses_indices_out_of_range(viol_exact, indices, strict_edge):
+    # (0, 1, 0) with either step marked is a violating cycle here; indices
+    # and steps outside their ranges are refused, not wrapped or raised on.
+    assert validate_witness(viol_exact, 1, CycleWitness((0, 1, 0), 0))
+    assert validate_witness(viol_exact, 1, CycleWitness((0, 1, 0), 1))
+    assert not validate_witness(viol_exact, 1, CycleWitness(indices, strict_edge))
+
+
 def test_viol_holds_at_breakpoint_tie(viol_exact):
     # At 4/5 both cross links become ties: a cycle with no strict step.
     assert check_e_garp(viol_exact, Fraction(4, 5)).holds
