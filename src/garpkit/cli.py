@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import AfriatInfeasibleError, GarpkitError, ParseError
 from .model import Dataset, coerce_efficiency, cross_expenditures, validate_dataset
+from .stream import _check_count, _check_seed
 
 try:
     # CPython's own SHA-256 spares every command the OpenSSL that hashlib
@@ -308,8 +309,9 @@ def _cmd_check_garp(dataset: Dataset, args) -> tuple[dict, int]:
 
 def _cmd_ccei(dataset: Dataset, args) -> tuple[dict, int]:
     encode = _lane_encoder(dataset)
-    exact_result = _cli.ccei_exact(dataset)
+    # The bisection refuses a bad --tol before the exact search runs.
     bisect_value = _cli.ccei_binary_search(dataset, args.tol)
+    exact_result = _cli.ccei_exact(dataset)
     agreement = abs(bisect_value - float(exact_result.value)) <= args.tol
     results = {
         "ccei_exact": encode(exact_result.value),
@@ -350,8 +352,9 @@ def _cmd_afriat(dataset: Dataset, args) -> tuple[dict, int, AfriatSolution | Non
 
 
 def _cmd_verify(dataset: Dataset, args) -> tuple[dict, int]:
-    if args.samples < 1:
-        raise GarpkitError(f"--samples must be at least 1, got {args.samples}")
+    # Refused before the solve: on infeasible data the verifiers never run.
+    _check_count(args.samples, "--samples", GarpkitError)
+    _check_seed(args.seed, GarpkitError)
     base, code, solution = _cmd_afriat(dataset, args)
     if solution is None:
         base.update({

@@ -9,11 +9,19 @@ here by sampling -- deliberately sharing nothing with the construction of
 the utility beyond the ability to evaluate it.
 
 Budget sets are sampled by uniform simplex allocations on the budget
-hyperplane scaled by a uniform radial factor, plus the zero bundle and every
-observed bundle that fits the budget.  Upper sets are sampled two ways:
-rejection inside a box around the observed bundles, and utility level
-crossings along random nonnegative rays from the origin (the boundary of the
-upper set, where the cost test binds).
+hyperplane scaled by a uniform radial factor, plus the zero bundle.  Upper
+sets are sampled two ways: rejection inside a box around the observed
+bundles, and utility level crossings along random nonnegative rays from the
+origin (the boundary of the upper set, where the cost test binds).
+
+The observed bundles are not sampled.  Both verifiers decide them with the
+levels ``at[s] = U(x[s])`` of :func:`_set_up` and the cross expenditures
+``C[t, s] = p[t] . x[s]``, one rule on both lanes: observed bundle s in
+budget t is a violation when ``at[s] > at[t]``, and one in the upper set
+``at[s] >= at[t]`` when ``C[t, s]`` is under the deflated budget.  On the
+exact lane ``at`` and C are exact, so these are facts about x[s] itself and
+not about a float neighbour of it, and they carry no tolerance; on the
+float lane the allowance below applies.
 
 Every draw comes from :mod:`.stream`: each observation t has a budget
 stream and a ray stream of its own, and the cost verifier's box has one
@@ -25,12 +33,11 @@ carries no tolerance at all.  A float64 filter decides first (the adaptive
 predicate pattern of Shewchuk, 1997): it brackets the exact utility of every
 sampled point between two floats under a rigorous forward error bound, and a
 point whose bracket already settles its test is counted without rational
-arithmetic.  Every other point -- the observed bundles on their own level
-surface, for instance -- is decided exactly, so reports are the all-rational
-ones and every reported violation is an exact fact.  Deciding a point
-exactly evaluates only the pieces of U whose float bracket reaches the
-level (every other piece is certainly beyond it), and U is evaluated in
-full only to report a violation's value.  Without normal float64
+arithmetic.  Every other sampled point is decided exactly, so reports are
+the all-rational ones and every reported violation is an exact fact.
+Deciding a point exactly evaluates only the pieces of U whose float bracket
+reaches the level (every other piece is certainly beyond it), and U is
+evaluated in full only to report a violation's value.  Without normal float64
 mirrors of the Afriat numbers the filter is vacuous: its brackets are
 ``(-inf, inf)``, so it settles no point and every point is decided exactly.
 Exact data or Afriat numbers whose float64 mirror leaves the range, and on
@@ -41,7 +48,7 @@ read off :func:`.revpref.direct_relations`, so the budget-membership rule is
 the relations' own on both lanes, and the relations the solver built at
 that efficiency are read again rather than rebuilt.
 
-On the float lane, a sample is a violation only beyond the relative
+On the float lane, a point is a violation only beyond the relative
 allowance ``model.CHECK_RTOL``, the Afriat post-check's allowance too.
 Budget samples are screened first.  U is the minimum of its pieces, so
 piece t alone bounds U from above, and on budget t that bound is at most
@@ -55,9 +62,9 @@ and without the screen.
 U at the observed bundles is one decision per call: :func:`_set_up` takes
 it for all T bundles in one ``T x T`` product, and on the float lane both
 verifiers read an observed bundle's value there, as the level ``U(x[t])``
-and as a sample, so the two halves of the duality test against the same
-level and no observed bundle is evaluated twice.  That product is one
-block of T rows, and is not split: a BLAS product over fewer rows may
+and when deciding the bundle, so the two halves of the duality test against
+the same level and no observed bundle is evaluated twice.  That product is
+one block of T rows, and is not split: a BLAS product over fewer rows may
 round differently.
 
 Each T-wide product ``points @ gradients.T`` -- of the cost verifier's
@@ -90,14 +97,15 @@ point at least as good as ``x[t]`` has piece t at least the level, and so
 costs at least ``(level - offsets[t]) / lam[t]`` at prices ``p[t]``; for an
 honest solution that is the deflated budget, or more.  Every point the
 verifier checks for observation t -- an accepted box draw, a ray point on
-the level surface, an observed bundle at or above the level -- obeys it up
-to rounding.  When that bound, less a rigorous error term, clears the
-violation threshold, the observation is clean without the T-wide ray
-search or the cost product (:func:`_own_piece_certifies`).  Otherwise the
+the level surface, an observed bundle at or above the level, costed at
+``C[t, s]`` -- obeys it up to rounding.  When that bound, less a rigorous
+error term, clears the violation threshold, the observation is clean
+without the T-wide ray search or the cost product
+(:func:`_own_piece_certifies`).  Otherwise the
 observation is checked point by point as before.  The rays of each
 observation have a stream of their own, so reports are identical with and
 without the certificate.  The exact lane does not use it: its
-``checked``, ``nudged`` and ``dropped`` counts need every point.
+``checked``, ``nudged`` and ``dropped`` counts need every sampled point.
 
 Both verifiers refuse a solution whose ``lam`` is not positive and finite:
 U would not be increasing, and sampling along rays would divide by zero.
@@ -115,7 +123,7 @@ from .afriat import AfriatSolution, evaluate_utility, utility_profile
 from .errors import GarpkitError
 from .model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
 from .revpref import check_e_garp, direct_relations
-from .stream import _BOX, _BUDGET, _RAYS, _check_seed, _uniforms
+from .stream import _BOX, _BUDGET, _RAYS, _check_count, _check_seed, _uniforms
 
 #: Cap on the outward-nudge loop that certifies ray points sit weakly above
 #: the target level after float rounding; usually 0 or 1 passes are needed.
@@ -153,11 +161,12 @@ class ObservationSummary:
 class VerificationReport:
     """Outcome of one sampling verification.
 
-    ``exact_certified`` counts the points decided in exact arithmetic because
-    the float64 filter could not settle them; ``nudged`` counts upper-set
-    points that sat under the exact level and were counted after the outward
-    nudge, ``dropped`` those still under it and left out.  All three stay 0
-    on the float lane.
+    ``exact_certified`` counts the sampled points decided in exact arithmetic
+    because the float64 filter could not settle them; ``nudged`` counts
+    sampled upper-set points that sat under the exact level and were counted
+    after the outward nudge, ``dropped`` those still under it and left out.
+    The observed bundles, decided from their levels, count in none of the
+    three.  All three stay 0 on the float lane.
     """
 
     kind: str
@@ -360,23 +369,24 @@ def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filt
 
 
 def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
-    """What both verifiers sample with: ``(ev, budgets, gradients, offsets,
-    observed, own, flt, levels)``, the last three None on the float lane.
+    """What both verifiers decide with: ``(ev, costs, gradients, offsets,
+    observed, own, flt, at)``, ``own`` and ``flt`` None on the float lane.
 
-    ``ev`` is the efficiency, ``budgets[t]`` the deflated budget ``e[t] *
-    costs[t][t]``, and ``gradients`` and ``offsets`` the
-    ``utility_profile``.  ``observed[t]`` is the float ``U(x[t])``, taken for
-    all T bundles in one product: every float comparison that involves an
-    observed bundle, as a level or as a sample, reads it there.  Points are
-    drawn in float64 from mirrors of the prices, bundles, cross expenditures
-    and utility; exact data with an entry that overflows, or a nonzero one
-    that underflows out of the normal range, is refused, as it would draw
-    them from other data, and so are Afriat numbers whose mirror overflows.
-    On the exact lane ``own[s]`` is ``e[s] * costs[s][s]`` at the
-    solution's efficiency, ``flt`` the filter, and ``levels[t]`` the exact
-    ``U(x[t])``: ``p[s] . x[t]`` is ``costs[s][t]``, so it needs no dot
-    products, and only the pieces whose float bracket can reach the minimum
-    are evaluated exactly.
+    ``ev`` is the efficiency, ``costs`` the cross expenditures, and
+    ``gradients`` and ``offsets`` the ``utility_profile``.  ``observed[t]``
+    is the float ``U(x[t])``, taken for all T bundles in one product: every
+    float level that sampling tests against reads it there.  ``at[t]`` is
+    ``U(x[t])`` on the lane's numbers, which decides the observed bundles:
+    ``observed`` itself on the float lane, the exact levels as an object
+    array on the exact lane.  Points are drawn in float64 from mirrors of
+    the prices, bundles, cross expenditures and utility; exact data with an
+    entry that overflows, or a nonzero one that underflows out of the normal
+    range, is refused, as it would draw them from other data, and so are
+    Afriat numbers whose mirror overflows.  On the exact lane ``own[s]`` is
+    ``e[s] * costs[s][s]`` at the solution's efficiency and ``flt`` the
+    filter; ``p[s] . x[t]`` is ``costs[s][t]``, so the exact levels need no
+    dot products, and only the pieces whose float bracket can reach the
+    minimum are evaluated exactly.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -385,8 +395,7 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
         )
     ev = coerce_efficiency(e, dataset)
     costs = cross_expenditures(dataset)
-    budgets = [v * c for v, c in zip(ev, costs.diagonal().tolist())]
-    own = flt = levels = None
+    own = flt = at = None
     if not dataset.exact:
         gradients, offsets = utility_profile(solution, dataset)
     else:
@@ -418,14 +427,30 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
         own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
         flt = _make_filter(dataset, solution, own)
         lo, hi = flt.terms(costs_f.T)
-        levels = [
+        at = np.array([
             min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s])
                 for s in np.flatnonzero(row).tolist())
             for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
-        ]
+        ], dtype=object)
     n = dataset.n_observations
     observed = _utility_values(dataset.bundle_array, gradients, offsets, np.empty((n, n)))
-    return ev, budgets, gradients, offsets, observed, own, flt, levels
+    return ev, costs, gradients, offsets, observed, own, flt, observed if at is None else at
+
+
+def _violations(t: int, bundles: np.ndarray, lhs, rhs) -> list[SampleViolation]:
+    """A violation of observation t for each row of ``bundles``, with its
+    entry of ``lhs`` and the common ``rhs``, as floats."""
+    return [SampleViolation(t, tuple(row), float(value), float(rhs))
+            for row, value in zip(bundles.tolist(), lhs)]
+
+
+def _beats(values: np.ndarray, level, exact: bool) -> np.ndarray:
+    """Where ``values`` are over ``level``: strictly on the exact lane, and
+    beyond the allowance ``CHECK_RTOL * max(1, |level|, |value|)`` on the
+    float lane."""
+    if exact:
+        return values > level
+    return values > level + CHECK_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
 
 
 def _neighbours(value) -> tuple[float, float]:
@@ -446,29 +471,32 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     """Sample each deflated budget set and test ``U(x) <= U(x[t])``.
 
     Proposals are drawn on the budget hyperplane (uniform simplex allocation)
-    and pulled inward by a uniform radial factor; the zero bundle and every
-    observed bundle inside the budget are always included.  On the exact lane
-    each proposal is scaled exactly back onto the budget set before testing,
-    so recorded violations are exact facts, not rounding artifacts; a point
-    the float filter places strictly under the level is not a violation
-    whether scaled or not (U is increasing), and skips the exact test.  The
-    exact test tries only the pieces whose float bracket reaches the level
-    (a scaled point gets a bracket of its own), and evaluates U in full only
-    for a violation.  On the float lane an observation whose own piece
-    clears every sample is clean without evaluating the other pieces
-    (:func:`_own_piece_clears`); otherwise its drawn samples are evaluated
-    on all T pieces, a block of rows at a time, and its observed bundles
-    take their values, as its level does, from the one product of
-    :func:`_set_up`.
+    and pulled inward by a uniform radial factor, and the zero bundle is
+    always included.  Every observed bundle x[s] inside the budget is
+    checked too, without sampling: it is a violation when ``U(x[s]) >
+    U(x[t])``, read off the levels of :func:`_set_up`, exactly on the exact
+    lane and beyond the allowance on the float lane; its report carries
+    ``x[s]`` and the two levels.  On the exact lane each proposal is scaled
+    exactly back onto the budget set before testing, so recorded violations
+    are exact facts, not rounding artifacts; a point the float filter places
+    strictly under the level is not a violation whether scaled or not (U is
+    increasing), and skips the exact test.  The exact test tries only the
+    pieces whose float bracket reaches the level (a scaled point gets a
+    bracket of its own), and evaluates U in full only for a violation.  On
+    the float lane an observation whose own piece clears every sample is
+    clean without evaluating the other pieces (:func:`_own_piece_clears`);
+    otherwise its samples are evaluated on all T pieces, a block of rows at
+    a time.
 
     Raises:
-        GarpkitError: ``seed`` is not a non-negative integer, some ``lam`` is
-            not positive and finite, or exact data or Afriat numbers lie
-            outside the float64 range.
+        GarpkitError: ``n_samples`` is not an integer of at least 1, ``seed``
+            is not a non-negative integer, some ``lam`` is not positive and
+            finite, or exact data or Afriat numbers lie outside the float64
+            range.
     """
+    _check_count(n_samples, "n_samples", GarpkitError)
     _check_seed(seed, GarpkitError)
-    ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
-        dataset, e, solution)
+    ev, costs, gradients, offsets, observed, own, flt, at = _set_up(dataset, e, solution)
     inside = direct_relations(dataset, ev).weak
     n = dataset.n_observations
     n_goods = dataset.n_goods
@@ -477,7 +505,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     violations = []
     exact_certified = 0
     for t in range(n):
-        budget = budgets[t]
+        budget = ev[t] * costs[t, t]
         budget_f = float(budget)
         draw = _uniforms(seed, _BUDGET, t, n_samples, n_goods + 1)
         # Dirichlet(1, ..., 1) allocations, normalised exponentials -log u,
@@ -485,18 +513,16 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         logs = np.log(draw[:, :n_goods])
         proposals = logs * (draw[:, n_goods] / (logs @ np.ones(n_goods)))[:, None]
         proposals *= budget_f / dataset.price_array[t]
-        points = np.vstack([proposals, np.zeros((1, n_goods)),
-                            dataset.bundle_array[inside[t]]])
+        points = np.vstack([proposals, np.zeros((1, n_goods))])
 
-        count = points.shape[0]
-        bad_here = 0
+        level = at[t]
+        first = len(violations)
         if dataset.exact:
-            level = levels[t]
             below, above = _neighbours(level)
             spend_f = points @ flt.prices.T
             lo, hi = flt.terms(spend_f)
             settled = hi.min(axis=1) <= below
-            exact_certified += count - int(settled.sum())
+            exact_certified += points.shape[0] - int(settled.sum())
             # Per point, the pieces of U that may be at or under the level.
             open_pieces = lo < above
             price_row = dataset.prices[t]
@@ -514,35 +540,24 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     continue
                 # Every piece is above the level: a violation, and U is
                 # evaluated only to report its value.
-                bad_here += 1
                 violations.append(SampleViolation(
                     observation=t,
                     bundle=tuple(float(c) for c in coords),
                     lhs=float(evaluate_utility(solution, dataset, coords)),
                     rhs=float(level),
                 ))
-        else:
-            level = float(observed[t])
-            if _own_piece_clears(points, gradients[t], offsets[t], level):
-                summaries.append(ObservationSummary(t, count, 0))
-                continue
-            # The proposals and the zero bundle; the observed bundles after
-            # them already have their values.
-            drawn = points[:n_samples + 1]
-            work = np.empty((_block_rows(drawn.shape[0], n), n))
-            values = np.concatenate([_utility_values(drawn, gradients, offsets, work),
-                                     observed[inside[t]]])
-            margin = CHECK_RTOL * np.maximum(1.0, np.maximum(abs(level), np.abs(values)))
-            bad = np.flatnonzero(values > level + margin)
-            bad_here = bad.size
-            for i in bad:
-                violations.append(SampleViolation(
-                    observation=t,
-                    bundle=tuple(points[i].tolist()),
-                    lhs=float(values[i]),
-                    rhs=level,
-                ))
-        summaries.append(ObservationSummary(t, count, bad_here))
+        elif not _own_piece_clears(points, gradients[t], offsets[t], level):
+            work = np.empty((_block_rows(points.shape[0], n), n))
+            values = _utility_values(points, gradients, offsets, work)
+            bad = _beats(values, level, exact=False)
+            violations += _violations(t, points[bad], values[bad], level)
+        # The observed bundles in budget t: no sampling, one comparison of
+        # their levels with U(x[t]).
+        mine = np.flatnonzero(inside[t])
+        over = mine[_beats(at[mine], level, dataset.exact)]
+        violations += _violations(t, dataset.bundle_array[over], at[over], level)
+        summaries.append(ObservationSummary(t, points.shape[0] + mine.size,
+                                            len(violations) - first))
 
     return VerificationReport(
         kind="rationalization",
@@ -628,13 +643,16 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     level exceeds the whole box yields zero acceptances and is reported as
     exhausted, not failed).  The other half are utility-level crossings
     along random rays, from the observation's own stream, which sit on the
-    boundary of the upper set where the cost inequality is tight.  Observed
-    bundles at or above the level are checked as well.
+    boundary of the upper set where the cost inequality is tight.  Every
+    observed bundle x[s] with ``U(x[s]) >= U(x[t])`` is checked as well,
+    without sampling: membership reads the levels of :func:`_set_up`, and
+    the bundle is a violation when ``costs[t][s]`` is under the deflated
+    budget (on the float lane, under it less the allowance).
 
-    On the exact lane one pass tests each point exactly against the level,
-    on the pieces whose float bracket reaches below it: a point under it is
-    nudged outward by a factor 1.000000001, dropped if still under it, and
-    else costed exactly.  A point the float filter settles (nudged, it is
+    On the exact lane one pass tests each sampled point exactly against the
+    level, on the pieces whose float bracket reaches below it: a point under
+    it is nudged outward by a factor 1.000000001, dropped if still under it,
+    and else costed exactly.  A point the float filter settles (nudged, it is
     certainly above the level; it certainly costs more than the budget) is
     counted and clean, and is tested only for the ``nudged`` count.  On
     the float lane an observation whose own piece certifies every such
@@ -649,9 +667,9 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         GarpkitError: as :func:`verify_rationalization`, or the sampling box
             lies outside the float64 range.
     """
+    _check_count(n_samples, "n_samples", GarpkitError)
     _check_seed(seed, GarpkitError)
-    ev, budgets, gradients, offsets, observed, own, flt, levels = _set_up(
-        dataset, e, solution)
+    ev, costs, gradients, offsets, observed, own, flt, at = _set_up(dataset, e, solution)
     n = dataset.n_observations
     n_goods = dataset.n_goods
     with np.errstate(over="ignore"):
@@ -674,31 +692,30 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     exhausted = []
     exact_certified = nudged = dropped = 0
     for t in range(n):
-        budget = budgets[t]
+        budget = ev[t] * costs[t, t]
         budget_f = float(budget)
-        price_f = dataset.price_array[t]
         level_f = float(observed[t])
 
         accepted = draws[draw_values >= level_f]
         if n_reject and not accepted.size:
             exhausted.append(t)
 
-        observed_in = dataset.bundle_array[observed >= level_f]
-        threshold = budget_f * (1.0 - CHECK_RTOL)
+        # The observed bundles at least as good as x[t].
+        upper = np.flatnonzero(at >= at[t])
+        threshold = budget if dataset.exact else budget_f * (1.0 - CHECK_RTOL)
         if not dataset.exact and _own_piece_certifies(
                 gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):
             # The rays of t have a stream of their own, so skipping them
             # changes no other observation's points.
-            summaries.append(ObservationSummary(
-                t, accepted.shape[0] + n_rays + observed_in.shape[0], 0))
+            summaries.append(ObservationSummary(t, accepted.shape[0] + n_rays + upper.size, 0))
             continue
         ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
                                        gradients, offsets, level_f, work)
-        pts = np.vstack([accepted, ray_points, observed_in])
+        pts = np.vstack([accepted, ray_points])
 
-        bad_here = 0
+        first = len(violations)
         if dataset.exact:
-            level = levels[t]
+            level = at[t]
             # Per point, the pieces of U that may be under the level, before
             # and after the nudge.
             spend_f = pts @ flt.prices.T
@@ -729,7 +746,6 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                 checked += 1
                 spend = sum(p * c for p, c in zip(price_row, coords))
                 if spend < budget:
-                    bad_here += 1
                     violations.append(SampleViolation(
                         observation=t,
                         bundle=tuple(float(c) for c in coords),
@@ -738,18 +754,13 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     ))
         else:
             checked = pts.shape[0]
-            if checked:
-                costs_at_t = pts @ price_f
-                bad = np.flatnonzero(costs_at_t < threshold)
-                bad_here = bad.size
-                for i in bad:
-                    violations.append(SampleViolation(
-                        observation=t,
-                        bundle=tuple(pts[i].tolist()),
-                        lhs=float(costs_at_t[i]),
-                        rhs=budget_f,
-                    ))
-        summaries.append(ObservationSummary(t, checked, bad_here))
+            spent = pts @ dataset.price_array[t]
+            bad = spent < threshold
+            violations += _violations(t, pts[bad], spent[bad], budget)
+        # No sampling for the observed bundles: p[t] . x[s] is costs[t, s].
+        cheap = upper[costs[t, upper] < threshold]
+        violations += _violations(t, dataset.bundle_array[cheap], costs[t, cheap], budget)
+        summaries.append(ObservationSummary(t, checked + upper.size, len(violations) - first))
 
     return VerificationReport(
         kind="cost-rationalization",

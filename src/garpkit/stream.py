@@ -29,6 +29,12 @@ def _check_seed(seed, error: type[Exception]) -> None:
         raise error(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_count(count, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``count`` is an integer of at least 1, not a bool."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise error(f"{name} must be at least 1 and an integer, got {count!r}")
+
+
 def _mix(z: int) -> int:
     """SplitMix64's output function on a 64-bit Python int."""
     z = (z ^ z >> 30) * _MIX1 & _MASK

@@ -10,6 +10,10 @@ own-piece screen, the reused workspace and the row blocks: every budget
 sample is evaluated on all T pieces, and every product is one product
 over all of an observation's rows, into a fresh array.  Both take U at the
 observed bundles from one product over all of them, as the verifiers do.
+The observed bundles are not sampled: each reference decides them after
+the drawn points, the exact one from ``evaluate_utility`` at the exact
+bundles and exact ``p[t] . x[s]`` sums, one pair at a time, the float one
+from its own product's values and the float cross expenditures.
 ``_ray_level_points`` and the float-lane ``worst_residual`` loop are the
 versions before those changes too.  Sampling draws the same points from
 the same streams (``stream._uniforms``): budget samples and rays from
@@ -164,14 +168,14 @@ def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolu
 
         ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
                                        gradients, offsets, level_f)
-        observed_in = dataset.bundle_array[observed_values >= level_f]
-        pts = np.vstack([accepted, ray_points, observed_in])
+        pts = np.vstack([accepted, ray_points])
 
         bad_here = 0
         checked = pts.shape[0]
+        threshold = budget_f * (1.0 - FLOAT_RTOL)
         if checked:
             costs_at_t = pts @ price_f
-            bad = np.flatnonzero(costs_at_t < budget_f * (1.0 - FLOAT_RTOL))
+            bad = np.flatnonzero(costs_at_t < threshold)
             bad_here = bad.size
             for i in bad:
                 violations.append(SampleViolation(
@@ -180,6 +184,17 @@ def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolu
                     lhs=float(costs_at_t[i]),
                     rhs=budget_f,
                 ))
+        for s in range(n):
+            if observed_values[s] >= level_f:
+                checked += 1
+                if costs[t][s] < threshold:
+                    bad_here += 1
+                    violations.append(SampleViolation(
+                        observation=t,
+                        bundle=tuple(dataset.bundle_array[s].tolist()),
+                        lhs=costs[t][s],
+                        rhs=budget_f,
+                    ))
         summaries.append(ObservationSummary(t, checked, bad_here))
 
     return VerificationReport(
@@ -192,27 +207,31 @@ def _float_verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolu
     )
 
 
+def _spent(dataset: Dataset, t: int, coords) -> Fraction:
+    return sum(p * c for p, c in zip(dataset.prices[t], coords))
+
+
+def _observed_violation(t, dataset, s, lhs, rhs) -> SampleViolation:
+    return SampleViolation(observation=t, bundle=tuple(float(c) for c in dataset.bundles[s]),
+                           lhs=float(lhs), rhs=float(rhs))
+
+
 def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                            n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
     if not dataset.exact:
         return _float_verify_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
 
     summaries = []
     violations = []
     for t in range(n):
-        budget = ev[t] * costs[t][t]
+        budget = ev[t] * _spent(dataset, t, dataset.bundles[t])
         budget_f = float(budget)
         proposals = _budget_proposals(seed, t, n_samples, n_goods,
                                       budget_f / dataset.price_array[t])
-        extras = [np.zeros(n_goods)]
-        for s in range(n):
-            if leq(costs[t][s], budget, dataset.rel_tol):
-                extras.append(dataset.bundle_array[s])
-        points = np.vstack([proposals, np.array(extras)])
+        points = np.vstack([proposals, np.zeros((1, n_goods))])
 
         count = points.shape[0]
         bad_here = 0
@@ -233,6 +252,13 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     lhs=float(value),
                     rhs=float(level),
                 ))
+        for s, bundle in enumerate(dataset.bundles):
+            if _spent(dataset, t, bundle) <= budget:
+                count += 1
+                value = evaluate_utility(solution, dataset, bundle)
+                if value > level:
+                    bad_here += 1
+                    violations.append(_observed_violation(t, dataset, s, value, level))
         summaries.append(ObservationSummary(t, count, bad_here))
 
     return VerificationReport(
@@ -250,7 +276,6 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     if not dataset.exact:
         return _float_verify_cost_rationalization(dataset, e, solution, n_samples, seed)
     ev = coerce_efficiency(e, dataset)
-    costs = cross_expenditures(dataset).tolist()
     n = dataset.n_observations
     n_goods = dataset.n_goods
     gradients, offsets = utility_profile(solution, dataset)
@@ -265,7 +290,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     violations = []
     exhausted = []
     for t in range(n):
-        budget = ev[t] * costs[t][t]
+        budget = ev[t] * _spent(dataset, t, dataset.bundles[t])
         level_f = float(observed_values[t])
 
         draw_values = (draws @ gradients.T + offsets).min(axis=1)
@@ -275,8 +300,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
 
         ray_points = _ray_level_points(_uniforms(seed, _RAYS, t, n_rays, n_goods),
                                        gradients, offsets, level_f)
-        observed_in = dataset.bundle_array[observed_values >= level_f]
-        pts = np.vstack([accepted, ray_points, observed_in])
+        pts = np.vstack([accepted, ray_points])
 
         bad_here = 0
         checked = 0
@@ -302,6 +326,13 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
                     lhs=float(spend),
                     rhs=float(budget),
                 ))
+        for s, bundle in enumerate(dataset.bundles):
+            if evaluate_utility(solution, dataset, bundle) >= level:
+                checked += 1
+                spend = _spent(dataset, t, bundle)
+                if spend < budget:
+                    bad_here += 1
+                    violations.append(_observed_violation(t, dataset, s, spend, budget))
         summaries.append(ObservationSummary(t, checked, bad_here))
 
     return VerificationReport(

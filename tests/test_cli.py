@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,9 @@ VIOL_CSV = """t,p1,p2,x1,x2
 2,1,2,1,2
 """
 
+# GARP fails, so verify never reaches the verifiers.
+THREE_CSV = VIOL_CSV + "3,1,1,1,1\n"
+
 
 @pytest.fixture
 def base_path(tmp_path):
@@ -46,6 +50,13 @@ def base_path(tmp_path):
 def viol_path(tmp_path):
     path = tmp_path / "viol.csv"
     path.write_text(VIOL_CSV)
+    return str(path)
+
+
+@pytest.fixture
+def three_path(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text(THREE_CSV)
     return str(path)
 
 
@@ -153,9 +164,12 @@ def test_verify_clean(capsys, base_path):
     for block in ("rationalization", "cost_rationalization"):
         counts = [results[block][k] for k in ("exact_certified", "nudged", "dropped")]
         assert all(isinstance(c, int) and c >= 0 for c in counts)
-    # The chosen bundles sit on their own level surfaces at e = 1, so the
-    # float filter leaves at least those to the exact path.
-    assert results["rationalization"]["exact_certified"] >= 2
+    # The observed bundles are decided from their levels, not sampled: each
+    # budget counts its 150 proposals, the zero bundle and at least its own
+    # bundle, and exact_certified counts none of the observed bundles.
+    rat = results["rationalization"]
+    assert all(o["samples"] >= 152 for o in rat["per_observation"])
+    assert rat["exact_certified"] <= 2 * 151
 
 
 def test_verify_counts_are_zero_in_float_mode(capsys, base_path):
@@ -581,12 +595,25 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, report_validator, do
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_rejects_nonpositive_samples(capsys, base_path, report_validator,
+def test_verify_rejects_nonpositive_samples(capsys, base_path, three_path, report_validator,
                                             samples):
-    code, report = run_json(capsys, "verify", base_path, "--samples", samples)
-    assert code == EXIT_INPUT_ERROR
-    assert "--samples must be at least 1" in report["results"]["error"]["message"]
-    assert not list(report_validator.iter_errors(report))
+    # Refused before the solve, so on infeasible data too.
+    for path in (base_path, three_path):
+        code, report = run_json(capsys, "verify", path, "--samples", samples)
+        assert code == EXIT_INPUT_ERROR
+        assert "--samples must be at least 1" in report["results"]["error"]["message"]
+        assert not list(report_validator.iter_errors(report))
+
+
+def test_ccei_refuses_a_bad_tolerance_before_the_exact_search(capsys, monkeypatch,
+                                                              report_validator, base_path):
+    import garpkit.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "ccei_exact", lambda *args: calls.append(args))
+    report = _assert_input_error(capsys, report_validator, ["ccei", base_path, "--tol", "0"])
+    assert report["results"]["error"]["type"] == "InvalidToleranceError"
+    assert not calls
 
 
 def test_verify_solves_afriat_once(capsys, monkeypatch, base_path):
@@ -776,10 +803,12 @@ def test_no_command_loads_numpy_random_nor_openssl(base_path, tmp_path, command,
 
 
 @pytest.mark.parametrize("value", ["-1", "-18446744073709551616"])
-def test_verify_refuses_a_negative_seed(capsys, report_validator, base_path, value):
-    for argv in (["--seed", value], [f"--seed={value}"]):
+def test_verify_refuses_a_negative_seed(capsys, report_validator, base_path, three_path,
+                                        value):
+    # Refused before the solve, so on infeasible data too.
+    for path, argv in product((base_path, three_path), (["--seed", value], [f"--seed={value}"])):
         report = _assert_input_error(capsys, report_validator,
-                                     ["verify", base_path, "--samples", "5"] + argv)
+                                     ["verify", path, "--samples", "5"] + argv)
         assert report["parameters"]["seed"] == int(value)
         assert report["results"]["error"] == {
             "type": "GarpkitError",

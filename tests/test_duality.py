@@ -409,3 +409,13 @@ def test_verifiers_refuse_a_seed_that_is_no_non_negative_integer(base_float, see
     for verify in (verify_rationalization, verify_cost_rationalization):
         with pytest.raises(GarpkitError, match="seed must be a non-negative integer"):
             verify(base_float, 1, solution, n_samples=5, seed=seed)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0, 2.0, True, np.int64(-3)])
+def test_verifiers_refuse_a_sample_count_that_is_no_positive_integer(base_float, n_samples):
+    from garpkit.errors import GarpkitError
+
+    solution = solve_afriat(base_float)
+    for verify in (verify_rationalization, verify_cost_rationalization):
+        with pytest.raises(GarpkitError, match="n_samples must be at least 1 and an integer"):
+            verify(base_float, 1, solution, n_samples=n_samples, seed=0)

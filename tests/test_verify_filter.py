@@ -47,6 +47,13 @@ def _without_counts(report):
     return dataclasses.replace(report, exact_certified=0, nudged=0, dropped=0)
 
 
+def _vacuous_filter(*args, make=duality._make_filter):
+    """The filter with NaN phi: every bracket is (-inf, inf), as for
+    non-normal mirrors, so every sampled point takes the exact path."""
+    flt = make(*args)
+    return dataclasses.replace(flt, phi=np.full_like(flt.phi, np.nan))
+
+
 def _tampered(solution, k):
     phi, lam = list(solution.phi), list(solution.lam)
     phi[k] += Fraction(1, 3)
@@ -55,6 +62,20 @@ def _tampered(solution, k):
         AfriatSolution(tuple(phi), solution.lam, solution.efficiency),
         AfriatSolution(solution.phi, tuple(lam), solution.efficiency),
     ]
+
+
+def _observed_in_reports(dataset, e, solution):
+    """How many observed bundles the rationalization and the cost report
+    count, decided here from exact utilities and exact sums: those in each
+    deflated budget, and those at least as good as each chosen bundle."""
+    ev = coerce_efficiency(e, dataset)
+    spent = [[sum(p * x for p, x in zip(prices, bundle)) for bundle in dataset.bundles]
+             for prices in dataset.prices]
+    levels = [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
+    n = dataset.n_observations
+    inside = sum(spent[t][s] <= ev[t] * spent[t][t] for t in range(n) for s in range(n))
+    upper = sum(levels[s] >= levels[t] for t in range(n) for s in range(n))
+    return inside, upper
 
 
 def _breakpoint_efficiency(dataset):
@@ -359,18 +380,38 @@ def test_cost_certificate_on_a_table_with_huge_lam(monkeypatch):
     assert {v.observation for v in got.violations} == {158}
 
 
+def test_upper_set_membership_of_observed_bundles_is_exact():
+    # The T = 6 table that the exact reference comparison draws at i = 15.
+    # U(x[0]) and U(x[2]) are the same rational, but their float values in
+    # the one product of _set_up are an ulp apart, -36.66505772691808 and
+    # -36.665057726918064.  Membership read off those floats left x[0] out
+    # of observation 2's upper set (40 points where 41 are due); read off
+    # the exact levels it is in.
+    prices = [["106/25", "337/50", "557/100", "232/25"], ["337/50", "723/100", "186/25", "47/25"],
+              ["629/100", "97/100", "13/2", "519/100"], ["361/100", "249/100", "66/25", "603/100"],
+              ["669/100", "487/100", "119/100", "253/50"], ["21/5", "73/25", "28/5", "76/25"]]
+    bundles = [["153/50", "469/100", "101/25", "183/20"], ["667/100", "212/25", "33/5", "627/100"],
+               ["97/20", "87/25", "747/100", "217/50"], ["202/25", "133/100", "87/100", "389/100"],
+               ["33/50", "411/50", "147/20", "93/100"], ["189/25", "879/100", "144/25", "761/100"]]
+    dataset = validate_dataset(prices, bundles, exact=True)
+    e = Fraction(1259023, 1519998)
+    solution = solve_afriat(dataset, e)
+    levels = [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
+    assert levels[0] == levels[2] == Fraction(-139327036037, 3799995000)
+    report = verify_cost_rationalization(dataset, e, solution, n_samples=40, seed=15)
+    assert [o.samples for o in report.per_observation] == [41, 29, 41, 45, 46, 27]
+    want = reference_verify.verify_cost_rationalization(dataset, e, solution,
+                                                        n_samples=40, seed=15)
+    assert _without_counts(report) == want
+
+
 def test_nudge_counts_match_the_all_exact_path(monkeypatch):
     # With a vacuous filter every point takes the exact path, which counts
     # its own nudges and drops; the filter must report the same numbers.
-    make = duality._make_filter
-
-    def vacuous(*args):
-        # NaN phi: every bracket is (-inf, inf), as for non-normal mirrors.
-        flt = make(*args)
-        return dataclasses.replace(flt, phi=np.full_like(flt.phi, np.nan))
-
+    # The observed bundles take no exact path: they are decided from their
+    # levels, and the counts leave them out.
     rng = np.random.default_rng(20261019)
-    filtered, unfiltered = [], []
+    filtered, unfiltered, observed = [], [], []
     for i in range(12):
         prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
         exact, _ = make_twins(prices, bundles)
@@ -378,48 +419,49 @@ def test_nudge_counts_match_the_all_exact_path(monkeypatch):
         solution = solve_afriat(exact, e)
         filtered.append(verify_cost_rationalization(exact, e, solution, n_samples=60, seed=i))
         with monkeypatch.context() as m:
-            m.setattr(duality, "_make_filter", vacuous)
+            m.setattr(duality, "_make_filter", _vacuous_filter)
             unfiltered.append(verify_cost_rationalization(exact, e, solution,
                                                           n_samples=60, seed=i))
-    for got, want in zip(filtered, unfiltered):
-        assert want.exact_certified == want.total_samples + want.dropped
+        observed.append(_observed_in_reports(exact, e, solution)[1])
+    for got, want, upper in zip(filtered, unfiltered, observed):
+        assert want.exact_certified == want.total_samples + want.dropped - upper
         assert dataclasses.replace(got, exact_certified=want.exact_certified) == want
     assert sum(r.nudged for r in unfiltered) > 0
 
 
-def test_observed_bundles_on_their_level_fall_through(base_exact, monkeypatch):
+def test_observed_bundles_never_reach_the_exact_path(base_exact, monkeypatch):
     # At e = 1 the chosen bundle x[t] lies on its own budget line and on its
     # own level surface: U(x[t]) equals the level and p[t] . x[t] equals the
-    # budget, so no float bracket can settle it.  Record the points each
-    # verifier converts to rationals: verify_rationalization converts only
-    # those it decides exactly, and verify_cost_rationalization those too
-    # (it also converts settled points with an open piece, to count their
-    # nudges).
+    # budget, so no float bracket could settle it as a sample.  The observed
+    # bundles are not samples: they are decided from U(x[s]) and the cross
+    # expenditures, so none is converted to rationals, and the reports count
+    # them without counting them as decided exactly.
     seen = []
     convert = duality._exact_bundle
 
     def spy(row):
-        coords = convert(row)
-        seen.append(tuple(coords))
-        return coords
+        seen.append(tuple(row.tolist()))
+        return convert(row)
 
     solution = solve_afriat(base_exact)
-    for verify in (verify_rationalization, verify_cost_rationalization):
+    inside, upper = _observed_in_reports(base_exact, 1, solution)
+    assert inside >= base_exact.n_observations and upper >= base_exact.n_observations
+    for verify, observed in ((verify_rationalization, inside),
+                             (verify_cost_rationalization, upper)):
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(duality, "_exact_bundle", spy)
             report = verify(base_exact, 1, solution, n_samples=50, seed=4)
         assert report.clean
-        for bundle in base_exact.bundles:
-            assert bundle in seen
-        assert report.exact_certified >= base_exact.n_observations
-        assert report.exact_certified < report.total_samples
+        assert not set(seen) & {tuple(row) for row in base_exact.bundle_array.tolist()}
+        assert report.exact_certified <= report.total_samples - observed
 
 
 def test_exact_rationalization_evaluates_utility_only_for_violations(monkeypatch):
     # A point the filter cannot settle is decided on its open pieces, and a
     # point shrunk onto its budget on those of its own bracket: U is
-    # evaluated in full only to report a violation's value.
+    # evaluated in full only to report a violation's value, with the filter
+    # and with every sampled point sent to the exact path.
     calls = []
     evaluate = duality.evaluate_utility
 
@@ -428,22 +470,39 @@ def test_exact_rationalization_evaluates_utility_only_for_violations(monkeypatch
         calls.append((tuple(float(c) for c in coords), float(value)))
         return value
 
-    monkeypatch.setattr(duality, "evaluate_utility", spy)
+    # An observed bundle's violation reads U(x[s]) off the levels, with no
+    # evaluation at all.
     rng = np.random.default_rng(20261022)
-    decided = violations = 0
+    decided = violations = observed = 0
     for i in range(16):
         prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
         exact, _ = make_twins(prices, bundles)
         e = _breakpoint_efficiency(exact)
         solution = solve_afriat(exact, e)
         k = int(rng.integers(exact.n_observations))
+        chosen = {tuple(row) for row in exact.bundle_array.tolist()}
         for candidate in [solution, *_tampered(solution, k)]:
-            calls.clear()
-            report = verify_rationalization(exact, e, candidate, n_samples=40, seed=i)
-            assert calls == [(v.bundle, v.lhs) for v in report.violations]
-            decided += report.exact_certified
-            violations += len(report.violations)
-    assert violations > 0
+            reports = []
+            for make in (duality._make_filter, _vacuous_filter):
+                with monkeypatch.context() as m:
+                    m.setattr(duality, "evaluate_utility", spy)
+                    m.setattr(duality, "_make_filter", make)
+                    calls.clear()
+                    reports.append(verify_rationalization(exact, e, candidate,
+                                                          n_samples=40, seed=i))
+                drawn = [v for v in reports[-1].violations if v.bundle not in chosen]
+                assert calls == [(v.bundle, v.lhs) for v in drawn]
+            filtered, unfiltered = reports
+            assert _without_counts(filtered) == _without_counts(unfiltered)
+            levels = {tuple(float(c) for c in x): float(evaluate_utility(candidate, exact, x))
+                      for x in exact.bundles}
+            for v in filtered.violations:
+                if v.bundle in chosen:
+                    assert v.lhs == levels[v.bundle]
+                    observed += 1
+            decided += unfiltered.exact_certified
+            violations += len(drawn)
+    assert violations > 0 and observed > 0
     assert decided > 2 * violations
 
 
@@ -471,7 +530,8 @@ def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
         got = fast(base_exact, 1, shifted, n_samples=30, seed=8)
         assert _without_counts(got) == slow(base_exact, 1, shifted, n_samples=30, seed=8)
     report = verify_rationalization(base_exact, 1, shifted, n_samples=30, seed=8)
-    assert report.exact_certified == report.total_samples
+    inside = _observed_in_reports(base_exact, 1, shifted)[0]
+    assert report.exact_certified == report.total_samples - inside
 
 
 @pytest.mark.parametrize("price", ["1e400", "1e-400"])
@@ -543,4 +603,5 @@ def test_float_bracket_contains_the_exact_utility(problem):
                 spent = sum(p * c for p, c in zip(p_row, coords))
                 term = solution.phi[t] + solution.lam[t] * (spent - own[t])
                 assert low[i, t] <= term <= high[i, t]
-    assert levels == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
+    assert levels.dtype == object
+    assert levels.tolist() == [evaluate_utility(solution, dataset, x) for x in dataset.bundles]
