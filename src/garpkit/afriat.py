@@ -33,12 +33,18 @@ Construction (no LP solver, works unchanged in exact rational arithmetic):
    already-placed, higher levels.  Bounds in either direction only ever
    reference quantities fixed earlier, so one pass suffices.
 
-The construction is followed by a mandatory check of all T^2 inequalities:
-exact on the exact lane; on the float lane with relative slack
-``model.CHECK_RTOL`` scaled by the lam-weighted expenditure terms, so that
-breakpoint wobble at the comparison tolerance ``model.COMPARE_RTOL`` cannot
-trip it no matter how large ``lam`` is.  The post-condition, not the
-construction, is the contract; the solution records the residual it passed.
+The construction is followed by a mandatory check of all T^2 inequalities.
+On the exact lane it is one exact pass over the observed bundles: the
+inequalities toward s all hold exactly when ``phi[s] <= U(x[s])``, and
+``U(x[s])`` is evaluated in rationals only on the pieces that a float64
+bracket (:class:`_Filter`, the adaptive filter the sampling verifiers of
+:mod:`.duality` use too) cannot rule out.  Those exact levels come from one
+routine, :func:`_levels`, which the verifiers read as well.  On the float
+lane the check runs row by row with relative slack ``model.CHECK_RTOL``
+scaled by the lam-weighted expenditure terms, so that breakpoint wobble at
+the comparison tolerance ``model.COMPARE_RTOL`` cannot trip it no matter
+how large ``lam`` is.  The post-condition, not the construction, is the
+contract; the solution records the residual it passed.
 """
 
 from __future__ import annotations
@@ -151,6 +157,9 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
         done = np.concatenate([done, m])
 
     solution = AfriatSolution(phi=tuple(phi.tolist()), lam=tuple(lam.tolist()), efficiency=ev)
+    # The check needs no slack: freeing it first keeps the T x T array of
+    # rationals out of the check's peak memory.
+    del slack
     residual = worst_residual(solution, dataset)
     if residual > 0:
         raise AfriatVerificationError(
@@ -162,40 +171,159 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
 def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     """Largest violation of the T^2 inequality system; <= 0 means verified.
 
-    Exact lane: raw residuals.  Float lane: residuals minus an allowance
-    of ``model.CHECK_RTOL`` times the magnitude of the terms involved
-    (including the lam-weighted expenditures, so amplified rounding noise
-    stays covered), computed with the IEEE operations, in the order, of the
-    pairwise formula: the result is that formula's float.
+    Exact lane: the largest raw residual, or 0 when none is positive.  The
+    residuals toward observation s are ``phi[s] - (phi[t] + lam[t] *
+    (costs[t][s] - e[t] * costs[t][t]))``, whose maximum over t is
+    ``phi[s] - U(x[s])``, so one exact evaluation of U at each observed
+    bundle (:func:`_levels`) settles all T^2 of them.  Float lane: residuals
+    minus an allowance of ``model.CHECK_RTOL`` times the magnitude of the
+    terms involved (including the lam-weighted expenditures, so amplified
+    rounding noise stays covered), computed with the IEEE operations, in
+    the order, of the pairwise formula: the result is that formula's float.
 
     Raises:
         GarpkitError: on the float lane, an allowance overflows, which
             would make its inequality's check vacuous.
     """
     costs = cross_expenditures(dataset)
+    if dataset.exact:
+        levels = _levels(solution, dataset, _mirror(costs))[2]
+        return max([dataset.number(0), *(solution.phi - levels)])
     phi = np.array(solution.phi, dtype=costs.dtype)
     lam = np.array(solution.lam, dtype=costs.dtype)
     own = np.array(solution.efficiency, dtype=costs.dtype) * costs.diagonal()
-    floor = None if dataset.exact else np.maximum(1.0, np.abs(phi))
-    worst = dataset.number(0)
+    floor = np.maximum(1.0, np.abs(phi))
+    worst = 0.0
     # One row t (the inequalities of t toward every s) at a time: T x T
     # temporaries would raise the peak memory of a T = 300 run by 1-3 MB.
     for t in range(len(phi)):
         margin = phi - phi[t] - lam[t] * (costs[t] - own[t])
-        if floor is not None:
-            with np.errstate(over="ignore"):
-                spent = lam[t] * (costs[t] + own[t])
-            if np.isinf(spent).any():
-                raise GarpkitError(
-                    "float data outside the float64 range: the Afriat check's allowance, "
-                    "lam times the cross expenditures, overflows"
-                )
-            margin -= CHECK_RTOL * np.maximum(np.maximum(floor, abs(phi[t])), spent)
+        with np.errstate(over="ignore"):
+            spent = lam[t] * (costs[t] + own[t])
+        if np.isinf(spent).any():
+            raise GarpkitError(
+                "float data outside the float64 range: the Afriat check's allowance, "
+                "lam times the cross expenditures, overflows"
+            )
+        margin -= CHECK_RTOL * np.maximum(np.maximum(floor, abs(phi[t])), spent)
         # Only margins above the running worst count; NaN margins never do.
         above = margin[margin > worst]
         if above.size:
             worst = max(above.tolist())
     return worst
+
+
+def _levels(solution: AfriatSolution, dataset: Dataset, costs_f: np.ndarray) -> tuple:
+    """``(own, flt, levels)`` on the exact lane: ``own[t] = e[t] *
+    costs[t][t]`` at the solution's efficiency, the filter built from it,
+    and ``levels[s]``, the exact ``U(x[s])`` of every observed bundle, as an
+    object array.
+
+    ``p[t] . x[s]`` is ``costs[t][s]``, so the levels need no dot products.
+    ``costs_f`` is the float64 mirror of the cross expenditures
+    (:func:`_mirror`).  The filter brackets piece t at bundle s from
+    ``costs_f[t, s]``, and only the pieces whose bracket reaches under the
+    least upper bound are evaluated exactly; every other piece is certainly
+    above the minimum.  Bundles are bracketed a block at a time, so no
+    ``T x T`` float temporaries are held.
+    """
+    costs = cross_expenditures(dataset)
+    phi, lam = solution.phi, solution.lam
+    own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
+    flt = _make_filter(dataset, solution, own)
+    levels = []
+    step = max(1, 2**13 // len(own))
+    for first in range(0, len(own), step):
+        lo, hi = flt.terms(costs_f[:, first:first + step].T)
+        levels += [min(phi[t] + lam[t] * (costs[t, s] - own[t]) for t in np.flatnonzero(row))
+                   for s, row in enumerate(lo <= hi.min(axis=1, keepdims=True), first)]
+    return own, flt, np.array(levels, dtype=object)
+
+
+def _mirror(values) -> np.ndarray:
+    """The float64 mirror of a table of exact numbers; all NaN when an entry
+    overflows, which gives every bracket that reads it the vacuous bounds."""
+    try:
+        return np.asarray(values, dtype=object).astype(float)
+    except OverflowError:
+        return np.full(np.shape(values), np.nan)
+
+
+#: Absolute slack of the filter's error bound for underflowing products.
+_TINY = 2.0 ** -1000
+
+
+def _normal(a: np.ndarray) -> np.ndarray:
+    return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
+
+
+@dataclass(frozen=True)
+class _Filter:
+    """Float64 bracket of the exact recovered utility at float points.
+
+    For a point ``x`` (float coordinates, taken at their exact value) and
+    ``S = x @ prices.T``, with ``prices`` the float64 mirror of the prices,
+    ``terms(S)`` returns per-piece floats ``lo <= T_s(x) <= hi``, where ``T_s(x) = phi[s] + lam[s] * (p[s] . x - own[s])`` is
+    evaluated exactly; so ``lo.min(axis=1) <= U(x) <= hi.min(axis=1)``.
+    ``S`` may also be a correctly rounded ``p[s] . x``, such as the float64
+    mirror of a cross expenditure: one rounding is fewer than a dot
+    product's.
+
+    Error bound.  ``prices``, ``phi``, ``lam`` and ``own`` are single
+    correctly rounded conversions of the exact values, each with relative
+    error at most ``u = 2**-53``.  In the model ``fl(a op b) = (a op b)(1 + d)``,
+    ``|d| <= u`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 2-3), an L-term dot product in any order, with or without fused
+    multiply-adds, carries a factor ``1 + theta_L``, ``|theta_k| <= gamma_k =
+    k u / (1 - k u)``.  Following the operations gives ``fl(T_s) =
+    phi (1 + theta_2) + lam (S (1 + theta_{L+5}) - own (1 + theta_4))``, and
+    a point scaled by a rounded factor (the verifiers' nudge, or the shrink
+    of a budget sample onto its budget) adds two more roundings, so
+    ``|fl(T_s) - T_s| <= gamma_{L+7} A`` with ``A = |phi| + lam (S + own)``.
+    The bound is ``err = c u A`` with ``c = 2 (L + 10)``: computing ``A`` in
+    floats loses at most a factor ``1 - gamma_{L+11}``, and forming
+    ``fl(T_s) -+ err`` costs ``u (|fl(T_s)| + err)``; what must be covered is
+    then about ``(L + 8) u A``, which ``c u A`` covers twice over.  Products
+    that underflow break the relative model by at most ``2**-1075`` each;
+    fewer than ``(L + 3)(1 + lam)`` of them reach one term, which the
+    absolute slack ``2**-1000 (1 + lam)`` covers.  Overflow makes a term
+    non-finite, and such a term gets the vacuous bracket.
+
+    The bound needs positive ``lam`` and normal mirrors: when ``phi`` (other
+    than exact zeros), ``lam`` or ``own`` is not finite and normal (a mirror
+    that overflows is NaN), or some ``lam`` is not positive,
+    :func:`_make_filter` makes ``phi`` NaN, so every term gets the vacuous
+    bracket and every point is decided exactly.
+    """
+
+    phi: np.ndarray
+    lam: np.ndarray
+    own: np.ndarray
+    unit: float
+
+    def terms(self, spend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = self.phi + self.lam * (spend - self.own)
+            err = (self.unit * (np.abs(self.phi) + self.lam * (spend + self.own))
+                   + _TINY * (1.0 + self.lam))
+            lo, hi = term - err, term + err
+        vacuous = ~(np.isfinite(lo) & np.isfinite(hi))
+        lo[vacuous], hi[vacuous] = -np.inf, np.inf
+        return lo, hi
+
+    def spend_floor(self, spend: np.ndarray) -> np.ndarray:
+        """Lower bounds on the exact ``p[s] . x`` from ``spend = fl(x @ prices.T)``."""
+        return spend * (1.0 - self.unit) - _TINY
+
+
+def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filter:
+    phi, lam, own_f = map(_mirror, (solution.phi, solution.lam, own))
+    # phi == 0 only certifies a zero mirror when the exact value is zero.
+    if not ((_normal(phi) | (phi == 0)).all() and (_normal(lam) & (lam > 0)).all()
+            and _normal(own_f).all()
+            and not any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi))):
+        phi = np.full(len(phi), np.nan)
+    return _Filter(phi, lam, own_f, unit=2 * (dataset.n_goods + 10) * 2.0 ** -53)
 
 
 def evaluate_utility(solution: AfriatSolution, dataset: Dataset, bundle) -> Number:

@@ -21,7 +21,9 @@ budget t is a violation when ``at[s] > at[t]``, and one in the upper set
 ``at[s] >= at[t]`` when ``C[t, s]`` is under the deflated budget.  On the
 exact lane ``at`` and C are exact, so these are facts about x[s] itself and
 not about a float neighbour of it, and they carry no tolerance; on the
-float lane the allowance below applies.
+float lane the allowance below applies.  The exact levels are those of
+:func:`.afriat._levels`, the one exact evaluation of U at the observed
+bundles, which the Afriat post-check reads too.
 
 Every draw comes from :mod:`.stream`: each observation t has a budget
 stream and a ray stream of its own, and the cost verifier's box has one
@@ -30,18 +32,20 @@ stream shared by every observation.
 On the exact lane, float proposals are converted to exact rationals and
 membership is certified exactly before the violation test, which then
 carries no tolerance at all.  A float64 filter decides first (the adaptive
-predicate pattern of Shewchuk, 1997): it brackets the exact utility of every
-sampled point between two floats under a rigorous forward error bound, and a
-point whose bracket already settles its test is counted without rational
-arithmetic.  Every other sampled point is decided exactly, so reports are
-the all-rational ones and every reported violation is an exact fact.
-Deciding a point exactly evaluates only the pieces of U whose float bracket
-reaches the level (every other piece is certainly beyond it), and U is
-evaluated in full only to report a violation's value.  Without normal float64
-mirrors of the Afriat numbers the filter is vacuous: its brackets are
-``(-inf, inf)``, so it settles no point and every point is decided exactly.
-Exact data or Afriat numbers whose float64 mirror leaves the range, and on
-both lanes a sampling box that overflows, are refused (:class:`GarpkitError`).
+predicate pattern of Shewchuk, 1997): :class:`.afriat._Filter`, the one
+that brackets U at the observed bundles too.  It brackets the exact utility
+of every sampled point between two floats under a rigorous forward error
+bound, and a point whose bracket already settles its test is counted
+without rational arithmetic.  Every other sampled point is decided exactly,
+so reports are the all-rational ones and every reported violation is an
+exact fact.  Deciding a point exactly evaluates only the pieces of U whose
+float bracket reaches the level (every other piece is certainly beyond it),
+and U is evaluated in full only to report a violation's value.  Without
+normal float64 mirrors of the Afriat numbers the filter is vacuous: its
+brackets are ``(-inf, inf)``, so it settles no point and every point is
+decided exactly.  Exact data or Afriat numbers whose float64 mirror leaves
+the range, and on both lanes a sampling box that overflows, are refused
+(:class:`GarpkitError`).
 
 The observed bundles in budget t are those t weakly reveals preference over,
 read off :func:`.revpref.direct_relations`, so the budget-membership rule is
@@ -119,7 +123,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .afriat import AfriatSolution, evaluate_utility, utility_profile
+from .afriat import (_TINY, AfriatSolution, _levels, _mirror, _normal, evaluate_utility,
+                     utility_profile)
 from .errors import GarpkitError
 from .model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
 from .revpref import check_e_garp, direct_relations
@@ -131,9 +136,6 @@ _MAX_NUDGES = 60
 
 #: Exact-lane outward nudge of an upper-set point left under the level.
 _NUDGE = Fraction(1_000_000_001, 1_000_000_000)
-
-#: Absolute slack of the filter's error bound for underflowing products.
-_TINY = 2.0 ** -1000
 
 #: Rows per block of the float verifiers' ``points @ gradients.T`` products
 #: at T >= _BLOCK pieces (see :func:`_block_rows`).
@@ -294,80 +296,6 @@ def _own_piece_certifies(gradient: np.ndarray, offset: float, lam: float,
                 and gradient.min() >= 2.0 ** -960)
 
 
-def _normal(a: np.ndarray) -> np.ndarray:
-    return np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny)
-
-
-@dataclass(frozen=True)
-class _Filter:
-    """Float64 bracket of the exact recovered utility at float points.
-
-    For a point ``x`` (float coordinates, taken at their exact value) and
-    ``S = x @ prices.T``, ``terms(S)`` returns per-piece floats ``lo <= T_s(x)
-    <= hi``, where ``T_s(x) = phi[s] + lam[s] * (p[s] . x - own[s])`` is
-    evaluated exactly; so ``lo.min(axis=1) <= U(x) <= hi.min(axis=1)``.
-
-    Error bound.  ``prices``, ``phi``, ``lam`` and ``own`` are single
-    correctly rounded conversions of the exact values, each with relative
-    error at most ``u = 2**-53``.  In the model ``fl(a op b) = (a op b)(1 + d)``,
-    ``|d| <= u`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 2-3), an L-term dot product in any order, with or without fused
-    multiply-adds, carries a factor ``1 + theta_L``, ``|theta_k| <= gamma_k =
-    k u / (1 - k u)``.  Following the operations gives ``fl(T_s) =
-    phi (1 + theta_2) + lam (S (1 + theta_{L+5}) - own (1 + theta_4))``, and
-    a point scaled by a rounded factor (the nudge, or the shrink of a budget
-    sample onto its budget) adds two more roundings, so
-    ``|fl(T_s) - T_s| <= gamma_{L+7} A`` with ``A = |phi| + lam (S + own)``.
-    The bound is ``err = c u A`` with ``c = 2 (L + 10)``: computing ``A`` in
-    floats loses at most a factor ``1 - gamma_{L+11}``, and forming
-    ``fl(T_s) -+ err`` costs ``u (|fl(T_s)| + err)``; what must be covered is
-    then about ``(L + 8) u A``, which ``c u A`` covers twice over.  Products
-    that underflow break the relative model by at most ``2**-1075`` each;
-    fewer than ``(L + 3)(1 + lam)`` of them reach one term, which the
-    absolute slack ``2**-1000 (1 + lam)`` covers.  Overflow makes a term
-    non-finite, and such a term gets the vacuous bracket.
-
-    The bound needs normal mirrors: when ``phi`` (other than exact zeros),
-    ``lam`` or ``own`` is not finite and normal, :func:`_make_filter` makes
-    ``phi`` NaN, so every term gets the vacuous bracket and every point is
-    decided exactly.  ``lam`` is positive: the verifiers refuse any other
-    solution.
-    """
-
-    prices: np.ndarray
-    phi: np.ndarray
-    lam: np.ndarray
-    own: np.ndarray
-    unit: float
-
-    def terms(self, spend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = self.phi + self.lam * (spend - self.own)
-            err = (self.unit * (np.abs(self.phi) + self.lam * (spend + self.own))
-                   + _TINY * (1.0 + self.lam))
-            lo, hi = term - err, term + err
-        vacuous = ~(np.isfinite(lo) & np.isfinite(hi))
-        lo[vacuous], hi[vacuous] = -np.inf, np.inf
-        return lo, hi
-
-    def spend_floor(self, spend: np.ndarray) -> np.ndarray:
-        """Lower bounds on the exact ``p[s] . x`` from ``spend = fl(x @ prices.T)``."""
-        return spend * (1.0 - self.unit) - _TINY
-
-
-def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filter:
-    n = dataset.n_observations
-    # _set_up has converted phi and lam already, and own[t] <= costs[t][t].
-    phi, lam, own_f = (np.array([float(v) for v in values])
-                       for values in (solution.phi, solution.lam, own))
-    # phi == 0 only certifies a zero mirror when the exact value is zero.
-    if not ((_normal(phi) | (phi == 0)).all() and _normal(lam).all() and _normal(own_f).all()
-            and not any(f == 0 and v != 0 for f, v in zip(phi.tolist(), solution.phi))):
-        phi = np.full(n, np.nan)
-    return _Filter(dataset.price_array, phi, lam, own_f,
-                   unit=2 * (dataset.n_goods + 10) * 2.0 ** -53)
-
-
 def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     """What both verifiers decide with: ``(ev, costs, gradients, offsets,
     observed, own, flt, at)``, ``own`` and ``flt`` None on the float lane.
@@ -382,11 +310,11 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     the prices, bundles, cross expenditures and utility; exact data with an
     entry that overflows, or a nonzero one that underflows out of the normal
     range, is refused, as it would draw them from other data, and so are
-    Afriat numbers whose mirror overflows.  On the exact lane ``own[s]`` is
-    ``e[s] * costs[s][s]`` at the solution's efficiency and ``flt`` the
-    filter; ``p[s] . x[t]`` is ``costs[s][t]``, so the exact levels need no
-    dot products, and only the pieces whose float bracket can reach the
-    minimum are evaluated exactly.
+    Afriat numbers whose mirror overflows.  On the exact lane ``own``,
+    ``flt`` and the exact levels are those of :func:`.afriat._levels`, the
+    one exact evaluation of U at the observed bundles that the Afriat
+    post-check reads too, given this call's float64 mirror of the cross
+    expenditures.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -399,16 +327,10 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     if not dataset.exact:
         gradients, offsets = utility_profile(solution, dataset)
     else:
-        try:
-            prices, bundles = dataset.price_array, dataset.bundle_array
-            costs_f = costs.astype(float)
-        except OverflowError:
-            ok = False
-        else:
-            zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
-            ok = (_normal(prices).all() and _normal(costs_f).all()
-                  and (_normal(bundles) | zero).all())
-        if not ok:
+        prices, bundles, costs_f = map(_mirror, (dataset.prices, dataset.bundles, costs))
+        zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
+        if not (_normal(prices).all() and _normal(costs_f).all()
+                and (_normal(bundles) | zero).all()):
             raise GarpkitError(
                 "exact data outside the float64 range: sampling draws points from "
                 "a float64 mirror of the prices and bundles, and that mirror "
@@ -424,14 +346,7 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
         if not ok:
             raise GarpkitError("Afriat numbers outside the float64 range: the float64 "
                                "mirror of the recovered utility overflows")
-        own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
-        flt = _make_filter(dataset, solution, own)
-        lo, hi = flt.terms(costs_f.T)
-        at = np.array([
-            min(solution.phi[s] + solution.lam[s] * (costs[s, t] - own[s])
-                for s in np.flatnonzero(row).tolist())
-            for t, row in enumerate(lo <= hi.min(axis=1, keepdims=True))
-        ], dtype=object)
+        own, flt, at = _levels(solution, dataset, costs_f)
     n = dataset.n_observations
     observed = _utility_values(dataset.bundle_array, gradients, offsets, np.empty((n, n)))
     return ev, costs, gradients, offsets, observed, own, flt, observed if at is None else at
@@ -519,7 +434,7 @@ def verify_rationalization(dataset: Dataset, e, solution: AfriatSolution,
         first = len(violations)
         if dataset.exact:
             below, above = _neighbours(level)
-            spend_f = points @ flt.prices.T
+            spend_f = points @ dataset.price_array.T
             lo, hi = flt.terms(spend_f)
             settled = hi.min(axis=1) <= below
             exact_certified += points.shape[0] - int(settled.sum())
@@ -686,6 +601,11 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
     # One box sample for every observation, and U on it in one product.
     draws = _uniforms(seed, _BOX, 0, n_reject, n_goods) * box_hi
     draw_values = _utility_values(draws, gradients, offsets, work[1])
+    # Equal levels share a rank and a higher level has a higher one, so one
+    # sort of the exact levels spares T^2 Fraction comparisons.  Float levels
+    # compare as cheaply as ranks, and sorting them would load numpy's SIMD
+    # sort, 0.3 MB more memory for the float verify run.
+    rank = np.searchsorted(np.sort(at), at) if dataset.exact else at
 
     summaries = []
     violations = []
@@ -701,7 +621,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             exhausted.append(t)
 
         # The observed bundles at least as good as x[t].
-        upper = np.flatnonzero(at >= at[t])
+        upper = np.flatnonzero(rank >= rank[t])
         threshold = budget if dataset.exact else budget_f * (1.0 - CHECK_RTOL)
         if not dataset.exact and _own_piece_certifies(
                 gradients[t], offsets[t], float(solution.lam[t]), level_f, threshold):
@@ -718,7 +638,7 @@ def verify_cost_rationalization(dataset: Dataset, e, solution: AfriatSolution,
             level = at[t]
             # Per point, the pieces of U that may be under the level, before
             # and after the nudge.
-            spend_f = pts @ flt.prices.T
+            spend_f = pts @ dataset.price_array.T
             above = _neighbours(level)[1]
             before = flt.terms(spend_f)[0] < above
             after = flt.terms(spend_f * float(_NUDGE))[0] < above

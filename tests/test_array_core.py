@@ -20,7 +20,7 @@ import reference_exact
 import reference_graph
 import reference_verify
 from conftest import make_twins, random_efficiency, random_tables
-from garpkit import ccei_exact, direct_relations, solve_afriat, validate_dataset
+from garpkit import afriat, ccei_exact, direct_relations, solve_afriat, validate_dataset
 from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.ccei import _candidates
 from garpkit.model import coerce_efficiency, cross_expenditures
@@ -116,6 +116,51 @@ def test_array_core_matches_the_tuple_reference():
             assert honest <= 0
             caught += raised > 0 and lowered > 0
     assert caught >= 20
+
+
+def _out_of_reach(case):
+    """A dataset and an Afriat solution that the filter cannot bracket."""
+    if case in ("1e400", "1e-400"):
+        # The tables of the verifiers' range refusal: the exact check still runs.
+        dataset = validate_dataset([(case, "1"), ("1", "2")], [("1", "1"), ("2", "1")],
+                                   exact=True)
+        return dataset, solve_afriat(dataset)
+    prices, bundles = random_tables(np.random.default_rng(20261101), 8, 3)
+    dataset = validate_dataset(prices, bundles, exact=True)
+    solution = solve_afriat(dataset, _passing_efficiency(dataset))
+    phi, lam = list(solution.phi), list(solution.lam)
+    if case == "zero lam":
+        lam[3] = Fraction(0)
+    elif case == "negative lam":
+        lam[3] = -lam[3]
+    else:
+        phi[3] += Fraction(10) ** 400 if case == "huge phi" else -Fraction(10) ** 400
+    return dataset, AfriatSolution(tuple(phi), tuple(lam), solution.efficiency)
+
+
+@pytest.mark.parametrize("case", ["zero lam", "negative lam", "huge phi", "huge negative phi",
+                                  "1e400", "1e-400"])
+def test_exact_residual_without_a_float_bracket_is_the_loops(monkeypatch, case):
+    # The exact residual reads U(x[s]) off the filter's brackets.  A lam that
+    # is not positive voids their error bound, and a mirror that overflows
+    # leaves nothing to bracket, so every bracket is vacuous and every piece
+    # is evaluated exactly: the loop's residual, of its type.
+    dataset, candidate = _out_of_reach(case)
+    filters = []
+    make = afriat._make_filter
+
+    def spy(*args):
+        filters.append(make(*args))
+        return filters[-1]
+
+    monkeypatch.setattr(afriat, "_make_filter", spy)
+    got = worst_residual(candidate, dataset)
+    want = reference_exact.worst_residual(candidate, dataset,
+                                          reference_exact.cross_expenditures(dataset))
+    assert type(got) is type(want) is Fraction and got == want
+    # The honest solutions pass; each tampered one breaks some inequality.
+    assert (got > 0) == (case not in ("1e400", "1e-400"))
+    assert len(filters) == 1 and np.isnan(filters[0].phi).all()
 
 
 @pytest.mark.parametrize("bundles,exact", [

@@ -210,6 +210,25 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert report["results"]["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("name,text,error,message", [
+    ("base.txt", BASE_CSV, "ParseError", "cannot infer input format"),
+    ("empty.csv", "", "ParseError", "empty file"),
+    ("blank.csv", "\n ,\n", "ParseError", "empty file"),
+    ("names.csv", "t,q1,y1\n1,1,1\n", "ParseError", "header must be t,p1,x1"),
+    ("goods.json", '{"prices": [[]], "bundles": [[]]}', "ShapeMismatchError",
+     "at least one good is required"),
+    ("goods.csv", "t\n1\n", "ShapeMismatchError", "at least one good is required"),
+])
+def test_unreadable_inputs_are_input_errors(capsys, tmp_path, report_validator, name, text,
+                                            error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    for command in _COMMANDS:
+        report = _assert_input_error(capsys, report_validator, [*command, str(path)])
+        assert report["results"]["error"]["type"] == error
+        assert message in report["results"]["error"]["message"]
+
+
 def test_bad_efficiency_argument(capsys, base_path):
     code, report = run_json(capsys, "check-garp", base_path,
                             "--efficiency", "zebra")
@@ -440,6 +459,10 @@ def test_generate_rejects_unknown_keys(capsys, tmp_path):
                  "seed must be a whole number, got 2.7", id="seed-fractional"),
     pytest.param('{"weights": [1.0], "n_observations": 3, "seed": 1e400}',
                  "cannot convert float infinity to integer", id="seed-1e400"),
+    # A config that is no JSON, and one that asks for no observations.
+    pytest.param("", "cannot read generator config", id="empty"),
+    pytest.param('{"weights": [1.0], "n_observations": 0}', "need at least one observation",
+                 id="n_observations-0"),
     # A seed is a non-negative integer, as verify's --seed is.
     pytest.param('{"weights": [1.0], "n_observations": 3, "seed": -1}',
                  "seed must be a non-negative integer, got -1", id="seed-negative"),
@@ -483,6 +506,16 @@ def test_generate_refuses_a_config_that_is_not_an_object(capsys, tmp_path,
     assert message in error["message"]
     assert report["mode"] == "float"
     assert not list(report_validator.iter_errors(report))
+
+
+def test_generate_refuses_a_config_it_cannot_read(capsys, tmp_path, report_validator):
+    # A directory cannot be opened as a file.
+    report = _assert_input_error(capsys, report_validator,
+                                 ["generate", "--config", str(tmp_path),
+                                  "--data-out", str(tmp_path / "d.csv")])
+    assert report["results"]["error"]["type"] == "ParseError"
+    assert "cannot read generator config" in report["results"]["error"]["message"]
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from garpkit import (
     verify_cost_rationalization,
     verify_rationalization,
 )
-from garpkit import duality, stream
+from garpkit import afriat, duality, stream
 from garpkit.afriat import AfriatSolution, evaluate_utility_batch
 from garpkit.duality import SampleViolation, VerificationReport
 from garpkit.model import cross_expenditures
@@ -89,15 +89,19 @@ def test_float_lane_clean_on_random_feasible_data():
     assert check_duality_garp(ds, 0.4, [rat, cost])
 
 
+def _two_decimal_table(n):
+    rng = np.random.default_rng(5)
+    prices = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
+    bundles = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
+    return validate_dataset(prices, bundles, exact=True)
+
+
 def test_exact_verifiers_convert_the_cross_expenditures_once(monkeypatch):
     # Each exact verifier takes one float64 mirror of the T x T cross
     # expenditures, shared by its range check and its level filter; the
     # other conversions (phi, lam, budgets, samples) are O(T) here.
-    rng = np.random.default_rng(5)
     n = 60
-    prices = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
-    bundles = [[f"{v / 100:.2f}" for v in row] for row in rng.integers(10, 1001, (n, 4))]
-    ds = validate_dataset(prices, bundles, exact=True)
+    ds = _two_decimal_table(n)
     sol = solve_afriat(ds, Fraction(1, 4))
     cross_expenditures(ds)
     calls = [0]
@@ -112,6 +116,35 @@ def test_exact_verifiers_convert_the_cross_expenditures_once(monkeypatch):
         calls[0] = 0
         assert verify(ds, Fraction(1, 4), sol, n_samples=5, seed=0).clean
         assert n * n <= calls[0] < 2 * n * n, verify.__name__
+
+
+def test_exact_afriat_check_evaluates_few_pieces(monkeypatch):
+    # The check of the T^2 inequalities is one exact U(x[s]) per observed
+    # bundle, and U is evaluated exactly only on the pieces whose float
+    # bracket reaches the minimum: each piece costs one product lam[t] *
+    # (costs[t][s] - own[t]), so far fewer than T^2 products are taken.
+    n = 60
+    ds = _two_decimal_table(n)
+    cross_expenditures(ds)
+    products = []
+    multiply = Fraction.__mul__
+    residual = afriat.worst_residual
+
+    def counted(a, b):
+        if products:
+            products[-1] += 1
+        return multiply(a, b)
+
+    def check(*args):
+        products.append(0)
+        return residual(*args)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    monkeypatch.setattr(afriat, "worst_residual", check)
+    sol = solve_afriat(ds, Fraction(1, 4))
+    assert sol.residual == 0 and len(products) == 1
+    # n products form own[t] = e[t] * costs[t][t]; the pieces take the rest.
+    assert n <= products[0] < n * n // 10
 
 
 def test_unclean_report_makes_duality_vacuous(viol_exact):

@@ -82,6 +82,10 @@ def test_forced_exact_lane_reads_float_at_binary_value():
     ([(1, 1)], [(0, 0)], ZeroBundleError),
     ([(True, 1)], [(1, 1)], ShapeMismatchError),
     ([(1.0, 1.0)], [(False, 1.0)], ShapeMismatchError),
+    # No goods, and entries of no number type.
+    ([[]], [[]], ShapeMismatchError),
+    ([(None, 1)], [(1, 1)], ShapeMismatchError),
+    ([(1, 1)], [(1, [2])], ShapeMismatchError),
 ])
 def test_validation_rejections(prices, bundles, err):
     with pytest.raises(err):

@@ -32,7 +32,7 @@ from garpkit import (
     verify_cost_rationalization,
     verify_rationalization,
 )
-from garpkit import duality
+from garpkit import afriat, duality, stream
 from garpkit.afriat import AfriatSolution, worst_residual
 from garpkit.errors import AfriatInfeasibleError, GarpkitError
 from garpkit.model import CHECK_RTOL, coerce_efficiency, cross_expenditures
@@ -47,7 +47,7 @@ def _without_counts(report):
     return dataclasses.replace(report, exact_certified=0, nudged=0, dropped=0)
 
 
-def _vacuous_filter(*args, make=duality._make_filter):
+def _vacuous_filter(*args, make=afriat._make_filter):
     """The filter with NaN phi: every bracket is (-inf, inf), as for
     non-normal mirrors, so every sampled point takes the exact path."""
     flt = make(*args)
@@ -419,7 +419,7 @@ def test_nudge_counts_match_the_all_exact_path(monkeypatch):
         solution = solve_afriat(exact, e)
         filtered.append(verify_cost_rationalization(exact, e, solution, n_samples=60, seed=i))
         with monkeypatch.context() as m:
-            m.setattr(duality, "_make_filter", _vacuous_filter)
+            m.setattr(afriat, "_make_filter", _vacuous_filter)
             unfiltered.append(verify_cost_rationalization(exact, e, solution,
                                                           n_samples=60, seed=i))
         observed.append(_observed_in_reports(exact, e, solution)[1])
@@ -483,10 +483,10 @@ def test_exact_rationalization_evaluates_utility_only_for_violations(monkeypatch
         chosen = {tuple(row) for row in exact.bundle_array.tolist()}
         for candidate in [solution, *_tampered(solution, k)]:
             reports = []
-            for make in (duality._make_filter, _vacuous_filter):
+            for make in (afriat._make_filter, _vacuous_filter):
                 with monkeypatch.context() as m:
                     m.setattr(duality, "evaluate_utility", spy)
-                    m.setattr(duality, "_make_filter", make)
+                    m.setattr(afriat, "_make_filter", make)
                     calls.clear()
                     reports.append(verify_rationalization(exact, e, candidate,
                                                           n_samples=40, seed=i))
@@ -506,6 +506,51 @@ def test_exact_rationalization_evaluates_utility_only_for_violations(monkeypatch
     assert decided > 2 * violations
 
 
+def test_budget_proposals_past_the_budget_are_shrunk_onto_it(monkeypatch):
+    # With every radial factor at 1 the proposals lie on the float budget
+    # hyperplane, and rounding leaves some beyond the exact budget: the exact
+    # path scales each back onto it, and brackets the scaled point on its
+    # own (the one call of the filter on a single point).  The reports are
+    # those of the all-exact path, with the filter vacuous.
+    uniforms = duality._uniforms
+
+    def on_the_budget(seed, purpose, t, rows, cols):
+        draw = uniforms(seed, purpose, t, rows, cols)
+        if purpose == stream._BUDGET:
+            draw[:, -1] = 1.0
+        return draw
+
+    shrunk = [0]
+    terms = afriat._Filter.terms
+
+    def spy(self, spend):
+        shrunk[0] += spend.ndim == 1
+        return terms(self, spend)
+
+    monkeypatch.setattr(duality, "_uniforms", on_the_budget)
+    monkeypatch.setattr(afriat._Filter, "terms", spy)
+    rng = np.random.default_rng(20261102)
+    counts = []
+    for i in range(6):
+        prices, bundles = random_tables(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+        exact, _ = make_twins(prices, bundles)
+        e = _breakpoint_efficiency(exact)
+        solution = solve_afriat(exact, e)
+        for candidate in [solution, *_tampered(solution, 0)]:
+            reports = []
+            for make in (afriat._make_filter, _vacuous_filter):
+                shrunk[0] = 0
+                with monkeypatch.context() as m:
+                    m.setattr(afriat, "_make_filter", make)
+                    reports.append(verify_rationalization(exact, e, candidate,
+                                                          n_samples=40, seed=i))
+                counts.append(shrunk[0])
+            assert _without_counts(reports[0]) == _without_counts(reports[1])
+    # The filter settles most points before any exact work; the vacuous
+    # filter sends every one down the exact path.
+    assert 0 < sum(counts[0::2]) < sum(counts[1::2])
+
+
 def test_counts_are_zero_on_the_float_lane(base_float):
     solution = solve_afriat(base_float)
     for verify in (verify_rationalization, verify_cost_rationalization):
@@ -523,7 +568,8 @@ def test_filter_off_sends_every_sample_to_the_exact_path(base_exact):
     shifted = AfriatSolution(tiny, solution.lam, solution.efficiency)
     flt = duality._set_up(base_exact, 1, shifted)[6]
     points = np.vstack([np.zeros((1, base_exact.n_goods)), base_exact.bundle_array])
-    for spend in (points @ flt.prices.T, cross_expenditures(base_exact).astype(float)):
+    for spend in (points @ base_exact.price_array.T,
+                  cross_expenditures(base_exact).astype(float)):
         lo, hi = flt.terms(spend)
         assert np.isneginf(lo).all() and np.isposinf(hi).all()
     for fast, slow in VERIFIERS:
@@ -578,7 +624,7 @@ def _problems(draw):
 def test_float_bracket_contains_the_exact_utility(problem):
     dataset, solution, points, shrink = problem
     own, flt, levels = duality._set_up(dataset, solution.efficiency, solution)[5:]
-    spend = points @ flt.prices.T
+    spend = points @ dataset.price_array.T
     lo, hi = flt.terms(spend)
     lo_nudged, hi_nudged = flt.terms(spend * float(duality._NUDGE))
     lo_shrunk, hi_shrunk = flt.terms(spend * float(shrink))
