@@ -60,7 +60,7 @@ from .errors import (
     DimensionMismatchError,
     GarpkitError,
 )
-from .model import CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures
+from .model import CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures, row_blocks
 from .revpref import RevealedRelation, direct_relations, garp_verdict
 
 @dataclass(frozen=True)
@@ -224,19 +224,18 @@ def _levels(solution: AfriatSolution, dataset: Dataset, costs_f: np.ndarray) -> 
     (:func:`_mirror`).  The filter brackets piece t at bundle s from
     ``costs_f[t, s]``, and only the pieces whose bracket reaches under the
     least upper bound are evaluated exactly; every other piece is certainly
-    above the minimum.  Bundles are bracketed a block at a time, so no
-    ``T x T`` float temporaries are held.
+    above the minimum.  Bundles are bracketed a block at a time
+    (:func:`.model.row_blocks`), so no ``T x T`` float temporaries are held.
     """
     costs = cross_expenditures(dataset)
     phi, lam = solution.phi, solution.lam
     own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
     flt = _make_filter(dataset, solution, own)
     levels = []
-    step = max(1, 2**13 // len(own))
-    for first in range(0, len(own), step):
-        lo, hi = flt.terms(costs_f[:, first:first + step].T)
+    for block in row_blocks(len(own), len(own)):
+        lo, hi = flt.terms(costs_f[:, block].T)
         levels += [min(phi[t] + lam[t] * (costs[t, s] - own[t]) for t in np.flatnonzero(row))
-                   for s, row in enumerate(lo <= hi.min(axis=1, keepdims=True), first)]
+                   for s, row in enumerate(lo <= hi.min(axis=1, keepdims=True), block.start)]
     return own, flt, np.array(levels, dtype=object)
 
 

@@ -19,7 +19,8 @@ Attainment is genuinely two-sided and is reported, not assumed:
 
 Both cases agree with binary search on the verdict, which converges to the
 same flip point.  Both searches probe on nested cores (``_Probes``): each
-probe below a failing one builds its relations on that probe's cyclic core.
+probe below a failing one builds its relations on that probe's cyclic core,
+gathered from the cross expenditures a block of rows at a time.
 Both open with the verdict at 1, read off the relations that
 :func:`.revpref.direct_relations` keeps, so the ``ccei`` command builds
 them once.
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidToleranceError
-from .model import Dataset, Number, cross_expenditures
+from .model import Dataset, Number, cross_expenditures, row_blocks
 from .revpref import CycleWitness, GarpVerdict, _relation, direct_relations, garp_verdict
 
 
@@ -68,29 +69,40 @@ def _candidates(dataset: Dataset) -> np.ndarray:
     """The distinct ratios in (0, 1], sorted, as one array of the lane's numbers.
 
     The ratios ``costs[t, s] / costs[t, t]`` of the cross expenditures are
-    divided out in one T x T buffer, freed once the ratios in (0, 1] are
-    taken from it; nothing else divides them out.  They are sorted by
-    float64 keys: ``float`` is monotone, so every ratio in (0, 1] has a key
-    in [0, 1], and ratios with different keys are in key order.  A float
-    ratio is its own key, so the float lane sorts in place, with no index
-    array of T^2 / 2 entries; the exact lane gathers its ``Fraction``s in key
+    divided out a block of rows at a time (:func:`.model.row_blocks`), and
+    only the ones with a key in [0, 1] are kept, appended to one growing
+    array; nothing else divides them out.  They are sorted by float64 keys:
+    ``float`` is monotone, so every ratio in (0, 1] has a key in [0, 1], and
+    ratios with different keys are in key order.  A float ratio is its own
+    key, so the float lane keeps one array and sorts it in place; the exact
+    lane keeps its keys beside its ``Fraction``s and gathers these in key
     order.  Only a run of equal keys holding different ratios is then sorted
     in the lane's arithmetic, and only the exact lane has such runs.  The
     diagonal contributes 1.
     """
     costs = cross_expenditures(dataset)
-    ratios = (costs / costs.diagonal()[:, None]).ravel()
-    try:
-        keys = ratios.astype(float, copy=False)
-    except OverflowError:  # an exact ratio beyond the float range, so above 1
-        keys = np.minimum(ratios, 2).astype(float)
-    inside = keys <= 1  # no key is negative: costs are positive
-    if ratios.dtype == object:
-        order = np.flatnonzero(inside)[keys[inside].argsort()]
+    own, exact = costs.diagonal(), costs.dtype == object
+    ratios, keys = np.empty(0, dtype=costs.dtype), np.empty(0)
+    for rows in row_blocks(len(own), len(own)):
+        block = (costs[rows] / own[rows, None]).ravel()
+        try:
+            block_keys = block.astype(float, copy=False)
+        except OverflowError:  # an exact ratio beyond the float range, so above 1
+            block_keys = np.minimum(block, 2).astype(float)
+        inside = block_keys <= 1  # no key is negative: costs are positive
+        # Grown in place (realloc), so the kept ratios are never held twice.
+        n = ratios.size
+        ratios.resize(n + np.count_nonzero(inside), refcheck=False)
+        ratios[n:] = block[inside]
+        if exact:
+            keys.resize(ratios.size, refcheck=False)
+            keys[n:] = block_keys[inside]
+    if exact:
+        order = keys.argsort()
         ratios, keys = ratios[order], keys[order]
     else:
-        ratios = keys = ratios[inside]
         ratios.sort()
+        keys = ratios
     tied = np.flatnonzero(keys[1:] == keys[:-1])  # i and i + 1 share a key
     mixed = keys[tied[ratios[tied] != ratios[tied + 1]]]  # keys holding distinct ratios
     # Sorted, so a key's entries are adjacent: each run is sorted once (keys are >= 0).
@@ -124,10 +136,9 @@ class _Probes:
 
     def verdict(self, e: Number, *, witness: bool = False) -> GarpVerdict:
         nodes = self.core if self.failing is not None and e <= self.failing else None
-        costs = self.costs
-        if nodes is not None and nodes.size < len(costs):  # one gather, no K x T copy
-            costs = costs[np.ix_(nodes, nodes)]
-        rel = _relation(costs, e * costs.diagonal(), self.rel_tol)
+        # The core's rows are gathered a block at a time: no K x K copy.
+        own = self.costs.diagonal() if nodes is None else self.costs.diagonal()[nodes]
+        rel = _relation(self.costs, e * own, self.rel_tol, nodes)
         verdict = garp_verdict(rel, witness=witness)
         if verdict.holds or (nodes is None and self.failing is not None):
             return verdict

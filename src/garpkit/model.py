@@ -67,6 +67,17 @@ COMPARE_RTOL = 1e-12
 #: Relative allowance of the float lane's Afriat post-check and verifiers.
 CHECK_RTOL = 1e-9
 
+#: Entries per block of the T x T builds (relations, breakpoints, exact
+#: levels), which run a block of rows at a time so that no T x T float
+#: temporary lives next to the cross expenditures.
+BLOCK = 2**14
+
+
+def row_blocks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row slices of at most :data:`BLOCK` entries, one row at least."""
+    step = max(1, BLOCK // row_len)
+    return [slice(first, first + step) for first in range(0, n_rows, step)]
+
 
 def leq_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
     """Tolerant ``lhs <= rhs`` elementwise, as a bool array; ``rhs`` broadcasts.
@@ -97,8 +108,8 @@ def lt_array(lhs, rhs, rel_tol: float = 0.0) -> np.ndarray:
 def _shifted(lhs: np.ndarray, rhs, rel_tol: float, op) -> np.ndarray:
     """``op(rhs, rel_tol * max(|lhs|, |rhs|))`` elementwise, in one buffer.
 
-    Filled in place because a relation build runs this twice on a T x T
-    array, and each extra T x T temporary is a fresh allocation.
+    Filled in place because a relation build runs this twice on each block
+    of rows, and each extra temporary is a fresh allocation.
     """
     out = np.abs(lhs, dtype=float)
     np.maximum(out, np.abs(rhs), out=out)

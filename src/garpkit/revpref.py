@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Dataset, coerce_efficiency, cross_expenditures, leq_array, lt_array
+from .model import Dataset, coerce_efficiency, cross_expenditures, leq_array, lt_array, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +67,24 @@ class GarpVerdict:
     witness: Optional[CycleWitness]
 
 
-def _relation(costs: np.ndarray, budgets: np.ndarray, rel_tol: float) -> RevealedRelation:
+def _relation(costs: np.ndarray, budgets: np.ndarray, rel_tol: float,
+              nodes: Optional[np.ndarray] = None) -> RevealedRelation:
     """Weak and strict comparisons of each row of ``costs`` against its budget.
 
-    Both arrays are read-only, so a relation can be shared.
+    With ``nodes``, the relation among those observations alone, with one
+    budget per node.  The rows are compared a block at a time
+    (:func:`.model.row_blocks`), each gathered from ``costs`` on its own, so
+    no temporary of the full size is made.  Both arrays are read-only, so a
+    relation can be shared.
     """
-    budgets = budgets[:, None]
-    rel = RevealedRelation(weak=leq_array(costs, budgets, rel_tol),
-                           strict=lt_array(costs, budgets, rel_tol))
-    rel.weak.flags.writeable = rel.strict.flags.writeable = False
-    return rel
+    k = len(budgets)
+    weak, strict = np.empty((k, k), dtype=bool), np.empty((k, k), dtype=bool)
+    for rows in row_blocks(k, k):
+        block = costs[rows] if nodes is None else costs[nodes[rows]][:, nodes]
+        weak[rows] = leq_array(block, budgets[rows, None], rel_tol)
+        strict[rows] = lt_array(block, budgets[rows, None], rel_tol)
+    weak.flags.writeable = strict.flags.writeable = False
+    return RevealedRelation(weak=weak, strict=strict)
 
 
 def _trim(nodes: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -204,7 +204,7 @@ def _verdict_checker(monkeypatch, probes, current):
     the size of the relation each probe built."""
     real_init, real = ccei._Probes.__init__, ccei._Probes.verdict
     built = []
-    _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
+    _spy(monkeypatch, ccei, "_relation", lambda costs, budgets, *_: built.append(len(budgets)))
 
     def opened(self, dataset):
         real_init(self, dataset)
@@ -254,7 +254,8 @@ def test_ccei_probes_build_only_the_last_failing_core(monkeypatch, tmp_path):
     # Relations built by direct_relations: their size, and whether at e = 1.
     _spy(monkeypatch, revpref, "_relation", lambda costs, budgets, *_: full.append(
         (costs.shape[0], bool((budgets == costs.diagonal()).all()))))
-    _spy(monkeypatch, ccei, "_relation", lambda costs, *_: built.append(costs.shape[0]))
+    # A probe's relation has one budget per node it is built on.
+    _spy(monkeypatch, ccei, "_relation", lambda costs, budgets, *_: built.append(len(budgets)))
 
     def opening(self, dataset):
         real_init(self, dataset)
