@@ -31,7 +31,9 @@ Construction (no LP solver, works unchanged in exact rational arithmetic):
    and members ``s`` (0 for the first class); each member's ``lam`` is then
    the smallest value >= 1 satisfying every inequality toward the
    already-placed, higher levels.  Bounds in either direction only ever
-   reference quantities fixed earlier, so one pass suffices.
+   reference quantities fixed earlier, so one pass suffices.  The slacks
+   ``slack[t][s] = costs[t][s] - e[t] * costs[t][t]`` are taken for the
+   pairs each class reads, so no ``T x T`` copy of the costs is made.
 
 The construction is followed by a mandatory check of all T^2 inequalities.
 On the exact lane it is one exact pass over the observed bundles: the
@@ -60,7 +62,8 @@ from .errors import (
     DimensionMismatchError,
     GarpkitError,
 )
-from .model import CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures, row_blocks
+from .model import (CHECK_RTOL, Dataset, Number, coerce_efficiency, cross_expenditures,
+                    float_mirror, row_blocks)
 from .revpref import RevealedRelation, direct_relations, garp_verdict
 
 @dataclass(frozen=True)
@@ -134,7 +137,8 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
     costs = cross_expenditures(dataset)
     n = dataset.n_observations
     zero, one = dataset.number(0), dataset.number(1)
-    slack = costs - (np.array(ev, dtype=costs.dtype) * costs.diagonal())[:, None]
+    # slack[t][s] = costs[t][s] - own[t], taken for the pairs each class reads.
+    own = np.array(ev, dtype=costs.dtype) * costs.diagonal()
 
     phi = np.empty(n, dtype=costs.dtype)
     lam = np.empty(n, dtype=costs.dtype)
@@ -142,7 +146,8 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
     for members in _classes_in_order(rel):
         m = np.array(members, dtype=np.intp)
         if done.size:
-            level = (phi[done, None] + lam[done, None] * slack[np.ix_(done, m)]).min()
+            slack = costs[np.ix_(done, m)] - own[done, None]
+            level = (phi[done, None] + lam[done, None] * slack).min()
         else:
             level = zero
         phi[m] = level
@@ -150,16 +155,13 @@ def solve_afriat(dataset: Dataset, e=1) -> AfriatSolution:
         if higher.size:
             # No weak link points to an earlier class, so these slacks are
             # strictly positive and the bounds are well defined.
-            needed = ((phi[higher] - level) / slack[np.ix_(m, higher)]).max(axis=1)
-            lam[m] = np.maximum(one, needed)
+            slack = costs[np.ix_(m, higher)] - own[m, None]
+            lam[m] = np.maximum(one, ((phi[higher] - level) / slack).max(axis=1))
         else:
             lam[m] = one
         done = np.concatenate([done, m])
 
     solution = AfriatSolution(phi=tuple(phi.tolist()), lam=tuple(lam.tolist()), efficiency=ev)
-    # The check needs no slack: freeing it first keeps the T x T array of
-    # rationals out of the check's peak memory.
-    del slack
     residual = worst_residual(solution, dataset)
     if residual > 0:
         raise AfriatVerificationError(
@@ -187,7 +189,7 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     """
     costs = cross_expenditures(dataset)
     if dataset.exact:
-        levels = _levels(solution, dataset, _mirror(costs))[2]
+        levels = _levels(solution, dataset)[2]
         return max([dataset.number(0), *(solution.phi - levels)])
     phi = np.array(solution.phi, dtype=costs.dtype)
     lam = np.array(solution.lam, dtype=costs.dtype)
@@ -213,21 +215,21 @@ def worst_residual(solution: AfriatSolution, dataset: Dataset) -> Number:
     return worst
 
 
-def _levels(solution: AfriatSolution, dataset: Dataset, costs_f: np.ndarray) -> tuple:
+def _levels(solution: AfriatSolution, dataset: Dataset) -> tuple:
     """``(own, flt, levels)`` on the exact lane: ``own[t] = e[t] *
     costs[t][t]`` at the solution's efficiency, the filter built from it,
     and ``levels[s]``, the exact ``U(x[s])`` of every observed bundle, as an
     object array.
 
     ``p[t] . x[s]`` is ``costs[t][s]``, so the levels need no dot products.
-    ``costs_f`` is the float64 mirror of the cross expenditures
-    (:func:`_mirror`).  The filter brackets piece t at bundle s from
-    ``costs_f[t, s]``, and only the pieces whose bracket reaches under the
-    least upper bound are evaluated exactly; every other piece is certainly
-    above the minimum.  Bundles are bracketed a block at a time
+    The filter brackets piece t at bundle s from ``costs_f[t, s]``, read off
+    ``Dataset.cost_array``, the float64 mirror of the cross expenditures that
+    the dataset takes once; only the pieces whose bracket reaches under the
+    least upper bound are evaluated exactly, and every other piece is
+    certainly above the minimum.  Bundles are bracketed a block at a time
     (:func:`.model.row_blocks`), so no ``T x T`` float temporaries are held.
     """
-    costs = cross_expenditures(dataset)
+    costs, costs_f = cross_expenditures(dataset), dataset.cost_array
     phi, lam = solution.phi, solution.lam
     own = [v * c for v, c in zip(solution.efficiency, costs.diagonal().tolist())]
     flt = _make_filter(dataset, solution, own)
@@ -237,15 +239,6 @@ def _levels(solution: AfriatSolution, dataset: Dataset, costs_f: np.ndarray) -> 
         levels += [min(phi[t] + lam[t] * (costs[t, s] - own[t]) for t in np.flatnonzero(row))
                    for s, row in enumerate(lo <= hi.min(axis=1, keepdims=True), block.start)]
     return own, flt, np.array(levels, dtype=object)
-
-
-def _mirror(values) -> np.ndarray:
-    """The float64 mirror of a table of exact numbers; all NaN when an entry
-    overflows, which gives every bracket that reads it the vacuous bounds."""
-    try:
-        return np.asarray(values, dtype=object).astype(float)
-    except OverflowError:
-        return np.full(np.shape(values), np.nan)
 
 
 #: Absolute slack of the filter's error bound for underflowing products.
@@ -316,7 +309,7 @@ class _Filter:
 
 
 def _make_filter(dataset: Dataset, solution: AfriatSolution, own: list) -> _Filter:
-    phi, lam, own_f = map(_mirror, (solution.phi, solution.lam, own))
+    phi, lam, own_f = map(float_mirror, (solution.phi, solution.lam, own))
     # phi == 0 only certifies a zero mirror when the exact value is zero.
     if not ((_normal(phi) | (phi == 0)).all() and (_normal(lam) & (lam > 0)).all()
             and _normal(own_f).all()
@@ -354,12 +347,12 @@ def utility_profile(solution: AfriatSolution, dataset: Dataset) -> tuple[np.ndar
     """Float affine decomposition ``U(x) = min(offsets + X @ gradients.T)``.
 
     Returns (gradients, offsets) with gradients[t] = lam[t] * p[t].  Used by
-    vectorised samplers; exact-lane data is mirrored to float64.
+    vectorised samplers; exact-lane data is read through its float64 mirrors
+    (:func:`.model.float_mirror`), so Afriat numbers or data beyond the
+    float64 range give non-finite values, not an ``OverflowError``.
     """
-    lam = np.array([float(v) for v in solution.lam])
-    phi = np.array([float(v) for v in solution.phi])
-    evs = np.array([float(v) for v in solution.efficiency])
-    own = evs * cross_expenditures(dataset).diagonal().astype(float)
+    lam, phi, evs = map(float_mirror, (solution.lam, solution.phi, solution.efficiency))
+    own = evs * dataset.cost_array.diagonal()
     gradients = lam[:, None] * dataset.price_array
     offsets = phi - lam * own
     return gradients, offsets

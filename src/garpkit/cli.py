@@ -103,7 +103,7 @@ def parse_input(path: str, fmt: str = "auto", exact: bool = True) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             content = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(path, str(err)) from err
     if fmt == "csv":
         prices, bundles = _parse_csv(path, content, exact)
@@ -402,7 +402,7 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ParseError(args.config, f"cannot read generator config: {err}") from err
     if not isinstance(raw, dict):
         raise ParseError(args.config, "generator config must be a JSON object")
@@ -430,41 +430,43 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
 
 
 def _write_dataset(dataset: Dataset, path: str) -> None:
-    width = dataset.n_goods
+    """Write ``dataset`` to ``path`` as JSON or CSV, by its extension; the
+    cells are the floats of its float64 mirrors, written by ``repr``."""
+    prices, bundles = dataset.price_array.tolist(), dataset.bundle_array.tolist()
     if os.path.splitext(path)[1].lower() == ".json":
-        payload = json.dumps({
-            "prices": [[float(v) for v in row] for row in dataset.prices],
-            "bundles": [[float(v) for v in row] for row in dataset.bundles],
-        }, indent=2)
+        payload = json.dumps({"prices": prices, "bundles": bundles}, indent=2)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["t"] + [f"p{i}" for i in range(1, width + 1)]
-                        + [f"x{i}" for i in range(1, width + 1)])
-        for t in range(dataset.n_observations):
-            writer.writerow(
-                [t + 1]
-                + [repr(float(v)) for v in dataset.prices[t]]
-                + [repr(float(v)) for v in dataset.bundles[t]]
-            )
+        goods = range(1, dataset.n_goods + 1)
+        writer.writerow(["t", *(f"p{i}" for i in goods), *(f"x{i}" for i in goods)])
+        # csv writes a float as str(), which is its repr.
+        writer.writerows([t, *p, *x] for t, (p, x) in enumerate(zip(prices, bundles), start=1))
         payload = buf.getvalue()
     _atomic_write(path, [payload])
+
+
+class WriteError(GarpkitError):
+    """A report or dataset file could not be written; the message names it."""
 
 
 def _atomic_write(path: str, pieces) -> None:
     """Write the strings of ``pieces`` to ``path`` through a ``.tmp`` file.
 
     The file appears under ``path`` only once complete; if writing fails,
-    the temporary file is removed and the error raised.
+    the temporary file is removed and the error raised, an ``OSError`` as
+    the :class:`WriteError` that names ``path``.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(err, OSError):
+            raise WriteError(f"{path}: cannot write: {err.strerror or err}") from err
         raise
 
 
@@ -550,20 +552,36 @@ def _json_chunks(value, level: int = 0):
         yield json.dumps(value)
 
 
-def _emit(report: dict, args) -> None:
-    """Write the report piece by piece, to ``args.out`` or to standard output.
+def _emit(report: dict, fmt: str, out: str | None, code: int) -> int:
+    """Write the report piece by piece, to the file ``out`` or to standard
+    output, in the format ``fmt``; return the exit code, ``code`` unless the
+    report could not be written.
 
     A JSON report is never held whole: the pieces of :func:`_json_chunks`
     go straight to the file (through :func:`_atomic_write`) or the stream.
+    A report that cannot be written to ``out`` is replaced by an error
+    report on standard output, and the exit code is 2.  Standard output
+    closed by its reader (``garpkit ccei data.csv | head``) also gives exit
+    2: it is pointed at the null device, as the ``signal`` module's notes on
+    SIGPIPE advise, so that Python's flush at exit does not fail again.
     """
-    if args.format == "json":
+    if fmt == "json":
         pieces = chain(_json_chunks(report), ["\n"])
     else:
         pieces = [_render_text(report)]
-    if args.out:
-        _atomic_write(args.out, pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    try:
+        if out:
+            _atomic_write(out, pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except WriteError as err:
+        report["results"] = _error_results(err)
+        return _emit(report, fmt, None, EXIT_INPUT_ERROR)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
+    return code
 
 
 # ---------------------------------------------------------------- parser
@@ -681,8 +699,7 @@ def _refused(err: UsageError, argv) -> int:
     words = sys.argv[1:] if argv is None else list(argv)
     report = _envelope(err.command, "--float" in words)
     report["results"] = _error_results(err)
-    sys.stdout.write(_to_json(report) + "\n")
-    return EXIT_INPUT_ERROR
+    return _emit(report, "json", None, EXIT_INPUT_ERROR)
 
 
 def main(argv=None) -> int:
@@ -722,11 +739,8 @@ def main(argv=None) -> int:
             report["results"], code = command(dataset, args)[:2]
     except (GarpkitError, ValueError) as err:
         report["results"] = _error_results(err)
-        _emit(report, args)
-        return EXIT_INPUT_ERROR
-
-    _emit(report, args)
-    return code
+        code = EXIT_INPUT_ERROR
+    return _emit(report, args.format, args.out, code)
 
 
 def entrypoint() -> None:  # pragma: no cover - thin wrapper

@@ -123,7 +123,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .afriat import (_TINY, AfriatSolution, _levels, _mirror, _normal, evaluate_utility,
+from .afriat import (_TINY, AfriatSolution, _levels, _normal, evaluate_utility,
                      utility_profile)
 from .errors import GarpkitError
 from .model import CHECK_RTOL, Dataset, coerce_efficiency, cross_expenditures
@@ -306,15 +306,15 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     float level that sampling tests against reads it there.  ``at[t]`` is
     ``U(x[t])`` on the lane's numbers, which decides the observed bundles:
     ``observed`` itself on the float lane, the exact levels as an object
-    array on the exact lane.  Points are drawn in float64 from mirrors of
-    the prices, bundles, cross expenditures and utility; exact data with an
-    entry that overflows, or a nonzero one that underflows out of the normal
-    range, is refused, as it would draw them from other data, and so are
-    Afriat numbers whose mirror overflows.  On the exact lane ``own``,
-    ``flt`` and the exact levels are those of :func:`.afriat._levels`, the
-    one exact evaluation of U at the observed bundles that the Afriat
-    post-check reads too, given this call's float64 mirror of the cross
-    expenditures.
+    array on the exact lane.  Points are drawn in float64 from the
+    dataset's cached mirrors of the prices, bundles and cross expenditures
+    (:func:`.model.float_mirror`) and from the utility's; exact data with an
+    entry whose mirror is not normal (it overflows, or a nonzero entry
+    underflows out of the normal range) is refused, as it would draw them
+    from other data, and so are Afriat numbers whose mirror overflows.  On
+    the exact lane ``own``, ``flt`` and the exact levels are those of
+    :func:`.afriat._levels`, the one exact evaluation of U at the observed
+    bundles that the Afriat post-check reads too.
     """
     if not all(0 < v < float("inf") for v in solution.lam):
         raise GarpkitError(
@@ -327,26 +327,20 @@ def _set_up(dataset: Dataset, e, solution: AfriatSolution) -> tuple:
     if not dataset.exact:
         gradients, offsets = utility_profile(solution, dataset)
     else:
-        prices, bundles, costs_f = map(_mirror, (dataset.prices, dataset.bundles, costs))
         zero = np.array([[v == 0 for v in row] for row in dataset.bundles])
-        if not (_normal(prices).all() and _normal(costs_f).all()
-                and (_normal(bundles) | zero).all()):
+        if not (_normal(dataset.price_array).all() and _normal(dataset.cost_array).all()
+                and (_normal(dataset.bundle_array) | zero).all()):
             raise GarpkitError(
                 "exact data outside the float64 range: sampling draws points from "
                 "a float64 mirror of the prices and bundles, and that mirror "
                 "overflows or underflows"
             )
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gradients, offsets = utility_profile(solution, dataset)
-        except OverflowError:
-            ok = False
-        else:
-            ok = np.isfinite(gradients).all() and np.isfinite(offsets).all()
-        if not ok:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gradients, offsets = utility_profile(solution, dataset)
+        if not (np.isfinite(gradients).all() and np.isfinite(offsets).all()):
             raise GarpkitError("Afriat numbers outside the float64 range: the float64 "
                                "mirror of the recovered utility overflows")
-        own, flt, at = _levels(solution, dataset, costs_f)
+        own, flt, at = _levels(solution, dataset)
     n = dataset.n_observations
     observed = _utility_values(dataset.bundle_array, gradients, offsets, np.empty((n, n)))
     return ev, costs, gradients, offsets, observed, own, flt, observed if at is None else at

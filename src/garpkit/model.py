@@ -27,8 +27,10 @@ lanes.  The relations are the one place that compares costs with budgets,
 and :func:`leq_array`/:func:`lt_array` their one comparison rule.
 An efficiency is a plain tuple of the lane's numbers
 (:func:`coerce_efficiency`).  The ``Dataset`` caches its cross expenditures,
-and the last relations :func:`.revpref.direct_relations` built for it, so
-both live exactly as long as the dataset.
+their float64 mirror and those of its prices and bundles (one rule,
+:func:`float_mirror`), and the last relations
+:func:`.revpref.direct_relations` built for it, so all of them live exactly
+as long as the dataset.
 
 The float lane's tolerance policy is two numbers, both defined here.
 :data:`COMPARE_RTOL` (1e-12) is the tolerance of the e-GARP comparisons, so
@@ -117,6 +119,26 @@ def _shifted(lhs: np.ndarray, rhs, rel_tol: float, op) -> np.ndarray:
     return op(rhs, out, out=out)
 
 
+def float_mirror(values) -> np.ndarray:
+    """The float64 mirror of a table of the lane's numbers, each entry
+    correctly rounded; all NaN when an exact entry overflows float64, which
+    gives every float bracket that reads it the vacuous bounds.
+
+    This is the one rule for mirroring exact data: the ``Dataset`` caches
+    the mirrors of its prices, bundles and cross expenditures under it.
+    """
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.full(np.shape(values), np.nan)
+
+
+def _shared(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only because every caller shares it."""
+    array.flags.writeable = False
+    return array
+
+
 def _to_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
@@ -186,21 +208,28 @@ class Dataset:
 
     @cached_property
     def price_array(self) -> np.ndarray:
-        """Float64 mirror of the prices (used by vectorised code paths)."""
-        return np.array([[float(v) for v in row] for row in self.prices])
+        """Float64 mirror of the prices (:func:`float_mirror`), read-only.
+
+        On the exact lane a price beyond the float64 range makes the whole
+        mirror NaN rather than raising ``OverflowError``.
+        """
+        return _shared(float_mirror(self.prices))
 
     @cached_property
     def bundle_array(self) -> np.ndarray:
-        """Float64 mirror of the bundles."""
-        return np.array([[float(v) for v in row] for row in self.bundles])
+        """Float64 mirror of the bundles (:func:`float_mirror`), read-only."""
+        return _shared(float_mirror(self.bundles))
+
+    @cached_property
+    def cost_array(self) -> np.ndarray:
+        """Float64 mirror of the cross expenditures (:func:`float_mirror`),
+        read-only; on the float lane, the cross expenditures themselves."""
+        return _shared(float_mirror(self._cross)) if self.exact else self._cross
 
     @cached_property
     def _cross(self) -> np.ndarray:
-        # Cached on the instance, so a lookup never hashes the whole table;
-        # read-only, because every caller shares it.
-        costs = _compute_cross(self)
-        costs.flags.writeable = False
-        return costs
+        # Cached on the instance, so a lookup never hashes the whole table.
+        return _shared(_compute_cross(self))
 
     @cached_property
     def _last_relations(self) -> list:
@@ -273,8 +302,7 @@ def cross_expenditures(dataset: Dataset) -> np.ndarray:
     nonzero.  Float64 on the float lane, where the products are accumulated
     in float64; an object array of exact ``Fraction`` entries on the exact
     lane, whose elementwise operations are the exact ones.  Shared, so
-    read-only; code that needs a float64 mirror of exact data converts with
-    ``.astype(float)`` where it needs it.
+    read-only; its float64 mirror is ``Dataset.cost_array``.
 
     Raises:
         GarpkitError: on the float lane, some entry overflows float64 or

@@ -19,7 +19,7 @@ from garpkit import (
     validate_dataset,
     worst_residual,
 )
-from garpkit.afriat import AfriatSolution, _classes_in_order
+from garpkit.afriat import AfriatSolution, _classes_in_order, utility_profile
 from garpkit.errors import AfriatInfeasibleError, DimensionMismatchError
 from garpkit.model import coerce_efficiency
 from garpkit.revpref import direct_relations
@@ -120,6 +120,17 @@ def test_float_allowance_that_overflows_is_refused():
     # Half the bundle keeps the allowance finite, and the exact lane has none.
     assert solve_afriat(validate_dataset([[1, 1]], [[0, 5e307]], exact=False)).residual <= 0
     assert solve_afriat(validate_dataset([[1, 1]], [[0, 1e308]], exact=True)).residual == 0
+
+
+@pytest.mark.parametrize("big", ["phi", "lam"])
+def test_utility_profile_of_out_of_range_afriat_numbers_is_not_finite(base_exact, big):
+    # An exact Afriat number beyond float64 makes its mirror all NaN, so the
+    # float profile is not finite; duality refuses it from there.
+    numbers = {"phi": (Fraction(0), Fraction(0)), "lam": (Fraction(1), Fraction(1))}
+    numbers[big] = (Fraction(10) ** 400, Fraction(1))
+    solution = AfriatSolution(efficiency=(Fraction(1), Fraction(1)), **numbers)
+    gradients, offsets = utility_profile(solution, base_exact)
+    assert not (np.isfinite(gradients).all() and np.isfinite(offsets).all())
 
 
 def _same_solution(dataset, e):

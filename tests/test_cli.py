@@ -284,6 +284,56 @@ def test_a_failed_report_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_report_that_cannot_be_written_is_an_error_report_on_stdout(capsys, tmp_path,
+                                                                      base_path):
+    out = str(tmp_path / "missing" / "report.txt")
+    code = main(["check-garp", base_path, "--out", out, "--format", "text"])
+    assert code == EXIT_INPUT_ERROR
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"error [WriteError]: {out}: cannot write: ")
+    assert os.listdir(tmp_path) == ["base.csv"]
+
+
+def test_unwritable_files_are_write_errors_naming_the_path(capsys, tmp_path, base_path,
+                                                           report_validator):
+    config = tmp_path / "spec.json"
+    config.write_text('{"weights": [0.25, 0.75], "n_observations": 3, "seed": 1}')
+    out = str(tmp_path / "missing" / "out")
+    for argv in (["ccei", base_path, "--out", out],
+                 ["generate", "--config", str(config), "--data-out", out]):
+        report = _assert_input_error(capsys, report_validator, argv)
+        error = report["results"]["error"]
+        assert error["type"] == "WriteError" and error["message"].startswith(out + ": "), argv
+    assert sorted(os.listdir(tmp_path)) == ["base.csv", "spec.json"]
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # About 290 KB of breakpoints, more than a pipe holds: the writer is
+    # still writing when the reader goes away.
+    table = random_csv(tmp_path / "t150.csv", np.random.default_rng(150), 150, 10)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.Popen([sys.executable, "-m", "garpkit.cli", "ccei", "--float", table],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(10) == b'{\n  "tool"'
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_INPUT_ERROR
+    assert stderr == b""
+
+
+def test_text_that_is_not_utf8_is_a_parse_error_naming_the_file(capsys, tmp_path,
+                                                                report_validator):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("t,p1,x1\n1,1,1\n# caf\u00e9\n".encode("latin-1"))
+    for argv in (["check-garp", str(path)],
+                 ["generate", "--config", str(path), "--data-out", str(tmp_path / "d.csv")]):
+        report = _assert_input_error(capsys, report_validator, argv)
+        error = report["results"]["error"]
+        assert error["type"] == "ParseError" and error["message"].startswith(str(path)), argv
+        assert "utf-8" in error["message"]
+
+
 def test_float_ccei_report_holds_no_list_of_its_breakpoints(tmp_path):
     # Traced peak of an in-process float `ccei --out` at T=300 (L=10, about
     # 45 000 breakpoints): 5.4-5.5 MB when the breakpoints went through a
@@ -894,6 +944,25 @@ def test_verify_refuses_data_outside_float_range(capsys, tmp_path, report_valida
     assert report["results"]["error"]["type"] == "GarpkitError"
     assert "float64 range" in report["results"]["error"]["message"]
     assert not list(report_validator.iter_errors(report))
+
+
+@pytest.mark.parametrize("table, message", [
+    ("t,p1,p2,x1,x2\n1,1e400,1,1,1\n2,1,2,2,1\n",
+     "exact data outside the float64 range: sampling draws points from a float64 mirror of "
+     "the prices and bundles, and that mirror overflows or underflows"),
+    ('{"prices": [[1, 1]], "bundles": [[0, 1e308]]}',
+     "exact data outside the float64 range: the sampling box, twice the largest bundles, "
+     "overflows"),
+])
+def test_verify_names_what_leaves_the_float64_range(capsys, tmp_path, table, message):
+    # The overflowing price makes the dataset's float64 mirrors all NaN, and
+    # the refusal is the mirror's; a bundle of 1e308 has a finite mirror,
+    # and the sampling box around it overflows.
+    path = tmp_path / ("d.json" if table.startswith("{") else "d.csv")
+    path.write_text(table)
+    code, report = run_json(capsys, "verify", str(path), "--samples", "5")
+    assert code == EXIT_INPUT_ERROR
+    assert report["results"]["error"] == {"type": "GarpkitError", "message": message}
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])

@@ -123,6 +123,42 @@ def test_cross_expenditures_cached(base_exact):
     assert not cross_expenditures(base_exact).flags.writeable
 
 
+def _mirrors(dataset):
+    return {"price_array": dataset.prices, "bundle_array": dataset.bundles,
+            "cost_array": cross_expenditures(dataset)}
+
+
+@pytest.mark.parametrize("digits", [2, 30])
+def test_float64_mirrors_are_the_correctly_rounded_tables(digits):
+    # One rule for every mirror of exact data: each entry correctly rounded,
+    # as astype(float) converts an object array of Fractions.
+    rng = np.random.default_rng(digits)
+    table = [[f"{rng.integers(1, 100)}." + "".join(map(str, rng.integers(0, 10, digits)))
+              for _ in range(4)] for _ in range(5)]
+    dataset = validate_dataset(table, table[::-1], exact=True)
+    for name, exact in _mirrors(dataset).items():
+        want = np.asarray(exact, dtype=object).astype(float)
+        got = getattr(dataset, name)
+        assert got.dtype == np.float64 and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert getattr(dataset, name) is got and not got.flags.writeable
+
+
+def test_float64_mirrors_of_out_of_range_exact_data_are_nan():
+    # The CI's 1e400 table: one price overflows, so every mirror that reads
+    # it is all NaN (the filters' vacuous bracket), not an OverflowError.
+    dataset = validate_dataset([["1e400", 1], [1, 2]], [[1, 1], [2, 1]], exact=True)
+    assert np.isnan(dataset.price_array).all() and np.isnan(dataset.cost_array).all()
+    assert dataset.bundle_array.tolist() == [[1.0, 1.0], [2.0, 1.0]]
+    for name in _mirrors(dataset):
+        assert getattr(dataset, name) is getattr(dataset, name)
+
+
+def test_float_lane_mirrors_are_the_data_itself(base_float):
+    assert base_float.cost_array is cross_expenditures(base_float)
+    assert base_float.price_array.tolist() == [list(row) for row in base_float.prices]
+    assert base_float.bundle_array.tolist() == [list(row) for row in base_float.bundles]
+
+
 def test_exact_comparators_have_no_slack():
     assert leq(Fraction(1), Fraction(1))
     assert not lt(Fraction(1), Fraction(1))
