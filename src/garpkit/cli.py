@@ -511,11 +511,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, byte for byte."""
-    return "".join(_json_chunks(report))
-
-
 def _json_chunks(value, level: int = 0):
     """Yield the pieces of ``json.dumps(value, indent=2)`` at ``level``.
 

@@ -18,7 +18,11 @@ only, on the dataset, so every verdict, the Afriat class order
 (:mod:`.afriat`) and budget membership (:mod:`.duality`) at that e share
 one build.  A :class:`RevealedRelation` labels its SCCs once, by
 forward-backward search (Fleischer, Hendrickson & Pinar 2000).  A failing
-verdict is certified by a minimal violating cycle (see ``_minimal_cycle``).
+verdict is certified by a minimal violating cycle, found by one
+breadth-first search from every violating source at once
+(``_minimal_cycle``).  Both searches expand a level the same way, by
+gathering the weak relation's rows at the frontier, and the witness search
+keeps one distance array of S x T entries for S sources, whatever its depth.
 """
 
 from __future__ import annotations
@@ -149,10 +153,15 @@ def _violating_sources(rel: RevealedRelation) -> np.ndarray:
     """The rows of ``closure & strict.T`` with a violation, from the SCC labels.
 
     ``strict`` must lie inside ``weak``.  Then (t, s) violates exactly when
-    the strict link from s to t lies inside one SCC, or is a self-loop.
+    the strict link from s to t lies inside one SCC, or is a self-loop.  The
+    links are tested a block of rows at a time (:func:`.model.row_blocks`),
+    so no K-by-K temporary is made.
     """
     label = rel.components[1]
-    return np.flatnonzero((rel.strict & (label[:, None] == label)).any(axis=0))
+    hit = np.zeros(label.size, dtype=bool)
+    for rows in row_blocks(label.size, label.size):
+        hit |= (rel.strict[rows] & (label[rows, None] == label)).any(axis=0)
+    return np.flatnonzero(hit)
 
 
 def direct_relations(dataset: Dataset, e=1) -> RevealedRelation:
@@ -177,63 +186,65 @@ def _minimal_cycle(weak: np.ndarray, strict: np.ndarray,
                    sources: np.ndarray) -> CycleWitness:
     """Minimal-length violating cycle; deterministic tie-breaking.
 
-    Breadth-first search over boolean matrices from every violating source
-    at once: ``levels[d - 1][i, v]`` holds when the shortest weak path from
-    ``sources[i]`` to ``v`` has ``d`` steps.  The search stops at the first
-    level with a pair (t, s) such that ``s`` is strictly revealed preferred
-    to ``t``; every such pair closes a violating cycle of ``d + 1`` steps,
-    and no violating cycle is shorter.  For each pair the lexicographically
-    smallest shortest path from ``t`` to ``s`` is rebuilt greedily -- from
-    each node, the smallest weak successor that still lies on a shortest
-    path to ``s`` -- which is the path a per-source BFS scanning neighbours
-    in index order records.  Each cycle is rotated to start at its lowest
-    index, and the lexicographically smallest is returned.  ``sources`` are
-    the rows of ``closure & strict.T`` with a violation.
-    At depth 1 the cycle of pair (t, s) is (min, max, min).  Deeper, a cycle
-    from ``t`` holds only nodes ``t`` reaches in ``d`` steps or fewer: the
-    sources are walked by the lowest of those, until it exceeds the best
-    cycle's first entry.
+    Breadth-first search from every violating source at once, held in one
+    distance array: ``dist[i, v]`` is the number of steps of the shortest
+    weak path from ``sources[i]`` to ``v`` (0 at the source, -1 while ``v``
+    is unreached; the last level is kept only as its closing pairs).  Each
+    level gathers the rows of ``weak`` at the frontier's nodes, a block of
+    rows at a time (:func:`.model.row_blocks`), and or-reduces them per
+    source, as :func:`_scc_of_first` does for one source, so the search
+    holds O(S * T) entries at any depth.  It stops
+    at the first level ``d`` with a pair (t, s) such that ``s`` is strictly
+    revealed preferred to ``t``; every such pair closes a violating cycle of
+    ``d + 1`` steps, and no violating cycle is shorter.  For each pair the
+    lexicographically smallest shortest path from ``t`` to ``s`` is rebuilt
+    greedily from ``dist`` -- from each node, the smallest weak successor
+    that still lies on a shortest path to ``s`` -- which is the path a
+    per-source BFS scanning neighbours in index order records.  Each cycle is
+    rotated to start at its lowest index, and the lexicographically smallest
+    is returned.  ``sources`` are the rows of ``closure & strict.T`` with a
+    violation.  A cycle from ``t`` holds only nodes ``t`` reaches in ``d``
+    steps or fewer: the sources are walked by the lowest of those, until it
+    exceeds the best cycle's first entry.
     """
     n = weak.shape[0]
     back = strict.T[sources]
-    reached = np.zeros((sources.size, n), dtype=bool)
-    reached[np.arange(sources.size), sources] = True
-    frontier = weak[sources] & ~reached
-    levels = [frontier]
-    while not (frontier & back).any():
-        if not frontier.any():
+    dist = np.full((sources.size, n), -1, dtype=np.int32)
+    dist[np.arange(sources.size), sources] = 0
+    frontier = dist == 0
+    for depth in range(1, n + 1):  # each level reaches a new node
+        owner, node = np.nonzero(frontier)
+        if not owner.size:
             raise ValueError("no violating cycle: e-GARP holds")
-        reached |= frontier
-        frontier = (frontier @ weak) & ~reached
-        levels.append(frontier)
-    depth = len(levels)
-    closing = frontier & back
+        frontier = np.zeros_like(frontier)
+        for rows in row_blocks(owner.size, n):
+            heads, first = np.unique(owner[rows], return_index=True)
+            frontier[heads] |= np.logical_or.reduceat(weak[node[rows]], first)
+        frontier &= dist < 0
+        closing = frontier & back
+        if closing.any():
+            break
+        dist[frontier] = depth
 
-    if depth == 1:
-        rows, ends = np.nonzero(closing)
-        pairs = np.sort(np.c_[sources[rows], ends], axis=1)
-        low, high = pairs[np.lexsort(pairs.T[::-1])[0]].tolist()
-        best = (low, high, low)
-    else:
-        bound = (reached | closing).argmax(axis=1)
-        best = None
-        for i in np.argsort(bound, kind="stable").tolist():
-            if best is not None and bound[i] > best[0]:
-                break
-            for s in np.flatnonzero(closing[i]).tolist():
-                # The nodes r steps along some shortest path from t to s,
-                # for r = depth - 1 down to 1.
-                on = [levels[depth - 2][i] & weak[:, s]]
-                for r in range(depth - 2, 0, -1):
-                    on.append(levels[r - 1][i] & (weak @ on[-1]))
-                path = [int(sources[i])]
-                for step in reversed(on):
-                    path.append(int(np.argmax(weak[path[-1]] & step)))
-                path.append(s)
-                pivot = path.index(min(path))
-                ring = tuple(path[pivot:] + path[: pivot + 1])
-                if best is None or ring < best:
-                    best = ring
+    bound = ((dist >= 0) | closing).argmax(axis=1)
+    best = None
+    for i in np.argsort(bound, kind="stable").tolist():
+        if best is not None and bound[i] > best[0]:
+            break
+        for s in np.flatnonzero(closing[i]).tolist():
+            # s itself, then the nodes r steps along some shortest path from
+            # t to s, for r = depth - 1 down to 1 (none at depth 1).
+            on = [[s]]
+            for r in range(depth - 1, 0, -1):
+                on.append((dist[i] == r) & weak[:, on[-1]].any(axis=1))
+            path = [int(sources[i])]
+            for step in reversed(on[1:]):
+                path.append(int(np.argmax(weak[path[-1]] & step)))
+            path.append(s)
+            pivot = path.index(min(path))
+            ring = tuple(path[pivot:] + path[: pivot + 1])
+            if best is None or ring < best:
+                best = ring
     strict_edge = next(i for i in range(depth + 1) if strict[best[i], best[i + 1]])
     return CycleWitness(indices=best, strict_edge=strict_edge)
 

@@ -17,6 +17,10 @@ frozen here):
   [[4,4],[8,10]].  The tie 1->2 plus strict 2->1 violate only at e = 1:
   CCEI = 1, not attained.
 * ``single``: one observation; trivially consistent, CCEI = 1.
+
+``ring(n)`` gives the ring family, exact and float: each row strictly
+reveals only the next one, so the one violating cycle runs through all n
+rows and the witness search goes n - 1 levels deep.
 """
 
 from __future__ import annotations
@@ -65,6 +69,23 @@ def random_tables(rng, n_obs, n_goods, lo=0.1, hi=10.0):
         for _ in range(n_obs)
     ]
     return prices, bundles
+
+
+def ring(n_obs):
+    """Exact and float twins of the ring table, L = 3, from 17-digit strings.
+
+    With ``theta_t = 2 pi t / T`` and ``phi_t = theta_t + 0.7 * 2 pi / T``,
+    ``x_t = (2 + cos theta_t, 2 + sin theta_t, 2 - cos theta_t - sin theta_t)``
+    and ``p_t = 1.5 - (cos phi_t, sin phi_t, 0)``.  Then
+    ``C[t, t+1] < C[t, t] < C[t, s]`` for every other s (indices mod T): the
+    one violating cycle is (0, 1, ..., T - 1, 0), every step strict.
+    """
+    theta = 2 * np.pi * np.arange(n_obs) / n_obs
+    phi = theta + 0.7 * 2 * np.pi / n_obs
+    prices = np.c_[1.5 - np.cos(phi), 1.5 - np.sin(phi), np.full(n_obs, 1.5)]
+    bundles = np.c_[2 + np.cos(theta), 2 + np.sin(theta), 2 - np.cos(theta) - np.sin(theta)]
+    return make_twins([list(map(repr, row.tolist())) for row in prices],
+                      [list(map(repr, row.tolist())) for row in bundles])
 
 
 def random_efficiency(rng, exact_dataset, allow_vector=True):

@@ -642,13 +642,13 @@ def test_reports_are_indent_2_json_byte_for_byte(capsys, tmp_path, viol_path):
 
 
 def test_report_writer_is_json_dumps_indent_2():
-    from garpkit.cli import _to_json
+    from garpkit.cli import _json_chunks
     for value in ({}, [], (), {"a": [], "b": {}, "c": [1, 2.5, "x\u00e9", None, True, -0.0,
                                                       float("inf"), 10**30]},
                   {"d": [{"q": [1, [2, []]]}, [], (3, (4,))], "e": [[1], {"f": None}]},
                   [1.0, 1e-300, 0.1 + 0.2], "s\n", 3, None,
                   {"long": [i / 7 for i in range(5000)], "tuple": tuple(range(4097))}):
-        assert _to_json(value) == json.dumps(value, indent=2)
+        assert "".join(_json_chunks(value)) == json.dumps(value, indent=2)
     # A 1-D array is written as the list of its lane's numbers: float64
     # through tolist(), Fraction as "num/den" strings.
     floats = np.random.default_rng(5).uniform(size=5000)
@@ -656,7 +656,7 @@ def test_report_writer_is_json_dumps_indent_2():
     for array, listed in ((floats, floats.tolist()), (floats[:1], floats[:1].tolist()),
                           (fractions, list(map(str, fractions))),
                           (fractions[:2048], list(map(str, fractions[:2048])))):
-        assert _to_json({"breakpoints": array, "n": 1}) == json.dumps(
+        assert "".join(_json_chunks({"breakpoints": array, "n": 1})) == json.dumps(
             {"breakpoints": listed, "n": 1}, indent=2)
 
 

@@ -10,19 +10,23 @@ forward-backward search on the cyclic core; the labels must read the same
 violations and classes as the full closure, on random graphs and at every
 probe of both CCEI searches; the package has no closure to build.  The
 CCEI probes below a failing one build their relations on its cyclic core
-alone, which must hold every cycle: the cores are nested in e.
+alone, which must hold every cycle: the cores are nested in e.  On the
+ring, whose one violating cycle runs through every observation, the
+witness is the whole ring and the search's traced memory stays O(S * T).
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_graph as reference
-from conftest import make_twins, random_tables
+from conftest import make_twins, random_tables, ring
 from garpkit import (
     ccei,
     check_e_garp,
@@ -39,6 +43,7 @@ from garpkit.revpref import (
     CycleWitness,
     RevealedRelation,
     _components,
+    _minimal_cycle,
     _violating_sources,
     garp_verdict,
 )
@@ -128,6 +133,36 @@ def test_long_cycle_witness():
     strict[1, 0] = strict[2, 3] = True
     rel = RevealedRelation(weak=weak, strict=strict)
     assert garp_verdict(rel).witness == CycleWitness((0, 2, 3, 0), 1) == reference.minimal_cycle(rel)
+
+
+@pytest.mark.parametrize("n", [6, 8, 60])
+def test_ring_witness_is_the_whole_ring(n):
+    # Each row of the ring strictly reveals only the next, so the search goes
+    # n - 1 levels deep and the one violating cycle holds every row.
+    for dataset in ring(n):
+        witness = check_e_garp(dataset).witness
+        assert witness.indices == tuple(range(n)) + (0,)
+        assert witness.strict_edge == 0
+        if n <= 8:
+            assert garp_oracle(dataset).violating_cycles == (witness.indices,)
+
+
+def test_ring_witness_search_holds_o_s_t_memory():
+    # One distance array and one frontier of S x T entries, and one block of
+    # gathered rows: the traced peak on the ring at T = 100 (S = 100) read
+    # 0.10 MiB.  A list of per-depth S x T levels read 1.01 MiB.
+    n = 100
+    rel = direct_relations(ring(n)[1])
+    sources = _violating_sources(rel)
+    assert sources.size == n
+    tracemalloc.start()
+    try:
+        witness = _minimal_cycle(rel.weak, rel.strict, sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.indices == tuple(range(n)) + (0,)
+    assert peak < 16 * sources.size * n, f"{peak / 2**20:.2f} MiB"
 
 
 def _scc_reference(weak: np.ndarray) -> np.ndarray:

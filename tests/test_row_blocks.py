@@ -9,7 +9,9 @@ must equal ``leq_array``/``lt_array`` run once on the gathered matrix, and
 the test-only ``reference_exact`` candidates: at a size of one row, at a
 size inside one block, and at sizes whose rows span several blocks with a
 ragged last one.  No T x T (or K x K) float64 temporary is made, so their
-traced peaks stay under one such array.
+traced peaks stay under one such array.  ``revpref._violating_sources``
+tests the strict links against the SCC labels a block of rows at a time
+too, so its traced peak stays under one K x K bool array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from conftest import make_twins, random_tables
 from garpkit import ccei, direct_relations, validate_dataset
 from garpkit.ccei import _candidates
 from garpkit.model import cross_expenditures, leq_array, lt_array, row_blocks
-from garpkit.revpref import _relation
+from garpkit.revpref import _relation, _violating_sources
 
 # Size -> (row blocks of a size x size build, rows in the last block).
 LAYOUTS = {1: (1, 1), 50: (1, 50), 150: (2, 41), 257: (5, 5)}
@@ -136,3 +138,20 @@ def test_core_probe_traces_less_than_one_core_sized_float_array(monkeypatch):
     peak = _traced_peak(lambda: probes.verdict(0.99))
     assert sizes == [k]
     assert peak < k * k * 8, f"{peak / 1e6:.2f} MB"
+
+
+def test_violating_sources_trace_less_than_one_full_bool_array():
+    # perfbench's random_table(default_rng(104), 600): GARP fails and all 600
+    # observations are one SCC.  Traced peak of the violating sources, its
+    # SCC labels found first: 0.46 MiB with the K x K label comparison made
+    # in full, 0.14 MiB a block of rows at a time.  One T x T bool array is
+    # 0.34 MiB.
+    n = 600
+    rng = np.random.default_rng(104)
+    prices = rng.integers(10, 1001, (n, 10)) / 100
+    bundles = rng.integers(10, 1001, (n, 10)) / 100
+    rel = direct_relations(validate_dataset(prices.tolist(), bundles.tolist(), exact=False))
+    label = rel.components[1]
+    assert (label == 0).all()
+    assert _traced_peak(lambda: _violating_sources(rel)) < n * n
+    assert _violating_sources(rel).tolist() == list(range(n))
